@@ -299,6 +299,8 @@ def _print_backend(report) -> None:
         f"({summary.get('num_procs', '?')} procs, "
         f"start method {summary.get('start_method', '?')}), "
         f"shared graph {summary.get('shared_graph_bytes', 0)} bytes, "
+        f"shipped {summary.get('entries_shipped', 0)} entries "
+        f"({summary.get('shipped_bytes', 0)} bytes), "
         f"wall {summary.get('wall_seconds', 0.0):.3f}s"
     )
     if (

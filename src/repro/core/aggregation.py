@@ -16,6 +16,13 @@ reduction before moving on, which lets a provably per-key-monotone
 ``agg_filter`` (FSM's MNI threshold) prune entries during the merge
 instead of materializing the full unfiltered mapping first.
 
+:func:`encode_entries` / :func:`decode_entries` are the wire format of a
+storage's entries between processes: pattern keys travel as their
+canonical DFS codes packed into one flat integer array (DIMSpan's point:
+integer-array codes and cheap (de)serialization before the shuffle are
+what let pattern-keyed aggregation scale), and the receiver builds one
+``Pattern`` per distinct code.
+
 :class:`DomainSupport` implements the *minimum image-based support*
 [Bringmann & Nijssen 2008] adopted by the paper for FSM: for each canonical
 position of a pattern, the set of distinct graph vertices mapped there; the
@@ -25,7 +32,10 @@ which is what lets FSM prune with an aggregation filter.
 
 from __future__ import annotations
 
+import pickle
 import zlib
+from array import array
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -38,12 +48,16 @@ from typing import (
     Tuple,
 )
 
+from ..pattern.pattern import Pattern
+
 __all__ = [
     "AggregationStorage",
     "BoundedCombinerStorage",
     "AggregationView",
     "DomainSupport",
     "merge_storages_streaming",
+    "encode_entries",
+    "decode_entries",
     "ship_words",
     "stable_partition",
 ]
@@ -132,6 +146,23 @@ class AggregationStorage:
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def prefilter(self) -> None:
+        """Apply a per-key-monotone ``agg_filter`` to the reduced entries.
+
+        For callers that have folded in every contribution: no key can
+        change its verdict any more, so failing entries are dropped here
+        and ``finalize`` skips its filter pass.  A no-op for filters not
+        declared monotone.
+        """
+        if self.agg_filter is not None and self.filter_monotone:
+            agg_filter = self.agg_filter
+            self._data = {
+                key: value
+                for key, value in self._data.items()
+                if agg_filter(key, value)
+            }
+            self._prefiltered = True
 
     def finalize(self) -> "AggregationView":
         """Apply the post-reduction filter and freeze."""
@@ -259,6 +290,80 @@ def merge_storages_streaming(
     merged._data = out
     merged._prefiltered = early
     return merged
+
+
+def _int_array(values: List[int]) -> array:
+    """``values`` in the narrowest signed array type that holds them."""
+    for typecode in "bhiq":
+        try:
+            return array(typecode, values)
+        except OverflowError:
+            pass
+    raise OverflowError("pattern label does not fit in 64 bits")
+
+
+def encode_entries(pairs: Iterable[Tuple[Any, Any]]) -> bytes:
+    """Wire form of ``(key, value)`` entries crossing a process boundary.
+
+    A :class:`Pattern` key ships as its canonical DFS code and nothing
+    else: the codes of all keys are concatenated into one flat integer
+    array (five integers per code tuple) next to an array of code
+    lengths, so a labeled 4-vertex pattern costs ~20 bytes instead of
+    the ~140 its pickled slots took.  Keys of any other type (length 0
+    in the lengths array) and all values are pickled as they are.
+    """
+    pairs = list(pairs)
+    codes: List[Tuple] = []
+    lengths: List[int] = []
+    others: List[Any] = []
+    for key, _ in pairs:
+        if type(key) is Pattern:
+            code = key.canonical_code()
+            codes.append(code)
+            lengths.append(len(code))
+        else:
+            others.append(key)
+            lengths.append(0)
+    flat = list(chain.from_iterable(chain.from_iterable(codes)))
+    return pickle.dumps(
+        (
+            _int_array(lengths),
+            _int_array(flat),
+            others,
+            [value for _, value in pairs],
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def decode_entries(
+    buffer: bytes, patterns: Dict[Tuple, Pattern]
+) -> List[Tuple[Any, Any]]:
+    """Inverse of :func:`encode_entries`; entry order is preserved.
+
+    ``patterns`` is the receiver's code -> ``Pattern`` table, shared
+    across payloads: a pattern is built (by
+    :meth:`Pattern.from_canonical_code`, never by re-running the minimum
+    DFS-code search) only the first time its code is seen, and every
+    later entry with that code gets the same object.  Only decode bytes
+    this program's own workers produced — the buffer is a pickle.
+    """
+    lengths, flat, others, values = pickle.loads(buffer)
+    rows = list(zip(*[iter(flat)] * 5))
+    other_keys = iter(others)
+    keys: List[Any] = []
+    start = 0
+    for length in lengths:
+        if not length:
+            keys.append(next(other_keys))
+            continue
+        code = tuple(rows[start : start + length])
+        start += length
+        pattern = patterns.get(code)
+        if pattern is None:
+            pattern = patterns[code] = Pattern.from_canonical_code(code)
+        keys.append(pattern)
+    return list(zip(keys, values))
 
 
 def ship_words(obj: Any) -> int:

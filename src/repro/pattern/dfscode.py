@@ -206,21 +206,24 @@ def code_to_edges(
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]:
     """Reconstruct ``(vertex_labels, edges)`` from a DFS code.
 
-    The inverse of :func:`minimum_dfs_code` up to isomorphism — used in
-    tests to verify that codes uniquely determine graphs.
+    The inverse of :func:`minimum_dfs_code` up to isomorphism: vertices
+    are numbered by discovery index, edges come back normalized
+    (``a < b``, sorted).  Relies on the DFS-code invariant that the k-th
+    forward tuple discovers vertex ``k``.
     """
-    if len(code) == 1 and code[0][3] == -1:
-        return (code[0][2],), ()
-    labels: dict = {}
+    first = code[0]
+    if first[1] == 0:  # (0, 0, label, -1, -1): the 1-vertex pattern
+        return (first[2],), ()
+    labels = [first[2]]
     edges: List[Tuple[int, int, int]] = []
-    for i, j, li, le, lj in code:
-        labels[i] = li
-        labels[j] = lj
-        a, b = (i, j) if i < j else (j, i)
-        edges.append((a, b, le))
-    n = max(labels) + 1
-    vertex_labels = tuple(labels[v] for v in range(n))
-    return vertex_labels, tuple(sorted(edges))
+    for i, j, _, elabel, lj in code:
+        if i < j:
+            labels.append(lj)
+            edges.append((i, j, elabel))
+        else:
+            edges.append((j, i, elabel))
+    edges.sort()
+    return tuple(labels), tuple(edges)
 
 
 def _check_connected(n: int, adj: List[List[Tuple[int, int]]]) -> None:

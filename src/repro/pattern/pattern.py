@@ -104,6 +104,23 @@ class Pattern:
         pattern._symcache = None
         return pattern
 
+    @classmethod
+    def from_canonical_code(cls, code: Tuple) -> "Pattern":
+        """The pattern a canonical DFS code denotes, numbered by position.
+
+        This is how a pattern is rebuilt after crossing a process
+        boundary (only its code is shipped): vertex ``p`` *is* canonical
+        position ``p``, so ``canonical_vertex_map()`` is the identity and
+        the structure is ``dfscode.code_to_edges(code)`` — the same on
+        every receiver, whichever subgraph quotient the sender happened
+        to intern first.  ``code`` is trusted to be a minimum DFS code
+        (it came out of ``canonical_code()``); the search is not re-run.
+        """
+        vertex_labels, edges = dfscode.code_to_edges(code)
+        return cls._from_normalized(
+            vertex_labels, edges, code, tuple(range(len(vertex_labels)))
+        )
+
     @property
     def adjacency(self) -> List[List[Tuple[int, int]]]:
         """Sorted ``(neighbor, edge_label)`` rows per vertex (lazy)."""

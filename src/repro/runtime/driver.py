@@ -172,15 +172,21 @@ class ExecutionReport:
         and respawned, chunk leases re-executed, chunks quarantined to
         the driver's sequential path — plus ``degraded_to`` when any
         step abandoned real parallelism entirely.  All zero/absent on a
-        fault-free run.
+        fault-free run.  ``entries_shipped``/``shipped_bytes`` are the
+        aggregation entries and encoded payload bytes that crossed the
+        process boundary, counted once per retired chunk (the real-core
+        counterpart of the simulator's metered aggregation shuffle).
         """
         info = None
         wall = 0.0
+        entries_shipped = shipped_bytes = 0
         degraded_to = None
         for step in self.steps:
             if step.backend_info is not None:
                 info = step.backend_info
                 wall += step.backend_info.get("wall_seconds", 0.0)
+                entries_shipped += step.backend_info.get("entries_shipped", 0)
+                shipped_bytes += step.backend_info.get("shipped_bytes", 0)
                 if step.backend_info.get("degraded_to"):
                     degraded_to = step.backend_info["degraded_to"]
         if info is None:
@@ -198,6 +204,8 @@ class ExecutionReport:
             summary["workers_respawned"] = m.workers_respawned
             summary["chunks_reexecuted"] = m.chunks_reexecuted
             summary["chunks_quarantined"] = m.chunks_quarantined
+            summary["entries_shipped"] = entries_shipped
+            summary["shipped_bytes"] = shipped_bytes
             if degraded_to is not None:
                 summary["degraded_to"] = degraded_to
         return summary

@@ -69,11 +69,21 @@ exact static placement (and local/remote fetch metering) of the
 unsupervised backend.
 
 **Result shipping.**  Each worker ships one message per completed
-chunk: the chunk's aggregation ``entries()`` pairs plus a *delta*
-metrics snapshot covering exactly that chunk's work.  The driver
-rebuilds per-chunk storages and k-way merges them in chunk-index order
-— deterministic regardless of which worker ran which chunk, and
-immune to double-counting when a chunk is executed twice.
+chunk: a flat ``bytes`` payload it encoded itself
+(:class:`_ChunkExecutor`, also used by the driver's own rung, so the
+wire form lives in one place) holding the chunk's aggregation entries,
+a *delta* metrics snapshot covering exactly that chunk's work and any
+frozen subgraphs.  A ``Pattern`` key crosses the boundary as its
+canonical DFS code and nothing else
+(:func:`~repro.core.aggregation.encode_entries`); the driver builds one
+``Pattern`` per distinct code, numbered by canonical position, so the
+representative a result carries does not depend on which worker shipped
+first.  The driver acks a chunk on receipt, re-leases the worker, and
+only then decodes: :class:`_ChunkFold` folds payloads into one storage
+per aggregation in chunk-index order as soon as the next-in-order chunk
+has been acked, and drops each payload once folded — deterministic
+regardless of which worker ran which chunk, and immune to
+double-counting when a chunk is executed twice.
 
 **Known limit.**  A worker SIGKILLed in the middle of a result-queue
 ``put`` can leave the queue's cross-process lock held; survivors then
@@ -87,6 +97,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue as queue_lib
 import signal
 import sys
@@ -96,16 +107,16 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.aggregation import merge_storages_streaming
+from ..core.aggregation import decode_entries, encode_entries
 from ..core.computation import Computation
-from ..core.primitives import Expand, Primitive
+from ..core.primitives import Expand
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
 from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
-from ..pattern.pattern import PatternInterner
+from ..pattern.pattern import Pattern, PatternInterner
 from .backend import ExecutionBackend, StepOutcome, plan_orbit_count
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages, run_step_sequential
@@ -129,6 +140,130 @@ def _snapshot_delta(
         else:
             delta[name] = value - before.get(name, 0)
     return delta
+
+
+class _ChunkExecutor:
+    """One process's chunk runner: sequential engine in, wire bytes out.
+
+    Every worker and the driver's quarantine/degradation rung run chunks
+    through this class, so a chunk's payload is built and encoded in
+    exactly one place and the driver's fold cannot tell who ran it.
+    Each executor owns a fresh interner and metrics bundle; ``run``
+    ships counter *deltas*, so chunks can be folded in any grouping.
+    """
+
+    def __init__(
+        self, config, graph, strategy_factory, primitives, aggregation_views,
+        cached_uids, collect, chunk_lists,
+    ):
+        self.metrics = Metrics()
+        interner = PatternInterner()
+        self.strategy = strategy_factory(graph, self.metrics, interner)
+        self.strategy.configure_kernel(
+            config.pattern_kernel,
+            config.order_policy,
+            config.cost_model.gallop_crossover,
+        )
+        self._computation = Computation(
+            graph, self.metrics, interner, aggregation_views
+        )
+        self._primitives = primitives
+        self._cached_uids = cached_uids
+        self._collect = collect
+        self._chunk_lists = chunk_lists
+        self._baseline: Dict[str, float] = {}
+
+    def metrics_delta(self) -> Dict[str, float]:
+        """Counters accumulated since the previous call (peaks absolute)."""
+        snap = self.metrics.snapshot()
+        delta = _snapshot_delta(self._baseline, snap)
+        self._baseline = snap
+        return delta
+
+    def run(self, cidx: int) -> Tuple[int, bytes]:
+        """Execute chunk ``cidx``; returns ``(entry count, payload bytes)``.
+
+        The payload is encoded here, on the calling thread, so its size
+        is known before it is queued and the queue's feeder thread only
+        copies a flat buffer.
+        """
+        frozen: Optional[List[SubgraphResult]] = None
+        sink = None
+        if self._collect == "subgraphs":
+            frozen = []
+
+            def sink(subgraph):
+                frozen.append(subgraph.freeze())
+        elif self._collect == "count":
+            def sink(subgraph):
+                pass  # counted via metrics.results_emitted
+        storages = run_step_sequential(
+            self.strategy,
+            self._primitives,
+            self._computation,
+            self._cached_uids,
+            sink=sink,
+            root_words=self._chunk_lists[cidx],
+        )
+        payload = _encode_chunk(storages, self.metrics_delta(), frozen)
+        return sum(len(storage) for storage in storages.values()), payload
+
+
+def _encode_chunk(storages, metrics_delta, frozen) -> bytes:
+    """One chunk's results as flat bytes; ``_ChunkFold`` is the reader."""
+    entries = {
+        uid: encode_entries(storage.entries())
+        for uid, storage in storages.items()
+    }
+    return pickle.dumps(
+        (entries, metrics_delta, frozen), protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+class _ChunkFold:
+    """Driver-side fold of chunk payloads, in chunk-index order.
+
+    Payloads arrive in any order, and twice when a chunk was re-executed:
+    ``ack`` keeps the first copy per index, ``fold_ready`` decodes and
+    folds every payload whose predecessors are all folded, then drops
+    it.  Key order (first appearance in chunk order), per-key reduce
+    order and counter merge order are therefore those of one sequential
+    pass over the chunks, whichever process ran which chunk when.
+    """
+
+    def __init__(self, storages, metrics: Metrics, collect: Optional[str]):
+        self.storages = storages
+        self.metrics = metrics
+        self.subgraphs: Optional[List[SubgraphResult]] = (
+            [] if collect == "subgraphs" else None
+        )
+        self.acked: Set[int] = set()
+        self.folded = 0  # chunks folded so far == next index to fold
+        self._waiting: Dict[int, bytes] = {}
+        self._patterns: Dict[Tuple, Pattern] = {}
+
+    def ack(self, cidx: int, payload: bytes) -> bool:
+        """Accept chunk ``cidx`` exactly once; False for a duplicate."""
+        if cidx in self.acked:
+            return False
+        self.acked.add(cidx)
+        self._waiting[cidx] = payload
+        return True
+
+    def fold_ready(self) -> None:
+        """Fold every acked payload that is next in chunk-index order."""
+        while self.folded in self._waiting:
+            entries, delta, frozen = pickle.loads(
+                self._waiting.pop(self.folded)
+            )
+            for uid, buffer in entries.items():
+                self.storages[uid].merge_pairs(
+                    decode_entries(buffer, self._patterns)
+                )
+            self.metrics.merge(Metrics.from_snapshot(delta))
+            if frozen:
+                self.subgraphs.extend(frozen)
+            self.folded += 1
 
 
 @dataclass(frozen=True)
@@ -494,6 +629,12 @@ class MultiprocessBackend(ExecutionBackend):
             0.02, min(config.heartbeat_interval, config.worker_timeout / 4.0)
         )
 
+        def executor_on(graph_view) -> _ChunkExecutor:
+            return _ChunkExecutor(
+                config, graph_view, strategy_factory, primitives,
+                aggregation_views, cached_uids, collect, chunk_lists,
+            )
+
         def worker_main(slot: int, gen: int, task_queue) -> None:
             worker_started = time.perf_counter()
             key = (slot, gen)
@@ -528,23 +669,11 @@ class MultiprocessBackend(ExecutionBackend):
                 os.kill(os.getpid(), signal.SIGKILL)
 
             try:
-                worker_graph = shared.attach()
-                metrics = Metrics()
-                worker_interner = PatternInterner()
-                strategy = strategy_factory(worker_graph, metrics, worker_interner)
-                strategy.configure_kernel(
-                    config.pattern_kernel,
-                    config.order_policy,
-                    config.cost_model.gallop_crossover,
-                )
+                executor = executor_on(shared.attach())
                 if word_owner is not None:
                     _wrap_push_with_fetch_meter(
-                        strategy, word_owner, slot, metrics
+                        executor.strategy, word_owner, slot, executor.metrics
                     )
-                computation = Computation(
-                    worker_graph, metrics, worker_interner, aggregation_views
-                )
-                baseline: Dict[str, float] = {}
                 chunks_done = 0
                 while True:
                     cidx = task_queue.get()
@@ -554,9 +683,7 @@ class MultiprocessBackend(ExecutionBackend):
                                 "done",
                                 key,
                                 {
-                                    "metrics": _snapshot_delta(
-                                        baseline, metrics.snapshot()
-                                    ),
+                                    "metrics": executor.metrics_delta(),
                                     "wall": time.perf_counter() - worker_started,
                                 },
                             )
@@ -580,39 +707,13 @@ class MultiprocessBackend(ExecutionBackend):
                                 time.sleep(stall.seconds)
                     # --------------------------------------------------
                     result_queue.put(("lease", key, cidx))
-                    frozen: Optional[List[SubgraphResult]] = (
-                        [] if collect == "subgraphs" else None
-                    )
-                    if collect == "subgraphs":
-                        def child_sink(subgraph, _out=frozen):
-                            _out.append(subgraph.freeze())
-                    elif collect == "count":
-                        def child_sink(subgraph):
-                            pass  # counted via metrics.results_emitted
-                    else:
-                        child_sink = None
-                    storages = run_step_sequential(
-                        strategy,
-                        primitives,
-                        computation,
-                        cached_uids,
-                        sink=child_sink,
-                        root_words=chunk_lists[cidx],
-                    )
-                    snap = metrics.snapshot()
-                    payload = {
-                        "entries": {
-                            uid: list(storage.entries())
-                            for uid, storage in storages.items()
-                        },
-                        "metrics": _snapshot_delta(baseline, snap),
-                        "subgraphs": frozen,
-                    }
-                    baseline = snap
+                    n_entries, payload = executor.run(cidx)
                     dropped = chunks_done in my_drops
                     chunks_done += 1
                     if not dropped:
-                        result_queue.put(("chunk", key, cidx, payload))
+                        result_queue.put(
+                            ("chunk", key, cidx, n_entries, payload)
+                        )
             except BaseException:
                 try:
                     result_queue.put(("error", key, traceback.format_exc()))
@@ -635,7 +736,13 @@ class MultiprocessBackend(ExecutionBackend):
             orphans: deque = deque()
         else:
             pending: deque = deque(range(n_chunks))
-        acked: Dict[int, dict] = {}
+        total_metrics = Metrics()
+        total_metrics.merge(setup_metrics)
+        fold = _ChunkFold(
+            new_storages(primitives, cached_uids), total_metrics, collect
+        )
+        # What crossed the process boundary, once per retired chunk.
+        shipped = {"entries_shipped": 0, "shipped_bytes": 0}
         retries: Dict[int, int] = {}
         quarantine: List[int] = []
         deaths = {"crash": 0, "hang": 0, "straggler": 0}
@@ -726,8 +833,14 @@ class MultiprocessBackend(ExecutionBackend):
                     while pending_owned[handle.slot]:
                         orphans.append(pending_owned[handle.slot].popleft())
 
+        def retire(message) -> None:
+            _, _, cidx, n_entries, payload = message
+            if fold.ack(cidx, payload):
+                shipped["entries_shipped"] += n_entries
+                shipped["shipped_bytes"] += len(payload)
+
         def resolved() -> int:
-            return len(acked) + len(quarantine)
+            return len(fold.acked) + len(quarantine)
 
         poll = max(0.01, min(0.1, config.worker_timeout / 20.0))
         try:
@@ -751,11 +864,13 @@ class MultiprocessBackend(ExecutionBackend):
                     if handle is not None and not handle.dead:
                         handle.last_msg = now
                     if kind == "chunk":
-                        cidx, payload = message[2], message[3]
-                        if cidx not in acked:
-                            acked[cidx] = payload
-                        if handle is not None and handle.lease == cidx:
+                        retire(message)
+                        if handle is not None and handle.lease == message[2]:
                             handle.lease = None
+                        # Re-lease before decoding: the worker enumerates
+                        # its next chunk while the driver folds this one.
+                        dispatch()
+                        fold.fold_ready()
                     elif kind == "done":
                         info = message[2]
                         worker_walls[key] = info["wall"]
@@ -786,11 +901,11 @@ class MultiprocessBackend(ExecutionBackend):
                 dispatch()
         finally:
             self._shutdown_workers(
-                handles, result_queue, worker_walls, extra_metrics, acked
+                handles, result_queue, worker_walls, extra_metrics, retire
             )
 
         remaining = sorted(
-            set(range(n_chunks)) - set(acked) - set(quarantine)
+            set(range(n_chunks)) - fold.acked - set(quarantine)
         )
         if degraded:
             message = (
@@ -803,42 +918,63 @@ class MultiprocessBackend(ExecutionBackend):
             if config.degrade == "never":
                 raise RuntimeError(message)
             warnings.warn(message, RuntimeWarning, stacklevel=2)
+        fold.fold_ready()
         driver_chunks = sorted(set(quarantine) | set(remaining))
         if driver_chunks:
-            driver_payloads = self._run_chunks_in_driver(
-                graph,
-                strategy_factory,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                chunk_lists,
-                driver_chunks,
-                collect,
+            # Quarantine/degradation rung: the driver runs the chunks
+            # itself, through the same executor and wire form as a worker
+            # (no partition fetch metering — the driver owns no partition,
+            # and under faults placement metering has already diverged).
+            executor = executor_on(graph)
+            for cidx in driver_chunks:
+                fold.ack(cidx, executor.run(cidx)[1])
+                fold.fold_ready()
+        if fold.folded != n_chunks:
+            missing = sorted(set(range(n_chunks)) - fold.acked)
+            raise RuntimeError(
+                f"multiprocess supervision lost chunks {missing}; this is a "
+                "bug — every chunk must be acked or quarantined"
             )
-            acked.update(driver_payloads)
-
-        return self._assemble(
-            primitives,
-            cached_uids,
-            acked,
-            n_chunks,
-            setup_metrics,
-            extra_metrics,
-            worker_walls,
-            recovery,
-            deaths,
-            degraded,
-            kernel_info,
-            partition_info,
-            shared,
-            collect,
-            cost,
-            started,
+        for storage in fold.storages.values():
+            storage.prefilter()
+        for snapshot in extra_metrics:
+            total_metrics.merge(Metrics.from_snapshot(snapshot))
+        total_metrics.workers_lost += recovery["workers_lost"]
+        total_metrics.workers_respawned += recovery["workers_respawned"]
+        total_metrics.chunks_reexecuted += recovery["chunks_reexecuted"]
+        total_metrics.chunks_quarantined += recovery["chunks_quarantined"]
+        units = cost.step_units(total_metrics)
+        info: Dict[str, object] = {
+            "backend": self.name,
+            "num_procs": n_procs,
+            "start_method": "fork",
+            "wall_seconds": time.perf_counter() - started,
+            "worker_wall_seconds": [
+                worker_walls[key] for key in sorted(worker_walls)
+            ],
+            "chunks": n_chunks,
+            "shared_graph_bytes": shared.nbytes,
+            **recovery,
+            **shipped,
+            "worker_deaths": dict(deaths),
+        }
+        if degraded:
+            info["degraded_to"] = "sequential"
+        if partition_info is not None:
+            info["partition"] = partition_info
+        return StepOutcome(
+            storages=fold.storages,
+            metrics=total_metrics,
+            work_units=units,
+            simulated_seconds=cost.seconds(units),
+            kernel_info=kernel_info,
+            backend_info=info,
+            subgraphs=fold.subgraphs,
         )
 
     # ------------------------------------------------------------------
     def _shutdown_workers(
-        self, handles, result_queue, worker_walls, extra_metrics, acked
+        self, handles, result_queue, worker_walls, extra_metrics, retire
     ) -> bool:
         """Clean shutdown: signal, join with timeout, terminate-and-reap.
 
@@ -875,9 +1011,7 @@ class MultiprocessBackend(ExecutionBackend):
                     handles[key].done = True
                 pending.discard(key)
             elif kind == "chunk":
-                cidx, payload = message[2], message[3]
-                if cidx not in acked:
-                    acked[cidx] = payload
+                retire(message)
         clean = not pending
         for handle in handles.values():
             proc = handle.proc
@@ -889,158 +1023,6 @@ class MultiprocessBackend(ExecutionBackend):
                 proc.kill()
                 proc.join(timeout=1.0)
         return clean
-
-    # ------------------------------------------------------------------
-    def _run_chunks_in_driver(
-        self,
-        graph,
-        strategy_factory,
-        primitives,
-        aggregation_views,
-        cached_uids,
-        chunk_lists,
-        chunk_indices: Sequence[int],
-        collect,
-    ) -> Dict[int, dict]:
-        """Quarantine/degradation rung: run chunks on the driver itself.
-
-        Mirrors a worker exactly (fresh interner, per-chunk payloads) so
-        assembly cannot tell driver-run chunks from worker-run ones.
-        Partition fetch metering is skipped — the driver is not a
-        partition owner, and this path only runs under faults, where
-        placement metering has already diverged.
-        """
-        config = self.config
-        metrics = Metrics()
-        interner = PatternInterner()
-        strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            config.pattern_kernel,
-            config.order_policy,
-            config.cost_model.gallop_crossover,
-        )
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        baseline: Dict[str, float] = {}
-        payloads: Dict[int, dict] = {}
-        for cidx in sorted(chunk_indices):
-            frozen: Optional[List[SubgraphResult]] = (
-                [] if collect == "subgraphs" else None
-            )
-            if collect == "subgraphs":
-                def child_sink(subgraph, _out=frozen):
-                    _out.append(subgraph.freeze())
-            elif collect == "count":
-                def child_sink(subgraph):
-                    pass  # counted via metrics.results_emitted
-            else:
-                child_sink = None
-            storages = run_step_sequential(
-                strategy,
-                primitives,
-                computation,
-                cached_uids,
-                sink=child_sink,
-                root_words=chunk_lists[cidx],
-            )
-            snap = metrics.snapshot()
-            payloads[cidx] = {
-                "entries": {
-                    uid: list(storage.entries())
-                    for uid, storage in storages.items()
-                },
-                "metrics": _snapshot_delta(baseline, snap),
-                "subgraphs": frozen,
-            }
-            baseline = snap
-        return payloads
-
-    # ------------------------------------------------------------------
-    def _assemble(
-        self,
-        primitives: Sequence[Primitive],
-        cached_uids,
-        acked: Dict[int, dict],
-        n_chunks: int,
-        setup_metrics: Metrics,
-        extra_metrics: List[Dict[str, float]],
-        worker_walls: Dict[Tuple[int, int], float],
-        recovery: Dict[str, int],
-        deaths: Dict[str, int],
-        degraded: bool,
-        kernel_info,
-        partition_info,
-        shared: SharedGraphBuffers,
-        collect: Optional[str],
-        cost: CostModel,
-        started: float,
-    ) -> StepOutcome:
-        """Driver-side merge of chunk payloads, in chunk-index order."""
-        if len(acked) != n_chunks:
-            missing = sorted(set(range(n_chunks)) - set(acked))
-            raise RuntimeError(
-                f"multiprocess supervision lost chunks {missing}; this is a "
-                "bug — every chunk must be acked or quarantined"
-            )
-        order = sorted(acked)
-        per_chunk: List[Dict[int, object]] = []
-        for cidx in order:
-            rebuilt = new_storages(primitives, cached_uids)
-            for uid, pairs in acked[cidx]["entries"].items():
-                rebuilt[uid].merge_pairs(pairs)
-            per_chunk.append(rebuilt)
-        uids = list(per_chunk[0]) if per_chunk else []
-        merged = {
-            uid: merge_storages_streaming([c[uid] for c in per_chunk])
-            for uid in uids
-        }
-        total_metrics = Metrics()
-        total_metrics.merge(setup_metrics)
-        for cidx in order:
-            total_metrics.merge(
-                Metrics.from_snapshot(acked[cidx]["metrics"])
-            )
-        for snapshot in extra_metrics:
-            total_metrics.merge(Metrics.from_snapshot(snapshot))
-        total_metrics.workers_lost += recovery["workers_lost"]
-        total_metrics.workers_respawned += recovery["workers_respawned"]
-        total_metrics.chunks_reexecuted += recovery["chunks_reexecuted"]
-        total_metrics.chunks_quarantined += recovery["chunks_quarantined"]
-        subgraphs: Optional[List[SubgraphResult]] = None
-        if collect == "subgraphs":
-            subgraphs = []
-            for cidx in order:
-                subgraphs.extend(acked[cidx]["subgraphs"] or [])
-        units = cost.step_units(total_metrics)
-        wall = time.perf_counter() - started
-        info: Dict[str, object] = {
-            "backend": self.name,
-            "num_procs": self.config.num_procs,
-            "start_method": "fork",
-            "wall_seconds": wall,
-            "worker_wall_seconds": [
-                worker_walls[key] for key in sorted(worker_walls)
-            ],
-            "chunks": n_chunks,
-            "shared_graph_bytes": shared.nbytes,
-            "workers_lost": recovery["workers_lost"],
-            "workers_respawned": recovery["workers_respawned"],
-            "chunks_reexecuted": recovery["chunks_reexecuted"],
-            "chunks_quarantined": recovery["chunks_quarantined"],
-            "worker_deaths": dict(deaths),
-        }
-        if degraded:
-            info["degraded_to"] = "sequential"
-        if partition_info is not None:
-            info["partition"] = partition_info
-        return StepOutcome(
-            storages=merged,
-            metrics=total_metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
-            backend_info=info,
-            subgraphs=subgraphs,
-        )
 
     def _run_decomposed(
         self,
