@@ -25,15 +25,16 @@ Custom enumerators (paper Appendix B) subclass :class:`ExtensionStrategy`
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from ..pattern.pattern import Pattern, PatternInterner
 from ..pattern.symmetry import symmetry_plan
 from ..runtime.metrics import Metrics
-from .intersect import intersect_slices, range_bounds
+from .intersect import LevelProgram, compile_level
 from .subgraph import Subgraph
 
 __all__ = [
@@ -82,6 +83,11 @@ def set_orbit_counting(enabled: bool) -> bool:
 
 def orbit_counting_enabled() -> bool:
     return _ORBIT_COUNTING
+
+
+#: ``level(matched, used)``: the extensions of the prefix ``matched``
+#: (membership set ``used``) at one matching-order position.
+_Level = Callable[[Sequence[int], AbstractSet[int]], List[int]]
 
 
 def _check_kernel(kernel: str) -> str:
@@ -537,7 +543,8 @@ class PatternInducedStrategy(ExtensionStrategy):
     * ``"indexed"`` — one label-partitioned sorted slice per back edge
       (:meth:`Graph.labeled_adjacency`), symmetry conditions converted to
       a ``[lo, hi)`` range binary-searched on the smallest slice, then
-      sorted-set intersection (:mod:`repro.core.intersect`);
+      sorted-set intersection — compiled once per step into one level
+      program per position (:func:`repro.core.intersect.compile_level`);
     * ``"decomposed"`` — enumerates exactly like ``"indexed"``, but
       additionally marks the strategy as *counting-decomposable*
       (:meth:`wants_decomposed_count`): the backends intercept pure
@@ -616,6 +623,52 @@ class PatternInducedStrategy(ExtensionStrategy):
             backs.sort()
             self._back_edges.append(backs)
         self._labels = [pattern.vertex_labels[p] for p in self.order]
+        # The quotient of a matched prefix is fixed by the order (labels
+        # and back-edge labels are enforced by the candidate filter):
+        # one (Pattern, positions) per depth, learned from the first
+        # embedding whose pattern is asked for (see push/pop).
+        self._depth_patterns: List[Optional[tuple]] = [None] * len(self.order)
+        self._compile_levels()
+
+    def _compile_levels(self) -> None:
+        """Build the match plan: one candidate routine per position.
+
+        ``self._levels[pos](matched, used)`` returns the extensions of
+        the prefix ``matched`` (with membership set ``used``) at
+        matching-order position ``pos`` and meters them on
+        ``self.metrics``.  Depends on the order, the kernel and the
+        gallop crossover, so it is rebuilt whenever one of them changes.
+        """
+        if self._kernel == "legacy":
+            self._levels: List[_Level] = [
+                partial(self._legacy_level, pos) for pos in range(len(self.order))
+            ]
+        else:
+            self._levels = [
+                self._injective(
+                    compile_level(
+                        self.graph,
+                        self._labels[pos],
+                        self._back_edges[pos],
+                        self._checks[pos],
+                        self._gallop_crossover,
+                    )
+                )
+                for pos in range(len(self.order))
+            ]
+
+    def _injective(self, candidates: LevelProgram) -> _Level:
+        """``candidates`` minus the matched vertices, metered as generated."""
+
+        def level(matched: Sequence[int], used: AbstractSet[int]) -> List[int]:
+            metrics = self.metrics
+            found = candidates(matched, metrics)
+            if not used.isdisjoint(found):
+                found = [v for v in found if v not in used]
+            metrics.extensions_generated += len(found)
+            return found
+
+        return level
 
     def configure_kernel(
         self,
@@ -632,12 +685,16 @@ class PatternInducedStrategy(ExtensionStrategy):
                 new_policy = _check_policy(order_policy)
             else:
                 new_policy = "cost" if new_kernel != "legacy" else "legacy"
+        stale = new_kernel != self._kernel
         self._kernel = new_kernel
-        if gallop_crossover is not None:
+        if gallop_crossover is not None and gallop_crossover != self._gallop_crossover:
             self._gallop_crossover = gallop_crossover
+            stale = True
         if new_policy != self._order_policy:
             self._order_policy = new_policy
             self._setup_order()
+        elif stale:
+            self._compile_levels()
 
     def wants_decomposed_count(self) -> bool:
         return self._kernel == "decomposed"
@@ -741,38 +798,42 @@ class PatternInducedStrategy(ExtensionStrategy):
         level-0 candidates are replaced by the given (label-correct)
         vertices and not re-metered — the caller accounts for producing
         them (simulator/multiprocess root splitting).
+
+        A count never reads an edge id, so the walk keeps no
+        :class:`Subgraph`: just the matched vertices, their membership
+        set, and the level programs called directly.
         """
-        n = self.pattern.n_vertices
         metrics = self.metrics
         tau, arrangements = self.orbit_tail()
-        cut = n - tau
-        subgraph = self.make_subgraph()
+        cut = self.pattern.n_vertices - tau
+        levels = self._levels
+        matched = [0] * (cut + 1)
+        used: set = set()
         total = 0
 
-        def candidates() -> List[int]:
-            if not subgraph.vertices and roots is not None:
-                return list(roots)
-            return self.extensions(subgraph)
+        def bulk(survivors: int) -> int:
+            return comb(survivors, tau) * arrangements if survivors >= tau else 0
 
-        def walk(pos: int) -> None:
+        def walk(pos: int, candidates: Sequence[int]) -> None:
             nonlocal total
-            cands = candidates()
-            if pos < cut:
-                metrics.subgraphs_enumerated += len(cands)
-                for v in cands:
-                    self.push(subgraph, v)
-                    walk(pos + 1)
-                    self.pop(subgraph)
-            else:
-                survivors = len(cands)
-                if survivors >= tau:
-                    bulk = comb(survivors, tau) * arrangements
-                    total += bulk
-                    metrics.orbit_multiplied_embeddings += bulk
+            metrics.subgraphs_enumerated += len(candidates)
+            deeper = pos + 1
+            level = levels[deeper]
+            for v in candidates:
+                matched[pos] = v
+                used.add(v)
+                if deeper == cut:
+                    total += bulk(len(level(matched, used)))
+                else:
+                    walk(deeper, level(matched, used))
+                used.discard(v)
 
-        if n == 0:
-            return 0
-        walk(0)
+        first = list(roots) if roots is not None else levels[0](matched, used)
+        if cut == 0:
+            total = bulk(len(first))
+        else:
+            walk(0, first)
+        metrics.orbit_multiplied_embeddings += total
         return total
 
     def word_count_limit(self) -> Optional[int]:
@@ -782,13 +843,16 @@ class PatternInducedStrategy(ExtensionStrategy):
         pos = len(subgraph.vertices)
         if pos >= self.pattern.n_vertices:
             return []
-        if self._kernel != "legacy":
-            return self._extensions_indexed(subgraph, pos)
+        return self._levels[pos](subgraph.vertices, subgraph.vertex_set)
+
+    def _legacy_level(
+        self, pos: int, matched: Sequence[int], in_subgraph: AbstractSet[int]
+    ) -> List[int]:
+        """The original kernel: scan the anchor's neighborhood, test each."""
         graph = self.graph
         metrics = self.metrics
         wanted_label = self._labels[pos]
         checks = self._checks[pos]
-        matched = subgraph.vertices
         if pos == 0:
             metrics.extension_tests += graph.n_vertices
             result = [
@@ -799,7 +863,6 @@ class PatternInducedStrategy(ExtensionStrategy):
         backs = self._back_edges[pos]
         anchor_pos, anchor_elabel = backs[0]
         anchor_vertex = matched[anchor_pos]
-        in_subgraph = subgraph.vertex_set
         result = []
         for v, eid in graph.neighborhood(anchor_vertex):
             metrics.extension_tests += 1
@@ -815,62 +878,6 @@ class PatternInducedStrategy(ExtensionStrategy):
                 continue
             result.append(v)
         self.metrics.extensions_generated += len(result)
-        return result
-
-    def _extensions_indexed(self, subgraph: Subgraph, pos: int) -> List[int]:
-        """Indexed candidate generation: slice, range-restrict, intersect.
-
-        One labeled-adjacency slice per back edge guarantees the edge,
-        its label and the candidate's vertex label all at once; symmetry
-        conditions (always strict comparisons against matched vertex
-        ids) become a ``[lo, hi)`` window binary-searched on the
-        smallest slice before intersecting.  ``extension_tests`` counts
-        only the candidates that survive — the per-element work this
-        kernel actually performs — while the array work is metered by
-        the intersection kernels.
-        """
-        graph = self.graph
-        metrics = self.metrics
-        wanted_label = self._labels[pos]
-        if pos == 0:
-            metrics.index_slices += 1
-            result = list(graph.vertices_with_label(wanted_label))
-            metrics.extension_tests += len(result)
-            metrics.extensions_generated += len(result)
-            return result
-        matched = subgraph.vertices
-        index, lnbr, _ = graph.labeled_adjacency()
-        slices = []
-        for back_pos, elabel in self._back_edges[pos]:
-            metrics.index_slices += 1
-            segment = index[matched[back_pos]].get((wanted_label, elabel))
-            if segment is None:
-                return []
-            slices.append((lnbr, segment[0], segment[1]))
-        lower = 0
-        upper = graph.n_vertices
-        for earlier_pos, must_be_greater in self._checks[pos]:
-            bound = matched[earlier_pos]
-            if must_be_greater:
-                if bound + 1 > lower:
-                    lower = bound + 1
-            elif bound < upper:
-                upper = bound
-        if lower >= upper:
-            return []
-        # Anchor = smallest slice; restrict it to the symmetry window.
-        slices.sort(key=lambda s: s[2] - s[1])
-        arr, lo, hi = slices[0]
-        if lower > 0 or upper < graph.n_vertices:
-            lo, hi = range_bounds(arr, lo, hi, lower, upper, metrics)
-            slices[0] = (arr, lo, hi)
-        if lo >= hi:
-            return []
-        candidates = intersect_slices(slices, metrics, self._gallop_crossover)
-        metrics.extension_tests += len(candidates)
-        in_subgraph = subgraph.vertex_set
-        result = [v for v in candidates if v not in in_subgraph]
-        metrics.extensions_generated += len(result)
         return result
 
     def _back_edges_ok(self, graph: Graph, matched, v: int, backs) -> bool:
@@ -901,6 +908,15 @@ class PatternInducedStrategy(ExtensionStrategy):
             for back_pos, _ in self._back_edges[pos]
         ]
         subgraph.push_vertex(word, incident)
+        memo = self._depth_patterns[pos]
+        if memo is not None:
+            subgraph.seed_pattern_memo(memo)
+
+    def pop(self, subgraph: Subgraph) -> None:
+        depth = len(subgraph.vertices) - 1
+        if self._depth_patterns[depth] is None:
+            self._depth_patterns[depth] = subgraph.pattern_memo()
+        subgraph.pop()
 
 
 class SubgraphEnumerator:

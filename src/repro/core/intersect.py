@@ -28,12 +28,21 @@ until the output list.  All outputs are fresh sorted lists.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..runtime.metrics import Metrics
 
-__all__ = ["GALLOP_CROSSOVER", "intersect_slices", "range_bounds"]
+if TYPE_CHECKING:
+    from ..graph.graph import Graph
+
+__all__ = [
+    "GALLOP_CROSSOVER",
+    "LevelProgram",
+    "compile_level",
+    "intersect_slices",
+    "range_bounds",
+]
 
 # Size ratio at which galloping beats the linear merge.  Galloping costs
 # O(small * log(big/small)) versus O(small + big) for the merge; with the
@@ -46,6 +55,10 @@ __all__ = ["GALLOP_CROSSOVER", "intersect_slices", "range_bounds"]
 GALLOP_CROSSOVER = 8
 
 Slice = Tuple[Sequence[int], int, int]
+
+#: ``program(matched, metrics)``: the candidates of one matching-order
+#: position given the vertices matched at earlier positions.
+LevelProgram = Callable[[Sequence[int], Metrics], List[int]]
 
 
 def range_bounds(
@@ -86,21 +99,33 @@ def intersect_slices(
     k-way join.  The output set is identical for every ``crossover``;
     only the metered work (``intersect_comparisons`` vs
     ``gallop_steps``) shifts.
+
+    Slices are processed smallest first, ties in the given order; one
+    and two slices need no sort for that.
     """
-    if crossover is None:
-        crossover = GALLOP_CROSSOVER
-    slices = sorted(slices, key=lambda s: s[2] - s[1])
-    arr, lo, hi = slices[0]
-    if hi <= lo:
-        return []
-    if len(slices) == 1:
+    k = len(slices)
+    if k == 2:
+        (a, alo, ahi), (b, blo, bhi) = slices
+        if bhi - blo < ahi - alo:
+            a, alo, ahi, b, blo, bhi = b, blo, bhi, a, alo, ahi
+        if ahi <= alo:
+            return []
+        if crossover is None:
+            crossover = GALLOP_CROSSOVER
+        if (bhi - blo) >= crossover * (ahi - alo):
+            return _gallop(a, alo, ahi, b, blo, bhi, metrics)
+        return _merge(a, alo, ahi, b, blo, bhi, metrics)
+    if k == 1:
+        arr, lo, hi = slices[0]
         return list(arr[lo:hi])
-    if len(slices) == 2:
-        b, blo, bhi = slices[1]
-        if (bhi - blo) >= crossover * (hi - lo):
-            return _gallop(arr, lo, hi, b, blo, bhi, metrics)
-        return _merge(arr, lo, hi, b, blo, bhi, metrics)
+    slices = sorted(slices, key=_slice_size)
+    if slices[0][2] <= slices[0][1]:
+        return []
     return _leapfrog(slices, metrics)
+
+
+def _slice_size(s: Slice) -> int:
+    return s[2] - s[1]
 
 
 def _merge(
@@ -112,24 +137,28 @@ def _merge(
     bhi: int,
     metrics: Metrics,
 ) -> List[int]:
-    """Linear merge intersection of two similarly sized sorted slices."""
-    out: List[int] = []
-    i, j = alo, blo
-    comparisons = 0
-    while i < ahi and j < bhi:
-        comparisons += 1
-        x = a[i]
-        y = b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    metrics.intersect_comparisons += comparisons
-    return out
+    """Intersection of two similarly sized non-empty sorted slices.
+
+    Metered as the linear two-pointer merge — one comparison per loop
+    iteration — without running that loop.  Every iteration advances
+    the ``a`` cursor, the ``b`` cursor, or (on a match) both, so the
+    merge runs ``(i_end - alo) + (j_end - blo) - |out|`` iterations,
+    where ``i_end``/``j_end`` are the cursors when it stops.  It stops
+    when the side with the smaller last element is exhausted; by then
+    the other cursor has passed exactly the elements ``<=`` that last
+    element (smaller ones were skipped, an equal one was matched), a
+    ``bisect_right``.  The members themselves come from a C-level set
+    intersection over the ranges the cursors covered.
+    """
+    a_last = a[ahi - 1]
+    b_last = b[bhi - 1]
+    if a_last <= b_last:
+        bhi = bisect_right(b, a_last, blo, bhi)
+    else:
+        ahi = bisect_right(a, b_last, alo, ahi)
+    common = set(a[alo:ahi]).intersection(b[blo:bhi])
+    metrics.intersect_comparisons += (ahi - alo) + (bhi - blo) - len(common)
+    return sorted(common)
 
 
 def _gallop(
@@ -230,3 +259,140 @@ def _leapfrog(slices: List[Slice], metrics: Metrics) -> List[int]:
             idx = 0
     metrics.gallop_steps += steps
     return out
+
+
+def compile_level(
+    graph: "Graph",
+    label: int,
+    backs: Sequence[Tuple[int, int]],
+    checks: Sequence[Tuple[int, bool]] = (),
+    crossover: Optional[int] = None,
+) -> LevelProgram:
+    """Compile one matching-order position into its candidate routine.
+
+    The position wants vertices labeled ``label`` that are joined to the
+    vertex matched at ``back_pos`` by an ``elabel`` edge for every
+    ``(back_pos, elabel)`` in ``backs``, and that satisfy the symmetry
+    ``checks`` — ``(earlier_pos, must_be_greater)`` strict comparisons
+    against matched vertex ids.  Everything that depends only on the
+    pattern is resolved here, once: the labeled-adjacency slice keys,
+    the positions feeding the ``[lower, upper)`` symmetry window, and
+    the routine for the number of slices (one: window + copy; two:
+    size-ordered merge/gallop; more: leapfrog).  A position without back
+    edges is the root level and lists the label's vertices.
+
+    ``program(matched, metrics)`` returns the candidates as a fresh
+    ascending list.  One labeled-adjacency slice per back edge
+    guarantees the edge, its label and the candidate's vertex label all
+    at once; the window is binary-searched on the smallest slice before
+    intersecting.  It meters one ``index_slices`` per slice looked up
+    (stopping at the first missing one), the window and intersection
+    work as :func:`range_bounds` and :func:`intersect_slices` do, and
+    one ``extension_tests`` per returned candidate — the per-element
+    work actually performed.  Injectivity against ``matched`` is the
+    caller's filter.
+    """
+    if not backs:
+
+        def roots(matched: Sequence[int], metrics: Metrics) -> List[int]:
+            metrics.index_slices += 1
+            found = list(graph.vertices_with_label(label))
+            metrics.extension_tests += len(found)
+            return found
+
+        return roots
+
+    adjacency = graph.labeled_adjacency
+    lookups = tuple((back_pos, (label, elabel)) for back_pos, elabel in backs)
+    windowed = bool(checks)
+    above = tuple(pos for pos, must_be_greater in checks if must_be_greater)
+    below = tuple(pos for pos, must_be_greater in checks if not must_be_greater)
+    n_vertices = graph.n_vertices
+
+    def window(
+        matched: Sequence[int], arr: Sequence[int], lo: int, hi: int,
+        metrics: Metrics,
+    ) -> Tuple[int, int]:
+        """``arr[lo:hi]`` narrowed to the symmetry window (maybe empty)."""
+        lower = 0
+        for pos in above:
+            bound = matched[pos] + 1
+            if bound > lower:
+                lower = bound
+        upper = n_vertices
+        for pos in below:
+            bound = matched[pos]
+            if bound < upper:
+                upper = bound
+        if lower >= upper:
+            return lo, lo
+        return range_bounds(arr, lo, hi, lower, upper, metrics)
+
+    if len(lookups) == 1:
+        ((back_pos, key),) = lookups
+
+        def single(matched: Sequence[int], metrics: Metrics) -> List[int]:
+            index, lnbr, _ = adjacency()
+            metrics.index_slices += 1
+            segment = index[matched[back_pos]].get(key)
+            if segment is None:
+                return []
+            lo, hi = segment
+            if windowed:
+                lo, hi = window(matched, lnbr, lo, hi, metrics)
+            found = lnbr[lo:hi]
+            metrics.extension_tests += len(found)
+            return found
+
+        return single
+
+    if len(lookups) == 2:
+        (pos_a, key_a), (pos_b, key_b) = lookups
+
+        def pair(matched: Sequence[int], metrics: Metrics) -> List[int]:
+            index, lnbr, _ = adjacency()
+            metrics.index_slices += 1
+            small = index[matched[pos_a]].get(key_a)
+            if small is None:
+                return []
+            metrics.index_slices += 1
+            large = index[matched[pos_b]].get(key_b)
+            if large is None:
+                return []
+            if large[1] - large[0] < small[1] - small[0]:
+                small, large = large, small
+            lo, hi = small
+            if windowed:
+                lo, hi = window(matched, lnbr, lo, hi, metrics)
+                if lo >= hi:
+                    return []
+            found = intersect_slices(
+                [(lnbr, lo, hi), (lnbr, large[0], large[1])], metrics, crossover
+            )
+            metrics.extension_tests += len(found)
+            return found
+
+        return pair
+
+    def multiway(matched: Sequence[int], metrics: Metrics) -> List[int]:
+        index, lnbr, _ = adjacency()
+        slices = []
+        for back_pos, key in lookups:
+            metrics.index_slices += 1
+            segment = index[matched[back_pos]].get(key)
+            if segment is None:
+                return []
+            slices.append((lnbr, segment[0], segment[1]))
+        if windowed:
+            # The first smallest slice is the one intersect_slices will
+            # put first; narrowing it keeps it there.
+            smallest = min(slices, key=_slice_size)
+            lo, hi = window(matched, lnbr, smallest[1], smallest[2], metrics)
+            if lo >= hi:
+                return []
+            slices[slices.index(smallest)] = (lnbr, lo, hi)
+        found = intersect_slices(slices, metrics, crossover)
+        metrics.extension_tests += len(found)
+        return found
+
+    return multiway

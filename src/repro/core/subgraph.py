@@ -213,6 +213,21 @@ class Subgraph:
         self._pat_version = self.version
         return result
 
+    def pattern_memo(self) -> Optional[Tuple[Pattern, Tuple[int, ...]]]:
+        """The memoized :meth:`pattern_with_positions` result, if current."""
+        return self._pat_cache if self._pat_version == self.version else None
+
+    def seed_pattern_memo(self, memo: Tuple[Pattern, Tuple[int, ...]]) -> None:
+        """Adopt ``memo`` as this state's :meth:`pattern_with_positions`.
+
+        For extension strategies that know the quotient of what they
+        just pushed without deriving it (pattern-induced matching: it is
+        fixed per depth); ``memo`` must be what this subgraph's interner
+        returned for that quotient.
+        """
+        self._pat_cache = memo
+        self._pat_version = self.version
+
     def freeze(self) -> "SubgraphResult":
         """Immutable snapshot for output operators."""
         return SubgraphResult(

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.intersect import intersect_slices, range_bounds
+from ..core.intersect import compile_level, intersect_slices
 from ..graph.graph import Graph
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.metrics import Metrics
@@ -753,16 +753,17 @@ def count_embeddings(
 ) -> int:
     """Raw injective embedding count of ``plan.pattern`` in ``graph``.
 
-    Enumerates core embeddings depth-first with the indexed slice
-    machinery (metered exactly like the indexed kernel: one
-    ``index_slices`` per segment lookup, intersection work inside
-    ``intersect_slices``, ``extension_tests`` per surviving candidate),
-    then evaluates the inclusion–exclusion combine at every leaf.
+    Enumerates core embeddings depth-first with the indexed kernel's
+    own level programs (:func:`repro.core.intersect.compile_level`, so
+    metered exactly like it: one ``index_slices`` per segment lookup,
+    intersection work inside ``intersect_slices``, ``extension_tests``
+    per candidate), then evaluates the inclusion–exclusion combine at
+    every leaf.
 
     The walk is symmetry-restricted by the plan's core conditions
-    (``core_checks``): each position's conditions become a ``[lo, hi)``
-    window binary-searched on the smallest back-edge slice, so the walk
-    visits one representative per projected-core-group orbit.
+    (``core_checks``): they are each level program's ``[lo, hi)``
+    window, so the walk visits one representative per
+    projected-core-group orbit.
 
     ``roots`` restricts core position 0 to the given (label-correct)
     vertices — the backends' unit of work splitting; the caller meters
@@ -776,16 +777,23 @@ def count_embeddings(
     depth = len(plan.core)
     blocks = plan.blocks
     terms = plan.terms
-    back_edges = plan.core_back_edges
-    core_labels = plan.core_labels
+    core_checks = plan.core_checks
+    levels = [
+        compile_level(
+            graph,
+            plan.core_labels[pos],
+            plan.core_back_edges[pos],
+            core_checks[pos] if core_checks else (),
+            crossover,
+        )
+        for pos in range(depth)
+    ]
     matched = [0] * depth
     used = set()
     total = 0
 
     if roots is None:
-        metrics.index_slices += 1
-        roots = graph.vertices_with_label(core_labels[0])
-        metrics.extension_tests += len(roots)
+        roots = levels[0](matched, metrics)
 
     def leaf() -> int:
         metrics.decomp_core_embeddings += 1
@@ -838,46 +846,12 @@ def count_embeddings(
             extensions += product
         return extensions
 
-    core_checks = plan.core_checks
-    n_vertices = graph.n_vertices
-
     def dfs(pos: int) -> None:
         nonlocal total
         if pos == depth:
             total += leaf()
             return
-        wanted_label = core_labels[pos]
-        slices = []
-        for back_pos, elabel in back_edges[pos]:
-            metrics.index_slices += 1
-            segment = index[matched[back_pos]].get((wanted_label, elabel))
-            if segment is None:
-                return
-            slices.append((lnbr, segment[0], segment[1]))
-        # Symmetry restriction: the plan's core conditions become a
-        # [lo, hi) window binary-searched on the smallest slice, exactly
-        # like the indexed kernel's window collapsing.
-        if core_checks and core_checks[pos]:
-            lower = 0
-            upper = n_vertices
-            for earlier_pos, must_be_greater in core_checks[pos]:
-                bound = matched[earlier_pos]
-                if must_be_greater:
-                    if bound + 1 > lower:
-                        lower = bound + 1
-                elif bound < upper:
-                    upper = bound
-            if lower >= upper:
-                return
-            slices.sort(key=lambda s: s[2] - s[1])
-            arr, lo, hi = slices[0]
-            lo, hi = range_bounds(arr, lo, hi, lower, upper, metrics)
-            if lo >= hi:
-                return
-            slices[0] = (arr, lo, hi)
-        candidates = intersect_slices(slices, metrics, crossover)
-        metrics.extension_tests += len(candidates)
-        for v in candidates:
+        for v in levels[pos](matched, metrics):
             if v in used:
                 continue
             matched[pos] = v

@@ -4,10 +4,14 @@
 kernel it dispatches to (linear merge, galloping, leapfrog k-way), and
 ``range_bounds`` must narrow a sorted slice to exactly the requested
 ``[lower, upper)`` window.  Both must meter their work into
-``Metrics.intersect_comparisons`` / ``Metrics.gallop_steps``.
+``Metrics.intersect_comparisons`` / ``Metrics.gallop_steps``.  The
+two-slice merge computes its comparison count in closed form; it is
+checked against a two-pointer loop kept in this file.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 
@@ -113,6 +117,104 @@ class TestIntersectSlices:
         for w in windows[1:]:
             expected &= w
         assert result == sorted(expected)
+
+
+def _reference_merge(a, alo, ahi, b, blo, bhi):
+    """The two-pointer merge: ``(members, loop iterations)``."""
+    out = []
+    comparisons = 0
+    i, j = alo, blo
+    while i < ahi and j < bhi:
+        comparisons += 1
+        x, y = a[i], b[j]
+        if x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return out, comparisons
+
+
+def _as_array(values):
+    return array("q", values)
+
+
+def _as_memoryview(values):
+    # What a graph attached to a shared-memory segment hands out.
+    return memoryview(array("q", values))
+
+
+@st.composite
+def slice_pairs(draw):
+    """Two sorted slices ``(arr, lo, hi)`` in one of the tricky shapes."""
+    shape = draw(
+        st.sampled_from(
+            ["random", "equal-last", "disjoint", "one-element", "empty-side"]
+        )
+    )
+    values = st.integers(min_value=0, max_value=120)
+    a = sorted(draw(st.sets(values, max_size=40)))
+    b = sorted(draw(st.sets(values, max_size=40)))
+    if shape == "equal-last" and a and b:
+        last = max(a[-1], b[-1])
+        a = sorted(set(a) | {last})
+        b = sorted(set(b) | {last})
+    elif shape == "disjoint":
+        b = [x + 200 for x in b]
+        if draw(st.booleans()):
+            a, b = b, a
+    elif shape == "one-element":
+        a = a[:1] or [draw(values)]
+    elif shape == "empty-side":
+        a = []
+    # Embed each slice in a longer array so that lo > 0 and hi < len.
+    slices = []
+    for members in (a, b):
+        before = draw(st.integers(min_value=0, max_value=3))
+        after = draw(st.integers(min_value=0, max_value=3))
+        padded = list(range(-before, 0)) + members + [1000 + k for k in range(after)]
+        storage = draw(st.sampled_from([list, _as_array, _as_memoryview]))
+        slices.append((storage(padded), before, before + len(members)))
+    if draw(st.booleans()):
+        slices.reverse()
+    return slices
+
+
+class TestMergeMetering:
+    """The closed-form comparison count equals the loop it replaced."""
+
+    @given(slice_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_two_pointer_loop(self, slices):
+        # A crossover no size ratio reaches: always the merge.
+        metrics = Metrics()
+        result = intersect_slices(list(slices), metrics, crossover=10**9)
+        (a, alo, ahi), (b, blo, bhi) = slices
+        expected, comparisons = _reference_merge(a, alo, ahi, b, blo, bhi)
+        assert result == expected
+        assert all(type(v) is int for v in result)
+        assert metrics.intersect_comparisons == comparisons
+        assert metrics.gallop_steps == 0
+
+    @given(slice_pairs(), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_choice_and_members(self, slices, crossover):
+        metrics = Metrics()
+        result = intersect_slices(list(slices), metrics, crossover=crossover)
+        small, large = sorted(slices, key=lambda s: s[2] - s[1])
+        expected, comparisons = _reference_merge(*small, *large)
+        assert result == expected
+        small_size = small[2] - small[1]
+        if small_size == 0:
+            assert metrics.intersect_comparisons == metrics.gallop_steps == 0
+        elif large[2] - large[1] >= crossover * small_size:
+            assert metrics.intersect_comparisons == 0  # galloped
+        else:
+            assert metrics.intersect_comparisons == comparisons
+            assert metrics.gallop_steps == 0
 
 
 class TestRangeBounds:

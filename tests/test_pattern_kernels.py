@@ -6,7 +6,9 @@ backtracking oracle ``pattern.isomorphism.match_pattern`` — including the
 symmetry-breaking dedup count: exactly one result per automorphism class,
 no duplicates.  Further tests pin the label-partitioned index structures,
 the cost-based planner, kernel pinning/configuration plumbing, the
-cluster path, and the back-edge probe metering bugfix.
+cluster path, and the back-edge probe metering bugfix.  A literal
+counter table recorded before the match plan was compiled pins the
+indexed/decomposed kernels' metering to history on all three backends.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro import ClusterConfig, FractalContext, Pattern
+from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
 from repro.apps import QUERY_PATTERNS, fsm
 from repro.apps.queries import query_fractoid
 from repro.core.enumerator import (
@@ -26,7 +28,9 @@ from repro.core.enumerator import (
     matching_order,
     plan_matching_order,
 )
+from repro.core.subgraph import Subgraph
 from repro.graph import GraphBuilder, erdos_renyi_graph
+from repro.graph.datasets import orkut_like
 from repro.pattern.isomorphism import match_pattern
 from repro.pattern.pattern import PatternInterner
 from repro.runtime.metrics import Metrics
@@ -367,3 +371,223 @@ class TestMetering:
         fr = ctx.from_graph(small_random_graph).vfractoid().expand(2)
         report = fr.execute(collect="count")
         assert report.pattern_kernel_summary()["kernel"] is None
+
+
+# ----------------------------------------------------------------------
+# Counters pinned to recorded history
+# ----------------------------------------------------------------------
+COUNTER_FIELDS = (
+    "extension_tests",
+    "extensions_generated",
+    "index_slices",
+    "intersect_comparisons",
+    "gallop_steps",
+    "subgraphs_enumerated",
+    "orbit_multiplied_embeddings",
+)
+
+# q1-q8 counted on orkut_like(scale=0.09) with kernel="decomposed":
+# (match count,) + COUNTER_FIELDS.  Recorded at commit 2ce2d2e, where the
+# indexed kernel re-derived every level per call, the merge was a
+# two-pointer loop and the count walk pushed a Subgraph; identical there
+# on the sequential, simulator and multiprocess backends.  q3 and q7 run
+# as core-fringe decompositions on this graph, the rest as orbit counts.
+RECORDED_COUNTERS = {
+    "q1": (1131, 1905, 1905, 1459, 12250, 5395, 774, 1131),
+    "q2": (14991, 21633, 21633, 12511, 145287, 28856, 6642, 14991),
+    "q3": (13239, 774, 0, 1459, 21585, 3811, 0, 0),
+    "q4": (982, 2887, 2887, 4852, 12250, 64907, 1905, 982),
+    "q5": (659, 3546, 3546, 8780, 12250, 156383, 2887, 659),
+    "q6": (448168, 598258, 512011, 124204, 2347494, 383, 63843, 448168),
+    "q7": (142523, 774, 0, 1459, 21585, 3811, 0, 0),
+    "q8": (207964, 287886, 271960, 121351, 1729261, 227430, 63996, 207964),
+}
+ORBIT_COUNTED = ("q1", "q2", "q4", "q5", "q6", "q8")
+
+ENGINES = {
+    "sequential": lambda: None,
+    "simulator": lambda: ClusterConfig(workers=2, cores_per_worker=2),
+    "multiprocess": lambda: MultiprocessConfig(num_procs=2),
+}
+
+
+@pytest.fixture(scope="module")
+def orkut_small():
+    return orkut_like(scale=0.09)
+
+
+def _counter_row(count, metrics):
+    return (count,) + tuple(getattr(metrics, f) for f in COUNTER_FIELDS)
+
+
+class TestRecordedCounters:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_backends_reproduce_recorded_counters(self, orkut_small, engine):
+        for name, recorded in RECORDED_COUNTERS.items():
+            context = FractalContext()
+            fractoid = query_fractoid(
+                context.from_graph(orkut_small),
+                QUERY_PATTERNS[name],
+                kernel="decomposed",
+            )
+            count = fractoid.count(engine=ENGINES[engine]())
+            row = _counter_row(count, context.last_report.metrics)
+            assert row == recorded, (engine, name)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_COUNTERS))
+    def test_root_chunks_sum_to_the_whole(self, orkut_small, name):
+        pattern = QUERY_PATTERNS[name]
+        whole = _strategy(orkut_small, pattern, kernel="decomposed")
+        count = whole.count_matches()
+        assert count == RECORDED_COUNTERS[name][0]
+        if name in ORBIT_COUNTED:
+            assert _counter_row(count, whole.metrics) == RECORDED_COUNTERS[name]
+        roots = orkut_small.vertices_with_label(
+            pattern.vertex_labels[whole.order[0]]
+        )
+        # The caller lists the roots and meters doing so.
+        merged = Metrics()
+        merged.index_slices += 1
+        merged.extension_tests += len(roots)
+        merged.extensions_generated += len(roots)
+        total = 0
+        for k in range(3):
+            part = _strategy(orkut_small, pattern, kernel="decomposed")
+            total += part.count_matches(roots=roots[k::3])
+            merged.merge(part.metrics)
+        assert _counter_row(total, merged) == _counter_row(count, whole.metrics)
+
+
+# ----------------------------------------------------------------------
+# The compiled plan follows configure_kernel
+# ----------------------------------------------------------------------
+def _walk_trace(strategy):
+    """Every ``extensions()`` answer of a full DFS, in visit order."""
+    subgraph = strategy.make_subgraph()
+    trace = []
+
+    def visit():
+        words = strategy.extensions(subgraph)
+        trace.append((tuple(subgraph.vertices), tuple(words)))
+        for word in words:
+            strategy.push(subgraph, word)
+            visit()
+            strategy.pop(subgraph)
+
+    visit()
+    return trace
+
+
+def _walk_counters(strategy):
+    counters = strategy.metrics.snapshot()
+    del counters["symmetry_cache_hits"]  # planning: one per re-plan
+    return counters
+
+
+class TestPlanFollowsConfiguration:
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            ("indexed", None, None),
+            ("indexed", "legacy", None),
+            ("indexed", "cost", 1),
+            ("decomposed", None, 2),
+            ("legacy", "cost", None),
+            ("legacy", None, None),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["q3", "q4", "q6"])
+    def test_reconfigured_equals_constructed(
+        self, small_random_graph, name, settings_
+    ):
+        kernel, policy, crossover = settings_
+        pattern = QUERY_PATTERNS[name]
+        # Built under the other kernel's plan, then reconfigured (a
+        # crossover of None keeps the one already set) ...
+        late = _strategy(small_random_graph, pattern)
+        late.configure_kernel(
+            "legacy" if kernel != "legacy" else "indexed",
+            "legacy" if policy == "cost" else "cost",
+            None if crossover is None else 7,
+        )
+        late.configure_kernel(kernel, policy, crossover)
+        # ... against one that had its settings from the constructor on
+        # (the crossover has no constructor argument).
+        fresh = _strategy(
+            small_random_graph, pattern, kernel=kernel, order_policy=policy
+        )
+        fresh.configure_kernel(gallop_crossover=crossover)
+        assert late.kernel_info() == fresh.kernel_info()
+        assert _walk_trace(late) == _walk_trace(fresh)
+        assert _walk_counters(late) == _walk_counters(fresh)
+        if kernel != "legacy":
+            assert late.count_matches() == fresh.count_matches()
+            assert _walk_counters(late) == _walk_counters(fresh)
+
+    def test_crossover_change_recompiles(self, orkut_small):
+        # Same strategy object, two crossovers: the work must move
+        # between merge comparisons and gallop steps accordingly.
+        pattern = QUERY_PATTERNS["q1"]
+        readings = {}
+        for crossover in (1, 10**6):
+            strategy = _strategy(orkut_small, pattern, kernel="indexed")
+            strategy.configure_kernel(gallop_crossover=8)
+            strategy.configure_kernel(gallop_crossover=crossover)
+            strategy.count_matches()
+            readings[crossover] = strategy.metrics
+        assert readings[1].intersect_comparisons == 0
+        assert readings[10**6].intersect_comparisons > 0
+        assert readings[1].gallop_steps > readings[10**6].gallop_steps
+
+
+# ----------------------------------------------------------------------
+# Per-depth pattern memo
+# ----------------------------------------------------------------------
+class TestDepthPatternMemo:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_listing_interns_once_and_keeps_the_interned_object(self, kernel):
+        graph = erdos_renyi_graph(30, 80, seed=3)
+        context = FractalContext()
+        results = query_fractoid(
+            context.from_graph(graph), QUERY_PATTERNS["q1"], kernel=kernel
+        ).subgraphs()
+        assert len(results) > 1
+        interner = context.interner
+        # The first listed embedding derived its pattern; the rest were
+        # handed the same interner entry by the strategy.
+        assert interner.hits + interner.misses == 1
+        for result in results:
+            honest = Subgraph(graph, interner)
+            honest.vertices.extend(result.vertices)
+            honest.edges.extend(result.edges)
+            assert result.pattern is honest.pattern()
+
+    def test_memo_covers_only_what_the_strategy_pushed(self, labeled_graph):
+        pattern = Pattern.from_edge_list(
+            [(0, 1)], vertex_labels=[1, 2], edge_labels=[7]
+        )
+        strategy = _strategy(labeled_graph, pattern, kernel="indexed")
+        subgraph = strategy.make_subgraph()
+        seen = []
+        for root in strategy.extensions(subgraph):
+            strategy.push(subgraph, root)
+            for word in strategy.extensions(subgraph):
+                strategy.push(subgraph, word)
+                seen.append(subgraph.pattern_with_positions())
+                strategy.pop(subgraph)
+            strategy.pop(subgraph)
+        assert len(seen) > 1
+        assert all(memo is seen[0] for memo in seen)
+        assert strategy.interner.hits + strategy.interner.misses == 1
+        # A vertex pushed behind the strategy's back is not vouched for:
+        # its pattern is derived, not taken from the depth table.
+        root = strategy.extensions(subgraph)[0]
+        strategy.push(subgraph, root)
+        stranger, eid = next(
+            (v, eid)
+            for v, eid in labeled_graph.neighborhood(root)
+            if labeled_graph.edge_label(eid) == 8
+        )
+        subgraph.push_vertex(stranger, [eid])
+        assert subgraph.pattern_with_positions() is not seen[0]
+        assert [label for _, _, label in subgraph.pattern().edges] == [8]
