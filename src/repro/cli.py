@@ -38,6 +38,7 @@ from .apps import (
     keyword_search,
     motifs,
 )
+from .core.enumerator import ORDER_POLICIES, PATTERN_KERNELS
 from .graph import dataset_registry, dataset_stats
 from .harness import (
     KEYWORD_QUERIES,
@@ -624,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--pattern-kernel",
-        choices=["legacy", "indexed", "decomposed"],
+        choices=PATTERN_KERNELS,
         default="legacy",
         help="candidate kernel for pattern-induced enumeration: 'legacy' "
         "(per-neighbor back-edge probing, the seed behaviour), "
@@ -635,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--order-policy",
-        choices=["legacy", "cost"],
+        choices=ORDER_POLICIES,
         default=None,
         help="matching-order policy for pattern queries: 'legacy' "
         "(static degree-greedy) or 'cost' (statistics-based planner); "

@@ -56,7 +56,7 @@ __all__ = [
 #: each candidate; ``"indexed"`` intersects label-partitioned sorted
 #: slices; ``"decomposed"`` additionally lets counting-only steps run
 #: the core–fringe inclusion–exclusion planner
-#: (:mod:`repro.pattern.decompose`) — the backends intercept eligible
+#: (:mod:`repro.pattern.decompose`) — the step planner intercepts eligible
 #: steps, everything else enumerates exactly like ``"indexed"``.  Match
 #: *sets* (and counts) are identical under all three.
 PATTERN_KERNELS = ("legacy", "indexed", "decomposed")
@@ -173,11 +173,17 @@ class ExtensionStrategy:
         """Whether this strategy asked for the decomposed counting kernel.
 
         Only the pattern-induced strategy with resolved kernel
-        ``"decomposed"`` answers ``True``; the backends then consult
+        ``"decomposed"`` answers ``True``; the step planner
+        (:func:`repro.runtime.stepplan.plan_step`) then consults
         :func:`repro.pattern.decompose.plan_step_decomposition` to
-        decide whether the step actually runs as a count (and fall back
+        decide whether the step actually runs as a count (and falls back
         to enumeration otherwise, metering ``decomp_fallbacks``).
         """
+        return False
+
+    def supports_orbit_count(self) -> bool:
+        """Whether counting-only steps may run as an orbit-multiplicity
+        bulk count (pattern-induced indexed-family kernels only)."""
         return False
 
     def kernel_info(self) -> Optional[dict]:
@@ -547,8 +553,8 @@ class PatternInducedStrategy(ExtensionStrategy):
       program per position (:func:`repro.core.intersect.compile_level`);
     * ``"decomposed"`` — enumerates exactly like ``"indexed"``, but
       additionally marks the strategy as *counting-decomposable*
-      (:meth:`wants_decomposed_count`): the backends intercept pure
-      full-pattern counting steps and run the core–fringe
+      (:meth:`wants_decomposed_count`): the step planner intercepts pure
+      full-pattern counting steps and runs the core–fringe
       inclusion–exclusion plan of :mod:`repro.pattern.decompose` when
       the cost-based chooser favors it, falling back to this strategy's
       enumeration otherwise.
@@ -797,7 +803,7 @@ class PatternInducedStrategy(ExtensionStrategy):
         in ``orbit_multiplied_embeddings`` instead.  With ``roots`` the
         level-0 candidates are replaced by the given (label-correct)
         vertices and not re-metered — the caller accounts for producing
-        them (simulator/multiprocess root splitting).
+        them (the step executor's root shares).
 
         A count never reads an edge id, so the walk keeps no
         :class:`Subgraph`: just the matched vertices, their membership

@@ -58,13 +58,14 @@ O(1) block-size arithmetic.
 Everything here falls back to enumeration whenever the aggregation
 needs *embeddings* rather than counts (FSM domain support, subgraph
 collection, embedding callbacks, partial-pattern steps) — see
-:func:`plan_step_decomposition`, which the backends call and which
-reports the fallback reason into ``kernel_info`` and meters it as
-``metrics.decomp_fallbacks``.
+:func:`plan_step_decomposition`, which the step planner
+(:mod:`repro.runtime.stepplan`) calls; the planner reports the fallback
+reason into ``kernel_info`` and meters it as ``metrics.decomp_fallbacks``.
 
 This module deliberately avoids importing ``core.enumerator`` (the
-backends import both); the restricted cost-order planner below computes
-the same order ``plan_matching_order`` would on the full vertex set.
+step planner imports both); the restricted cost-order planner below
+computes the same order ``plan_matching_order`` would on the full
+vertex set.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ __all__ = [
     "plan_decomposition",
     "estimate_enumeration_units",
     "choose_counting_kernel",
+    "counting_step_blockers",
     "plan_step_decomposition",
     "count_embeddings",
     "instance_count",
@@ -99,17 +101,13 @@ class DecompositionError(RuntimeError):
     """Inconsistent multiplicity arithmetic in a decomposed count.
 
     Carries the offending pattern's canonical DFS ``code`` so the report
-    names the exact query shape, plus the walked-but-discarded work so a
-    quarantining backend can book it as wasted
-    (``wasted_extension_tests`` / ``wasted_units``, filled by whichever
-    backend ran the walk).
+    names the exact query shape.
     """
 
     def __init__(self, message: str, code=None):
         super().__init__(message)
         self.code = code
-        self.wasted_extension_tests = 0
-        self.wasted_units = 0.0
+
 
 # Brute-force planning limits: query patterns in the paper's workloads
 # have <= 6 vertices; these caps keep subset/partition enumeration
@@ -681,6 +679,50 @@ def choose_counting_kernel(
     return plan, estimates
 
 
+def counting_step_blockers(
+    pattern: Pattern,
+    primitives: Sequence[object],
+    collect: Optional[str],
+    root_words: Optional[Sequence[int]],
+) -> Optional[Tuple[str, str]]:
+    """Why a step is not a pure full-pattern count, or ``None`` if it is.
+
+    A pure full-pattern count — every primitive an extension, one per
+    pattern vertex, ``collect="count"``, no root restriction — is the
+    one shape where only the total is observable, so both counting
+    shortcuts need exactly it: the decomposed plan of this module and
+    the enumerator's orbit-multiplicity bulk count.  The shape is tested
+    once; the pair holds the reason as each shortcut's decision record
+    words it (``kernel_info["decomposition"]`` first,
+    ``kernel_info["orbit_count"]`` second).
+    """
+    from ..core.primitives import Expand
+
+    rooted = root_words is not None
+    extends_only = all(isinstance(p, Expand) for p in primitives)
+    full = len(primitives) == pattern.n_vertices
+    counted = collect == "count"
+    if counted and extends_only and full and not rooted:
+        return None
+    if rooted:
+        decomposition = "root-restricted step (resumed/partial work)"
+    elif not extends_only:
+        decomposition = (
+            "workflow needs embeddings (non-extension primitives present)"
+        )
+    elif not full:
+        decomposition = "partial-pattern step (multi-step exploration)"
+    else:
+        decomposition = f"collect={collect!r} needs embeddings, not counts"
+    if not counted:
+        orbit = "step is not a pure count"
+    elif rooted:
+        orbit = "step has explicit roots"
+    else:
+        orbit = "step is not a pure full-pattern expansion"
+    return decomposition, orbit
+
+
 def plan_step_decomposition(
     pattern: Pattern,
     graph: Graph,
@@ -692,41 +734,28 @@ def plan_step_decomposition(
     """Gate + chooser for one fractal step that requested ``"decomposed"``.
 
     Returns ``(plan, info)``.  ``plan`` is non-``None`` only when the
-    step is a pure full-pattern counting step (every primitive an
-    extension, one per pattern vertex, ``collect="count"``, no root
-    restriction) *and* the cost-based chooser favors decomposition.
-    ``info`` always describes the decision for ``kernel_info``
-    reporting; on fallback it carries the reason, and the caller meters
-    ``metrics.decomp_fallbacks``.
+    step is a pure full-pattern counting step
+    (:func:`counting_step_blockers`) *and* the cost-based chooser favors
+    decomposition.  ``info`` always describes the decision for
+    ``kernel_info`` reporting; on fallback it carries the reason, and
+    the caller meters ``metrics.decomp_fallbacks``.
+
+    The step planner only calls this for steps it has already found to
+    be pure counts (it words the orbit-count record from the same
+    test); the gate here is for direct callers.
     """
-    from ..core.primitives import Expand
-
-    info: Dict[str, object] = {"requested": True}
-
-    def fallback(reason: str) -> Tuple[None, Dict[str, object]]:
-        info["executed"] = "enumeration"
-        info["reason"] = reason
-        return None, info
-
-    if root_words is not None:
-        return fallback("root-restricted step (resumed/partial work)")
-    if any(not isinstance(p, Expand) for p in primitives):
-        return fallback(
-            "workflow needs embeddings (non-extension primitives present)"
-        )
-    if len(primitives) != pattern.n_vertices:
-        return fallback("partial-pattern step (multi-step exploration)")
-    if collect != "count":
-        return fallback(
-            f"collect={collect!r} needs embeddings, not counts"
-        )
+    blockers = counting_step_blockers(pattern, primitives, collect, root_words)
+    if blockers is not None:
+        return None, fallback_info(blockers[0])
     plan, estimates = choose_counting_kernel(pattern, graph, cost_model)
-    info.update(estimates)
+    info: Dict[str, object] = {"requested": True, **estimates}
     if plan is None:
-        return fallback(
+        info["executed"] = "enumeration"
+        info["reason"] = (
             "chooser picked enumeration (estimated cheaper, or the "
             "fringe shape is below the pay-off threshold)"
         )
+        return None, info
     info["executed"] = "count"
     info["reason"] = None
     info["plan"] = plan.describe()
@@ -734,8 +763,9 @@ def plan_step_decomposition(
 
 
 def fallback_info(reason: str) -> Dict[str, object]:
-    """Uniform ``kernel_info["decomposition"]`` shape for backend-level
-    fallbacks (fault plans, partitions) that never reach the chooser."""
+    """Uniform ``kernel_info["decomposition"]`` shape for fallbacks that
+    never reach the chooser (step shape, fault plans, partitions,
+    quarantine)."""
     return {"requested": True, "executed": "enumeration", "reason": reason}
 
 
@@ -766,7 +796,7 @@ def count_embeddings(
     projected-core-group orbit.
 
     ``roots`` restricts core position 0 to the given (label-correct)
-    vertices — the backends' unit of work splitting; the caller meters
+    vertices — the step executor's unit of work splitting; the caller meters
     the root listing in that case.  (No condition ever binds at position
     0 — it is the earliest position — so root splitting composes with
     the restriction.)  Partial totals from disjoint root sets sum to the
@@ -881,7 +911,7 @@ def instance_count(plan: DecompositionPlan, raw_embeddings: int) -> int:
     so the merged total is exactly divisible; anything else means the
     inclusion–exclusion combine (or a partial, unmerged total) is wrong,
     and the raised :class:`DecompositionError` names the offending
-    pattern's DFS code so the quarantining backend can report it.
+    pattern's DFS code so the quarantining step executor can report it.
     """
     divisor = plan.count_divisor or max(1, plan.automorphism_count)
     if raw_embeddings % divisor:

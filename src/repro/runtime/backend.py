@@ -20,6 +20,15 @@ uses to unlink its shared-memory segment.  A backend returns one
 step's metrics, its priced work, and an optional ``backend_info`` dict
 surfaced in :class:`~repro.runtime.driver.StepReport` for reporting
 (real wall time, partition quality, shared-segment size).
+
+A backend decides *where* a step runs, never *what* it runs as: every
+``run_step`` configures a probe strategy, asks
+:func:`~repro.runtime.stepplan.plan_step` for the step's plan, and
+either wraps the count :func:`~repro.runtime.stepplan.count_step`
+produced (:func:`counted_outcome`) or hands the step to its own
+enumeration executor — :func:`run_in_process` here and on every
+in-driver rung of the multiprocess backend, ``ClusterEngine.run_step``
+on the simulator.
 """
 
 from __future__ import annotations
@@ -39,47 +48,17 @@ from .cluster import ClusterConfig, ClusterEngine, ClusterStepResult
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import run_step_sequential
 from .metrics import Metrics
+from .stepplan import StepPlan, count_step, plan_step
 
 __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "SimulatorBackend",
     "StepOutcome",
-    "plan_orbit_count",
+    "counted_outcome",
     "resolve_backend",
+    "run_in_process",
 ]
-
-
-def plan_orbit_count(strategy, primitives, collect, root_words):
-    """Decide whether a step may run via orbit-multiplicity counting.
-
-    Returns ``(eligible, info)``.  ``info`` is ``None`` for strategies
-    without the capability (vertex/edge-induced, legacy kernel, or the
-    global switch off); otherwise a dict for ``kernel_info["orbit_count"]``
-    recording the decision.  Eligible steps are pure full-pattern
-    expansions collected as a bare count — exactly the shape where the
-    per-embedding sink is a no-op and only the total matters, so
-    enumerating one representative per orbit tail and multiplying is
-    observably identical.
-    """
-    supports = getattr(strategy, "supports_orbit_count", None)
-    if supports is None or not supports():
-        return False, None
-    from ..core.primitives import Expand
-
-    if collect != "count":
-        return False, {"executed": False, "reason": "step is not a pure count"}
-    if root_words is not None:
-        return False, {"executed": False, "reason": "step has explicit roots"}
-    if len(primitives) != strategy.pattern.n_vertices or not all(
-        isinstance(p, Expand) for p in primitives
-    ):
-        return False, {
-            "executed": False,
-            "reason": "step is not a pure full-pattern expansion",
-        }
-    tail, arrangements = strategy.orbit_tail()
-    return True, {"executed": True, "tail": tail, "arrangements": arrangements}
 
 
 @dataclass
@@ -137,13 +116,92 @@ class ExecutionBackend:
         """Release backend resources (processes, shared memory)."""
 
 
+# ``backend_info`` flag a counted step carries, by plan mode.
+_COUNTED_FLAG = {"decomposed": "decomposed", "orbit": "orbit_counted"}
+
+
+def counted_outcome(
+    step: StepPlan,
+    metrics: Metrics,
+    work_units: float,
+    cost_model: CostModel,
+    backend_info: Dict[str, object],
+    where: str = "",
+) -> StepOutcome:
+    """Wrap a step :func:`~repro.runtime.stepplan.count_step` counted.
+
+    The count is in ``metrics.results_emitted``; ``backend_info`` gains
+    the mode's flag (suffixed with ``where``, e.g. ``"_in_driver"``) so
+    reports stay honest about how and where the step ran.
+    """
+    backend_info[_COUNTED_FLAG[step.mode] + where] = True
+    return StepOutcome(
+        storages={},
+        metrics=metrics,
+        work_units=work_units,
+        simulated_seconds=cost_model.seconds(work_units),
+        kernel_info=step.kernel_info,
+        backend_info=backend_info,
+    )
+
+
+def run_in_process(
+    strategy,
+    primitives,
+    aggregation_views,
+    cached_uids,
+    sink,
+    root_words,
+    cost_model: CostModel,
+    kernel_info,
+    backend_info: Dict[str, object],
+) -> StepOutcome:
+    """Enumerate one step on the calling thread (Algorithm 1, one core).
+
+    ``strategy`` is the backend's configured probe: it executes the step
+    and its metrics bundle becomes the step's, so nothing is planned or
+    metered twice.  The driver-provided ``sink`` runs in this process.
+    """
+    metrics = strategy.metrics
+    computation = Computation(
+        strategy.graph, metrics, strategy.interner, aggregation_views
+    )
+    storages = run_step_sequential(
+        strategy,
+        primitives,
+        computation,
+        cached_uids,
+        sink=sink,
+        root_words=root_words,
+    )
+    units = cost_model.step_units(metrics)
+    return StepOutcome(
+        storages=storages,
+        metrics=metrics,
+        work_units=units,
+        simulated_seconds=cost_model.seconds(units),
+        kernel_info=kernel_info,
+        backend_info=backend_info,
+    )
+
+
 class SequentialBackend(ExecutionBackend):
-    """Algorithm 1 on one core — the relocated driver sequential path."""
+    """Algorithm 1 on one core — the relocated driver sequential path.
+
+    ``degraded_from`` is the
+    :class:`~repro.runtime.mp_backend.MultiprocessConfig` this backend
+    stands in for on a platform without ``fork``: the probe is
+    configured with its kernel and order policy exactly as its workers'
+    strategies would have been, and every step reports ``degraded_to``.
+    """
 
     name = "sequential"
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
+    def __init__(
+        self, cost_model: CostModel = DEFAULT_COST_MODEL, degraded_from=None
+    ):
         self.cost_model = cost_model
+        self._degraded_from = degraded_from
 
     def run_step(
         self,
@@ -157,135 +215,33 @@ class SequentialBackend(ExecutionBackend):
         root_words=None,
         collect=None,
     ) -> StepOutcome:
+        cost = self.cost_model
+        config = self._degraded_from
         metrics = Metrics()
+        # The one executing strategy doubles as the planner's probe.
         strategy = strategy_factory(graph, metrics, interner)
         strategy.configure_kernel(
-            gallop_crossover=self.cost_model.gallop_crossover
+            config.pattern_kernel if config is not None else None,
+            config.order_policy if config is not None else None,
+            cost.gallop_crossover,
         )
-        kernel_info = strategy.kernel_info()
-        if strategy.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
-            )
-
-            plan, decomp_info = plan_step_decomposition(
-                strategy.pattern,
-                graph,
-                primitives,
-                collect,
-                root_words,
-                self.cost_model,
-            )
-            if kernel_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            if plan is not None:
-                try:
-                    return self._run_decomposed(
-                        graph, plan, metrics, kernel_info
-                    )
-                except DecompositionError as exc:
-                    # Quarantine: the plan's multiplicity bookkeeping is
-                    # inconsistent — fall back to plain enumeration, which
-                    # needs no multiplicity arithmetic at all.
-                    warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                    if kernel_info is not None:
-                        kernel_info["decomposition"] = fallback_info(
-                            f"quarantined: {exc}"
-                        )
-            else:
-                metrics.decomp_fallbacks += 1
-        orbit_ok, orbit_info = plan_orbit_count(
-            strategy, primitives, collect, root_words
-        )
-        if kernel_info is not None and orbit_info is not None:
-            kernel_info["orbit_count"] = orbit_info
-        if orbit_ok:
-            return self._run_orbit_count(strategy, metrics, kernel_info)
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        storages = run_step_sequential(
+        step = plan_step(strategy, graph, primitives, collect, root_words, cost)
+        step, units = count_step(step, graph, strategy, metrics, cost)
+        info: Dict[str, object] = {"backend": self.name}
+        if config is not None:
+            info["degraded_to"] = self.name
+        if units is not None:
+            return counted_outcome(step, metrics, units, cost, info)
+        return run_in_process(
             strategy,
             primitives,
-            computation,
+            aggregation_views,
             cached_uids,
-            sink=sink,
-            root_words=root_words,
-        )
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages=storages,
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name},
-        )
-
-    def _run_decomposed(
-        self, graph, plan, metrics: Metrics, kernel_info
-    ) -> StepOutcome:
-        """Counting-only step via the core–fringe inclusion–exclusion plan.
-
-        No sink runs (a counting sink is a no-op by contract) and no
-        aggregation storages exist — the step is a pure count, surfaced
-        through ``metrics.results_emitted`` like any counting step.
-
-        The core walk is metered into a scratch bundle first: if the
-        multiplicity arithmetic trips
-        (:class:`~repro.pattern.decompose.DecompositionError`), the
-        walked work is booked as *wasted* on ``metrics`` and the error
-        propagates so the caller can quarantine the step to enumeration.
-        """
-        from ..pattern.decompose import (
-            DecompositionError,
-            count_embeddings,
-            instance_count,
-        )
-
-        scratch = Metrics()
-        raw = count_embeddings(
-            plan,
-            graph,
-            scratch,
-            crossover=self.cost_model.gallop_crossover,
-        )
-        try:
-            count = instance_count(plan, raw)
-        except DecompositionError:
-            metrics.wasted_extension_tests += scratch.extension_tests
-            metrics.wasted_work_units += self.cost_model.step_units(scratch)
-            metrics.decomp_fallbacks += 1
-            raise
-        metrics.merge(scratch)
-        metrics.results_emitted = count
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name, "decomposed": True},
-        )
-
-    def _run_orbit_count(
-        self, strategy, metrics: Metrics, kernel_info
-    ) -> StepOutcome:
-        """Counting-only step via orbit-multiplicity bulk counting.
-
-        Same contract as :meth:`_run_decomposed`: no sink, no storages,
-        the exact count lands in ``metrics.results_emitted``.
-        """
-        metrics.results_emitted = strategy.count_matches()
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name, "orbit_counted": True},
+            sink,
+            root_words,
+            cost,
+            step.kernel_info,
+            info,
         )
 
 
@@ -310,68 +266,49 @@ class SimulatorBackend(ExecutionBackend):
         root_words=None,
         collect=None,
     ) -> StepOutcome:
-        decomp_info = None
-        quarantined = None
-        probe = strategy_factory(graph, Metrics(), interner)
-        probe.configure_kernel(
-            self.config.pattern_kernel,
-            self.config.order_policy,
-            self.config.cost_model.gallop_crossover,
-        )
-        fault_free = (
-            self.config.fault_plan is None
-            and not self.config.fail_at
-            and self.config.partition is None
-        )
-        if probe.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
-            )
+        config = self.config
+        cost = config.cost_model
 
-            if self.config.fault_plan is not None or self.config.fail_at:
-                decomp_info = fallback_info(
-                    "fault injection configured (recovery needs enumerators)"
-                )
-            elif self.config.partition is not None:
-                decomp_info = fallback_info(
-                    "partitioned storage configured (fetch metering "
-                    "needs per-word pushes)"
-                )
-            else:
-                plan, decomp_info = plan_step_decomposition(
-                    probe.pattern,
-                    graph,
-                    primitives,
-                    collect,
-                    root_words,
-                    self.config.cost_model,
-                )
-                if plan is not None:
-                    try:
-                        return self._run_decomposed(
-                            graph, plan, probe, decomp_info
-                        )
-                    except DecompositionError as exc:
-                        warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                        decomp_info = fallback_info(f"quarantined: {exc}")
-                        quarantined = exc
-        orbit_info = None
-        if fault_free:
-            orbit_ok, orbit_info = plan_orbit_count(
-                probe, primitives, collect, root_words
+        def core_strategy(core_metrics: Metrics):
+            strategy = strategy_factory(graph, core_metrics, interner)
+            strategy.configure_kernel(
+                config.pattern_kernel, config.order_policy, cost.gallop_crossover
             )
-            if orbit_ok:
-                return self._run_orbit_count(
-                    graph,
-                    strategy_factory,
-                    interner,
-                    probe,
-                    orbit_info,
-                    decomp_info,
-                    quarantined,
-                )
+            return strategy
+
+        needs_enumerators = None
+        if config.fault_plan is not None or config.fail_at:
+            needs_enumerators = (
+                "fault injection configured (recovery needs enumerators)"
+            )
+        elif config.partition is not None:
+            needs_enumerators = (
+                "partitioned storage configured (fetch metering "
+                "needs per-word pushes)"
+            )
+        probe = core_strategy(Metrics())
+        step = plan_step(
+            probe, graph, primitives, collect, root_words, cost, needs_enumerators
+        )
+        # Counting steps split their roots across the configured cores —
+        # the same unit the engine distributes — one strategy per core.
+        metrics = Metrics()
+        step, units = count_step(
+            step,
+            graph,
+            probe,
+            metrics,
+            cost,
+            shares=config.total_cores,
+            share_strategy=core_strategy,
+        )
+        info: Dict[str, object] = {
+            "backend": self.name,
+            "workers": config.workers,
+            "cores_per_worker": config.cores_per_worker,
+        }
+        if units is not None:
+            return counted_outcome(step, metrics, units, cost, info)
         result = self._engine.run_step(
             graph,
             strategy_factory,
@@ -382,174 +319,17 @@ class SimulatorBackend(ExecutionBackend):
             sink=sink,
             root_words=root_words,
         )
-        info: Dict[str, object] = {
-            "backend": self.name,
-            "workers": self.config.workers,
-            "cores_per_worker": self.config.cores_per_worker,
-        }
+        result.metrics.merge(metrics)
         if result.partition_info is not None:
             info["partition"] = result.partition_info
-        kernel_info = result.kernel_info
-        if decomp_info is not None:
-            result.metrics.decomp_fallbacks += 1
-            if kernel_info is not None:
-                kernel_info = dict(kernel_info)
-                kernel_info["decomposition"] = decomp_info
-        if quarantined is not None:
-            result.metrics.wasted_extension_tests += (
-                quarantined.wasted_extension_tests
-            )
-            result.metrics.wasted_work_units += quarantined.wasted_units
-        if orbit_info is not None:
-            if kernel_info is not None:
-                kernel_info = dict(kernel_info)
-                kernel_info["orbit_count"] = orbit_info
         return StepOutcome(
             storages=result.storages,
             metrics=result.metrics,
             work_units=result.makespan_units,
             simulated_seconds=result.makespan_seconds,
             cluster=result,
-            kernel_info=kernel_info,
+            kernel_info=step.kernel_info,
             backend_info=info,
-        )
-
-    def _run_decomposed(
-        self, graph, plan, probe, decomp_info
-    ) -> StepOutcome:
-        """Simulated-cluster execution of a decomposed counting step.
-
-        Core roots (position-0 candidates) split round-robin across the
-        configured cores — the same unit the engine distributes — and
-        each core's metered work is priced independently; the simulated
-        makespan is the busiest core.  Raw embedding subtotals are only
-        divided by the plan's multiplicity after merging (per-chunk
-        subtotals need not be divisible).  If the multiplicity
-        arithmetic trips, the walked work is attached to the raised
-        :class:`~repro.pattern.decompose.DecompositionError` so the
-        caller can book it as wasted on the quarantined enumeration run.
-        """
-        from ..pattern.decompose import count_embeddings, instance_count
-
-        cost = self.config.cost_model
-        n_cores = self.config.workers * self.config.cores_per_worker
-        setup_metrics = Metrics()
-        setup_metrics.index_slices += 1
-        roots = graph.vertices_with_label(plan.core_labels[0])
-        setup_metrics.extension_tests += len(roots)
-        total_raw = 0
-        makespan_units = 0.0
-        merged = Metrics()
-        merged.merge(setup_metrics)
-        for core_id in range(n_cores):
-            chunk = roots[core_id::n_cores]
-            if not chunk:
-                continue
-            core_metrics = Metrics()
-            total_raw += count_embeddings(
-                plan,
-                graph,
-                core_metrics,
-                roots=chunk,
-                crossover=cost.gallop_crossover,
-            )
-            busy = cost.step_units(core_metrics)
-            if busy > makespan_units:
-                makespan_units = busy
-            merged.merge(core_metrics)
-        try:
-            merged.results_emitted = instance_count(plan, total_raw)
-        except Exception as exc:
-            if hasattr(exc, "wasted_extension_tests"):
-                exc.wasted_extension_tests = merged.extension_tests
-                exc.wasted_units = cost.step_units(merged)
-            raise
-        kernel_info = probe.kernel_info()
-        if kernel_info is not None:
-            kernel_info["decomposition"] = decomp_info
-        return StepOutcome(
-            storages={},
-            metrics=merged,
-            work_units=makespan_units,
-            simulated_seconds=cost.seconds(makespan_units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "workers": self.config.workers,
-                "cores_per_worker": self.config.cores_per_worker,
-                "decomposed": True,
-            },
-        )
-
-    def _run_orbit_count(
-        self,
-        graph,
-        strategy_factory,
-        interner,
-        probe,
-        orbit_info,
-        decomp_info,
-        quarantined,
-    ) -> StepOutcome:
-        """Simulated-cluster execution of an orbit-multiplicity count.
-
-        Level-0 candidates (matching-order roots) split round-robin
-        across the configured cores exactly like the decomposed path;
-        the root listing is metered once in setup with the same counters
-        the sequential kernel's level-0 ``extensions`` call would book,
-        so merged counter totals match the sequential engine's exactly.
-        """
-        cost = self.config.cost_model
-        n_cores = self.config.workers * self.config.cores_per_worker
-        setup_metrics = Metrics()
-        setup_metrics.index_slices += 1
-        root_label = probe.pattern.vertex_labels[probe.order[0]]
-        roots = graph.vertices_with_label(root_label)
-        setup_metrics.extension_tests += len(roots)
-        setup_metrics.extensions_generated += len(roots)
-        total = 0
-        makespan_units = 0.0
-        merged = Metrics()
-        merged.merge(setup_metrics)
-        for core_id in range(n_cores):
-            chunk = roots[core_id::n_cores]
-            if not chunk:
-                continue
-            core_metrics = Metrics()
-            strategy = strategy_factory(graph, core_metrics, interner)
-            strategy.configure_kernel(
-                self.config.pattern_kernel,
-                self.config.order_policy,
-                cost.gallop_crossover,
-            )
-            total += strategy.count_matches(roots=chunk)
-            busy = cost.step_units(core_metrics)
-            if busy > makespan_units:
-                makespan_units = busy
-            merged.merge(core_metrics)
-        merged.results_emitted = total
-        if decomp_info is not None:
-            merged.decomp_fallbacks += 1
-        if quarantined is not None:
-            merged.wasted_extension_tests += quarantined.wasted_extension_tests
-            merged.wasted_work_units += quarantined.wasted_units
-        kernel_info = probe.kernel_info()
-        if kernel_info is not None:
-            if decomp_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            kernel_info["orbit_count"] = orbit_info
-        return StepOutcome(
-            storages={},
-            metrics=merged,
-            work_units=makespan_units,
-            simulated_seconds=cost.seconds(makespan_units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "workers": self.config.workers,
-                "cores_per_worker": self.config.cores_per_worker,
-                "orbit_counted": True,
-            },
         )
 
     def setup_seconds(self) -> float:
@@ -571,9 +351,11 @@ def resolve_backend(
 
     On platforms without the ``fork`` start method a
     ``MultiprocessConfig`` cannot run real workers; with
-    ``degrade="auto"`` (the default) the step degrades to
-    :class:`SequentialBackend` under a ``RuntimeWarning`` naming the
-    platform, with ``degrade="never"`` the same message raises.
+    ``degrade="auto"`` (the default) the step degrades to a
+    :class:`SequentialBackend` that keeps the config's kernel and order
+    policy and reports ``degraded_to``, under a ``RuntimeWarning``
+    naming the platform; with ``degrade="never"`` the same message
+    raises.
     """
     from .mp_backend import (
         MultiprocessBackend,
@@ -593,7 +375,7 @@ def resolve_backend(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return SequentialBackend(engine.cost_model)
+            return SequentialBackend(engine.cost_model, degraded_from=engine)
         return MultiprocessBackend(engine)
     if engine == "sequential":
         return SequentialBackend(cost_model)

@@ -50,7 +50,12 @@ from ..core.aggregation import (
     stable_partition,
 )
 from ..core.computation import Computation
-from ..core.enumerator import ExtensionStrategy, SubgraphEnumerator
+from ..core.enumerator import (
+    ExtensionStrategy,
+    SubgraphEnumerator,
+    _check_kernel,
+    _check_policy,
+)
 from ..core.primitives import (
     AggregationFilter,
     Expand,
@@ -247,16 +252,9 @@ class ClusterConfig:
             raise ValueError(
                 f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
             )
-        if self.pattern_kernel not in ("legacy", "indexed", "decomposed"):
-            raise ValueError(
-                f"pattern_kernel must be 'legacy', 'indexed' or "
-                f"'decomposed', got {self.pattern_kernel!r}"
-            )
-        if self.order_policy not in (None, "legacy", "cost"):
-            raise ValueError(
-                f"order_policy must be None, 'legacy' or 'cost', "
-                f"got {self.order_policy!r}"
-            )
+        _check_kernel(self.pattern_kernel)
+        if self.order_policy is not None:
+            _check_policy(self.order_policy)
         if self.agg_entry_budget is not None and self.agg_entry_budget < 1:
             raise ValueError("agg_entry_budget must be >= 1 (or None)")
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
@@ -391,10 +389,6 @@ class ClusterStepResult:
     recovered_extensions: int = 0
     recovery_units: float = 0.0
     steal_retries: int = 0
-    # Candidate-kernel description of the step's strategies (``None`` for
-    # strategies without a selectable kernel): kernel name, order policy
-    # and matching order, as reported by ``ExtensionStrategy.kernel_info``.
-    kernel_info: Optional[Dict[str, object]] = None
     # Partition-quality summary (``GraphPartition.summary``) when the
     # step ran under ``ClusterConfig.partition``; ``None`` otherwise.
     partition_info: Optional[Dict[str, object]] = None
@@ -1102,9 +1096,6 @@ class ClusterEngine:
         result = self._collect(
             cores, storages_per_core, steal_messages, cost, runtime
         )
-        # Every core runs the same strategy factory under the same config,
-        # so core 0's kernel description speaks for the whole step.
-        result.kernel_info = cores[0].strategy.kernel_info() if cores else None
         result.partition_info = partition_info
         return result
 

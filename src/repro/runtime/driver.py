@@ -170,9 +170,10 @@ class ExecutionReport:
         On the multiprocess backend the summary also carries the
         fault-recovery ledger rolled up over all steps — workers lost
         and respawned, chunk leases re-executed, chunks quarantined to
-        the driver's sequential path — plus ``degraded_to`` when any
-        step abandoned real parallelism entirely.  All zero/absent on a
-        fault-free run.  ``entries_shipped``/``shipped_bytes`` are the
+        the driver's sequential path; all zero on a fault-free run.
+        ``degraded_to`` appears, on any backend, when a step abandoned
+        real parallelism entirely (no ``fork``, no shared memory, every
+        worker lost).  ``entries_shipped``/``shipped_bytes`` are the
         aggregation entries and encoded payload bytes that crossed the
         process boundary, counted once per retired chunk (the real-core
         counterpart of the simulator's metered aggregation shuffle).
@@ -206,8 +207,8 @@ class ExecutionReport:
             summary["chunks_quarantined"] = m.chunks_quarantined
             summary["entries_shipped"] = entries_shipped
             summary["shipped_bytes"] = shipped_bytes
-            if degraded_to is not None:
-                summary["degraded_to"] = degraded_to
+        if degraded_to is not None:
+            summary["degraded_to"] = degraded_to
         return summary
 
     def partition_summary(self) -> Dict[str, object]:

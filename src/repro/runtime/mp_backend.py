@@ -24,6 +24,17 @@ sequential backend with a warning (see
 :func:`~repro.runtime.backend.resolve_backend`), or raise when
 ``degrade="never"``.
 
+**Planned once, counted in the driver.**  What a step runs as is the
+step planner's decision (:mod:`repro.runtime.stepplan`); this backend
+only states when it needs real enumerators (a fault plan, a partition).
+Counting steps run in the driver, not in workers — a collapsed walk is
+orders of magnitude less work than the enumeration the worker fleet
+exists to parallelize, and far below the fork/shared-memory setup cost
+it would have to amortize — flagged ``*_in_driver`` in ``backend_info``
+so reports stay honest about where the work happened.  Every other
+in-driver rung is :func:`~repro.runtime.backend.run_in_process` on the
+probe strategy.
+
 **Supervised chunk leases.**  The root words are split into chunks and
 the driver runs a supervision loop instead of a blocking join: each
 worker holds at most one chunk *lease* at a time, announced progress
@@ -106,22 +117,29 @@ import time
 import traceback
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.aggregation import decode_entries, encode_entries
 from ..core.computation import Computation
+from ..core.enumerator import _check_kernel, _check_policy
 from ..core.primitives import Expand
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
 from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
 from ..pattern.pattern import Pattern, PatternInterner
-from .backend import ExecutionBackend, StepOutcome, plan_orbit_count
+from .backend import (
+    ExecutionBackend,
+    StepOutcome,
+    counted_outcome,
+    run_in_process,
+)
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages, run_step_sequential
 from .faults import FaultPlan
 from .metrics import Metrics
+from .stepplan import count_step, plan_step
 
 __all__ = ["MultiprocessConfig", "MultiprocessBackend"]
 
@@ -312,16 +330,9 @@ class MultiprocessConfig:
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
                 f"got {self.partition!r}"
             )
-        if self.pattern_kernel not in ("legacy", "indexed", "decomposed"):
-            raise ValueError(
-                f"pattern_kernel must be 'legacy', 'indexed' or "
-                f"'decomposed', got {self.pattern_kernel!r}"
-            )
-        if self.order_policy not in (None, "legacy", "cost"):
-            raise ValueError(
-                f"order_policy must be None, 'legacy' or 'cost', "
-                f"got {self.order_policy!r}"
-            )
+        _check_kernel(self.pattern_kernel)
+        if self.order_policy is not None:
+            _check_policy(self.order_policy)
         if not self.worker_timeout > 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout!r}"
@@ -401,9 +412,6 @@ class MultiprocessBackend(ExecutionBackend):
         cost = config.cost_model
         started = time.perf_counter()
 
-        first_expand = next(
-            (i for i, p in enumerate(primitives) if isinstance(p, Expand)), None
-        )
         # Root probing is setup (as in the simulator's _distribute_roots):
         # metered separately, merged into the step totals at the end, so
         # counter totals match the sequential engine's exactly.
@@ -412,90 +420,51 @@ class MultiprocessBackend(ExecutionBackend):
         parent_strategy.configure_kernel(
             config.pattern_kernel, config.order_policy, cost.gallop_crossover
         )
-        kernel_info = parent_strategy.kernel_info()
-
-        if parent_strategy.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
+        needs_enumerators = None
+        if config.fault_plan is not None:
+            needs_enumerators = (
+                "mp fault plan configured (fault injection needs "
+                "worker enumeration)"
             )
-
-            decomposed_plan = None
-            if config.fault_plan is not None:
-                decomp_info = fallback_info(
-                    "mp fault plan configured (fault injection needs "
-                    "worker enumeration)"
-                )
-            elif config.partition is not None:
-                decomp_info = fallback_info(
-                    "partitioned storage configured (fetch metering "
-                    "needs per-word pushes)"
-                )
-            else:
-                decomposed_plan, decomp_info = plan_step_decomposition(
-                    parent_strategy.pattern,
-                    graph,
-                    primitives,
-                    collect,
-                    root_words,
-                    cost,
-                )
-            if kernel_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            if decomposed_plan is not None:
-                try:
-                    return self._run_decomposed(
-                        graph,
-                        decomposed_plan,
-                        setup_metrics,
-                        kernel_info,
-                        started,
-                    )
-                except DecompositionError as exc:
-                    # Quarantine to enumeration under degrade="auto";
-                    # degrade="never" asks for hard failures instead.
-                    if config.degrade == "never":
-                        raise
-                    warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                    if kernel_info is not None:
-                        kernel_info["decomposition"] = fallback_info(
-                            f"quarantined: {exc}"
-                        )
-            else:
-                setup_metrics.decomp_fallbacks += 1
-
-        if (
-            config.fault_plan is None
-            and config.partition is None
-            and root_words is None
-        ):
-            orbit_ok, orbit_info = plan_orbit_count(
-                parent_strategy, primitives, collect, root_words
+        elif config.partition is not None:
+            needs_enumerators = (
+                "partitioned storage configured (fetch metering "
+                "needs per-word pushes)"
             )
-            if kernel_info is not None and orbit_info is not None:
-                kernel_info["orbit_count"] = orbit_info
-            if orbit_ok:
-                return self._run_orbit_count(
-                    parent_strategy, setup_metrics, kernel_info, started
-                )
+        step = plan_step(
+            parent_strategy, graph, primitives, collect, root_words, cost,
+            needs_enumerators,
+        )
+        # Counting steps run in the driver (module docstring).  Quarantine
+        # to enumeration under degrade="auto"; degrade="never" asks for
+        # hard failures instead.
+        step, units = count_step(
+            step, graph, parent_strategy, setup_metrics, cost,
+            quarantine=config.degrade != "never",
+        )
+        info: Dict[str, object] = {"backend": self.name, "num_procs": config.num_procs}
+        if units is not None:
+            outcome = counted_outcome(
+                step, setup_metrics, units, cost, info, where="_in_driver"
+            )
+            info["wall_seconds"] = time.perf_counter() - started
+            return outcome
 
-        if first_expand is None:
+        def in_driver(words) -> StepOutcome:
+            # Same process, so the driver-provided sink works and results
+            # flow through it exactly as on the sequential backend.
+            info["inline"] = True
+            outcome = run_in_process(
+                parent_strategy, primitives, aggregation_views, cached_uids,
+                sink, words, cost, step.kernel_info, info,
+            )
+            info["wall_seconds"] = time.perf_counter() - started
+            return outcome
+
+        if not any(isinstance(p, Expand) for p in primitives):
             # Degenerate step without extension: one evaluation of the
             # pipeline over the empty subgraph — nothing to parallelize.
-            return self._run_inline(
-                graph,
-                strategy_factory,
-                interner,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                sink,
-                root_words,
-                started,
-                setup_metrics=setup_metrics,
-            )
-
+            return in_driver(root_words)
         if root_words is None:
             words = list(
                 parent_strategy.extensions(parent_strategy.make_subgraph())
@@ -503,18 +472,7 @@ class MultiprocessBackend(ExecutionBackend):
         else:
             words = list(root_words)
         if not words:
-            return self._run_inline(
-                graph,
-                strategy_factory,
-                interner,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                sink,
-                root_words,
-                started,
-                setup_metrics=setup_metrics,
-            )
+            return in_driver(words)
 
         n_procs = config.num_procs
         partition_info: Optional[Dict[str, object]] = None
@@ -543,8 +501,6 @@ class MultiprocessBackend(ExecutionBackend):
         else:
             n = min(len(words), n_procs * config.chunks_per_proc)
             chunk_lists = [words[i::n] for i in range(n)]
-        n_chunks = len(chunk_lists)
-
         try:
             shared = self._shared_for(graph)
         except OSError as exc:
@@ -559,19 +515,8 @@ class MultiprocessBackend(ExecutionBackend):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            outcome = self._run_inline(
-                graph,
-                strategy_factory,
-                interner,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                sink,
-                words,
-                started,
-                setup_metrics=setup_metrics,
-            )
-            outcome.backend_info["degraded_to"] = "sequential"
+            outcome = in_driver(words)
+            info["degraded_to"] = "sequential"
             return outcome
 
         return self._run_supervised(
@@ -586,9 +531,8 @@ class MultiprocessBackend(ExecutionBackend):
             chunk_owner,
             word_owner,
             setup_metrics,
-            kernel_info,
+            step.kernel_info,
             partition_info,
-            cost,
             started,
         )
 
@@ -608,11 +552,11 @@ class MultiprocessBackend(ExecutionBackend):
         setup_metrics: Metrics,
         kernel_info,
         partition_info,
-        cost: CostModel,
         started: float,
     ) -> StepOutcome:
         """Supervision loop: lease chunks, watch workers, recover losses."""
         config = self.config
+        cost = config.cost_model
         n_procs = config.num_procs
         n_chunks = len(chunk_lists)
         plan = config.fault_plan
@@ -1023,148 +967,6 @@ class MultiprocessBackend(ExecutionBackend):
                 proc.kill()
                 proc.join(timeout=1.0)
         return clean
-
-    def _run_decomposed(
-        self,
-        graph,
-        plan,
-        setup_metrics: Metrics,
-        kernel_info,
-        started: float,
-    ) -> StepOutcome:
-        """Decomposed counting steps run in the driver, not in workers.
-
-        The inclusion–exclusion combine reduces a counting step to the
-        core walk plus O(1) block-size arithmetic per core embedding —
-        orders of magnitude less work than the enumeration the worker
-        fleet exists to parallelize, and far below the fork/shared-memory
-        setup cost it would have to amortize.  Running it in-process
-        keeps counts byte-identical to the other backends and is flagged
-        in ``backend_info`` so reports stay honest about where the work
-        happened.
-        """
-        from ..pattern.decompose import (
-            DecompositionError,
-            count_embeddings,
-            instance_count,
-        )
-
-        cost = self.config.cost_model
-        metrics = Metrics()
-        metrics.merge(setup_metrics)
-        scratch = Metrics()
-        raw = count_embeddings(
-            plan, graph, scratch, crossover=cost.gallop_crossover
-        )
-        try:
-            count = instance_count(plan, raw)
-        except DecompositionError:
-            # Book the walked core work as wasted on the metrics bundle
-            # the quarantined enumeration run will continue with.
-            setup_metrics.wasted_extension_tests += scratch.extension_tests
-            setup_metrics.wasted_work_units += cost.step_units(scratch)
-            setup_metrics.decomp_fallbacks += 1
-            raise
-        metrics.merge(scratch)
-        metrics.results_emitted = count
-        units = cost.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "decomposed_in_driver": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
-
-    def _run_orbit_count(
-        self,
-        strategy,
-        setup_metrics: Metrics,
-        kernel_info,
-        started: float,
-    ) -> StepOutcome:
-        """Orbit-multiplicity counting steps run in the driver.
-
-        Same reasoning as :meth:`_run_decomposed`: the collapsed walk is
-        far below the fork/shared-memory setup cost the worker fleet
-        would have to amortize, and running it in-process keeps counts
-        and counters byte-identical to the sequential backend.  Flagged
-        in ``backend_info`` so reports stay honest about placement.
-        """
-        cost = self.config.cost_model
-        setup_metrics.results_emitted = strategy.count_matches()
-        units = cost.step_units(setup_metrics)
-        return StepOutcome(
-            storages={},
-            metrics=setup_metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "orbit_counted_in_driver": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
-
-    def _run_inline(
-        self,
-        graph,
-        strategy_factory,
-        interner,
-        primitives,
-        aggregation_views,
-        cached_uids,
-        sink,
-        root_words,
-        started: float,
-        setup_metrics: Optional[Metrics] = None,
-    ) -> StepOutcome:
-        """Degenerate steps (no Expand, or no roots) run in the parent.
-
-        The driver-provided sink works here — same process — so results
-        flow through it exactly as on the sequential backend.
-        """
-        cost = self.config.cost_model
-        metrics = Metrics()
-        if setup_metrics is not None:
-            metrics.merge(setup_metrics)
-        strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            self.config.pattern_kernel,
-            self.config.order_policy,
-            cost.gallop_crossover,
-        )
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        storages = run_step_sequential(
-            strategy,
-            primitives,
-            computation,
-            cached_uids,
-            sink=sink,
-            root_words=root_words,
-        )
-        units = cost.step_units(metrics)
-        return StepOutcome(
-            storages=storages,
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=strategy.kernel_info(),
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "inline": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
 
 
 def fork_unavailable_message() -> str:

@@ -1,0 +1,222 @@
+"""Step planning: decide once how a fractal step runs, count it one way.
+
+The paper's driver plans fractal steps (Algorithm 2) and workers only
+execute them (Algorithm 1).  This module draws that line for the
+counting shortcuts: *what* a step runs as — a decomposed count, an
+orbit-multiplicity count or a plain enumeration — is decided by
+:func:`plan_step`, once, as one immutable :class:`StepPlan`; the
+backends (:mod:`repro.runtime.backend`, :mod:`repro.runtime.mp_backend`)
+only decide *where* it runs.  :func:`count_step` executes the two
+counting modes for all of them, quarantine included.  See
+``docs/internals.md`` ("Step planning").
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+
+from ..graph.graph import Graph
+from .costmodel import CostModel
+from .metrics import Metrics
+
+# ``repro.pattern.decompose`` itself is imported where a step first needs
+# it, so runs that never plan a pattern count (motifs, FSM) never load
+# it — and always as a module, which is what lets tests and the
+# benchmark's spans wrap its functions.
+if TYPE_CHECKING:
+    from ..pattern.decompose import DecompositionPlan
+
+__all__ = ["StepPlan", "plan_step", "count_step"]
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """How one fractal step runs, as decided by :func:`plan_step`."""
+
+    #: ``"decomposed"`` and ``"orbit"`` are the counting modes
+    #: :func:`count_step` runs; ``"enumerate"`` goes to the backend's
+    #: enumeration executor.
+    mode: str
+    decomposition: Optional[DecompositionPlan]
+    #: The probe's kernel description plus the ``decomposition`` /
+    #: ``orbit_count`` decision records (``None`` for strategies without
+    #: a selectable kernel).
+    kernel_info: Optional[Dict[str, object]]
+    #: ``Metrics.decomp_fallbacks`` this plan owes: 1 when the decomposed
+    #: kernel was requested and the step does not run as its count.
+    fallbacks: int
+
+
+def _decide(
+    probe,
+    decomposition: Optional[DecompositionPlan],
+    record: Optional[Dict[str, object]],
+    orbit_blocker: Optional[str],
+    needs_enumerators: Optional[str],
+) -> StepPlan:
+    """Assemble the plan value; the one place decision records are set."""
+    kernel_info = probe.kernel_info()
+    if record is not None:
+        kernel_info["decomposition"] = record
+    mode = "enumerate"
+    if decomposition is not None:
+        mode = "decomposed"
+    elif needs_enumerators is None and probe.supports_orbit_count():
+        if orbit_blocker is None:
+            tail, arrangements = probe.orbit_tail()
+            kernel_info["orbit_count"] = {
+                "executed": True, "tail": tail, "arrangements": arrangements
+            }
+            mode = "orbit"
+        else:
+            kernel_info["orbit_count"] = {"executed": False, "reason": orbit_blocker}
+    fallbacks = int(record is not None and decomposition is None)
+    return StepPlan(mode, decomposition, kernel_info, fallbacks)
+
+
+def plan_step(
+    probe,
+    graph: Graph,
+    primitives: Sequence[object],
+    collect: Optional[str],
+    root_words: Optional[Sequence[int]],
+    cost_model: CostModel,
+    needs_enumerators: Optional[str] = None,
+) -> StepPlan:
+    """Plan one fractal step for the backend that owns ``probe``.
+
+    ``probe`` is a strategy of the step, already configured by the
+    backend (kernel, order policy, gallop crossover); only its answers
+    are read, nothing is enumerated.  ``needs_enumerators`` is the
+    backend's reason why this run needs real enumerators (fault
+    injection, partitioned storage), or ``None``: the backend states the
+    fact, the consequence — no counting shortcut, the reason in the
+    decision record — is drawn here.  Strategies without a shortcut
+    (vertex/edge induced, the legacy kernel) get no records at all.
+    """
+    wants_decomposed = probe.wants_decomposed_count()
+    decomposition = record = blockers = None
+    if wants_decomposed or probe.supports_orbit_count():
+        from ..pattern import decompose
+
+        blockers = decompose.counting_step_blockers(
+            probe.pattern, primitives, collect, root_words
+        )
+    if wants_decomposed:
+        reason = needs_enumerators or (blockers and blockers[0])
+        if reason:
+            record = decompose.fallback_info(reason)
+        else:
+            decomposition, record = decompose.plan_step_decomposition(
+                probe.pattern, graph, primitives, collect, root_words, cost_model
+            )
+    orbit_blocker = blockers[1] if blockers else None
+    return _decide(probe, decomposition, record, orbit_blocker, needs_enumerators)
+
+
+def count_step(
+    step: StepPlan,
+    graph: Graph,
+    probe,
+    metrics: Metrics,
+    cost_model: CostModel,
+    shares: int = 1,
+    share_strategy: Optional[Callable[[Metrics], object]] = None,
+    quarantine: bool = True,
+) -> Tuple[StepPlan, Optional[float]]:
+    """Run ``step`` if it is a counting step; returns ``(step, work_units)``.
+
+    Who walks is the backend's to say.  Without a ``share_strategy`` the
+    probe itself walks the whole step (sequential, multiprocess's
+    in-driver counting): ``metrics`` must be the bundle it meters into,
+    and the clock is that bundle.  With one, level-0 roots are split
+    round-robin into ``shares`` simulated cores —
+    ``share_strategy(share_metrics)`` builds each core's configured
+    strategy, also when there is only one core — and the clock is the
+    busiest share.  Raw subtotals are summed and only the merged total is
+    divided by the plan's residual multiplicity (per-share subtotals
+    need not be divisible).  The count lands in
+    ``metrics.results_emitted`` (a counting sink is a no-op by contract,
+    and there are no aggregation storages).
+
+    A tripped division (:class:`~repro.pattern.decompose.DecompositionError`)
+    books the walked work as wasted, rewrites the decision record to
+    ``quarantined: ...`` and re-plans the step to an orbit count or an
+    enumeration; ``quarantine=False`` re-raises instead.  ``work_units``
+    is ``None`` when the caller must enumerate: with the *returned*
+    plan's ``kernel_info``, and with ``metrics`` (fallbacks and waste
+    metered here) merged into the enumeration's bundle.
+    """
+    metrics.decomp_fallbacks += step.fallbacks
+    while step.mode != "enumerate":
+        from ..pattern import decompose
+
+        plan = step.decomposition
+        crossover = cost_model.gallop_crossover
+        # Metered apart from ``metrics`` until the multiplicity check has
+        # passed: a tripped check books the walk as wasted instead.
+        walked = Metrics()
+        if share_strategy is None:
+            # The probe's own walk is the whole step: it lists (and meters)
+            # its level-0 roots itself, and the clock is the whole bundle.
+            if plan is not None:
+                raw = decompose.count_embeddings(
+                    plan, graph, walked, crossover=crossover
+                )
+            else:
+                raw = probe.count_matches()
+        else:
+            # Shares model cores working in parallel.  Listing the roots is
+            # driver setup, metered once with the counters the walk's own
+            # level-0 listing books (so merged totals equal the probe-walk
+            # totals exactly) but not on any core's clock: that is the
+            # busiest share.
+            if plan is not None:
+                root_label = plan.core_labels[0]
+            else:
+                root_label = probe.pattern.vertex_labels[probe.order[0]]
+            roots = graph.vertices_with_label(root_label)
+            walked.index_slices += 1
+            walked.extension_tests += len(roots)
+            if plan is None:
+                walked.extensions_generated += len(roots)
+            raw = 0
+            busiest = 0.0
+            for share in range(shares):
+                share_roots = roots[share::shares]
+                if not share_roots:
+                    continue
+                share_metrics = Metrics()
+                if plan is not None:
+                    raw += decompose.count_embeddings(
+                        plan, graph, share_metrics, share_roots, crossover
+                    )
+                else:
+                    strategy = share_strategy(share_metrics)
+                    raw += strategy.count_matches(share_roots)
+                busiest = max(busiest, cost_model.step_units(share_metrics))
+                walked.merge(share_metrics)
+        if plan is not None:
+            try:
+                raw = decompose.instance_count(plan, raw)
+            except decompose.DecompositionError as exc:
+                if not quarantine:
+                    raise
+                # The plan's multiplicity bookkeeping is inconsistent: go
+                # around again in a mode that needs no such arithmetic.  A
+                # step that had a plan is a pure count no backend blocked.
+                warnings.warn(str(exc), RuntimeWarning, stacklevel=3)
+                metrics.wasted_extension_tests += walked.extension_tests
+                metrics.wasted_work_units += cost_model.step_units(walked)
+                record = decompose.fallback_info(f"quarantined: {exc}")
+                step = _decide(probe, None, record, None, None)
+                metrics.decomp_fallbacks += step.fallbacks
+                continue
+        metrics.merge(walked)
+        metrics.results_emitted = raw
+        if share_strategy is None:
+            return step, cost_model.step_units(metrics)
+        return step, busiest
+    return step, None

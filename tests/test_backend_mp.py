@@ -14,8 +14,9 @@ import multiprocessing
 import pytest
 
 from repro import ClusterConfig, FractalContext, MultiprocessConfig
-from repro.apps import count_cliques, fsm, motifs
-from repro.graph import community_graph, erdos_renyi_graph
+from repro.apps import QUERY_PATTERNS, count_cliques, fsm, motifs
+from repro.apps.queries import query_fractoid
+from repro.graph import GraphBuilder, community_graph, erdos_renyi_graph
 from repro.runtime.backend import (
     SequentialBackend,
     SimulatorBackend,
@@ -292,7 +293,9 @@ class TestMultiprocessConfigValidation:
         with pytest.raises(ValueError, match="degrade"):
             MultiprocessConfig(degrade="sometimes")
 
-    def test_no_fork_platform_degrades_with_actionable_warning(self, monkeypatch):
+    def test_no_fork_platform_degrades_with_actionable_warning(
+        self, monkeypatch, graph
+    ):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
@@ -304,6 +307,21 @@ class TestMultiprocessConfigValidation:
         message = str(caught[0].message)
         assert "fork" in message
         assert "--backend simulator" in message
+        # The stand-in keeps the configured kernel and says it is one —
+        # exactly like the shared-memory-failure degrade.
+        ctx = FractalContext(
+            engine=MultiprocessConfig(num_procs=2, pattern_kernel="decomposed")
+        )
+        fractoid = query_fractoid(ctx.from_graph(graph), QUERY_PATTERNS["q3"])
+        with pytest.warns(RuntimeWarning, match="degrading to sequential"):
+            report = fractoid.execute(collect="count")
+        assert report.pattern_kernel_summary()["kernel"] == "decomposed"
+        assert report.steps[-1].backend_info == {
+            "backend": "sequential",
+            "degraded_to": "sequential",
+            "orbit_counted": True,
+        }
+        assert report.backend_summary()["degraded_to"] == "sequential"
 
     def test_no_fork_platform_raises_when_degrade_never(self, monkeypatch):
         monkeypatch.setattr(
@@ -314,3 +332,98 @@ class TestMultiprocessConfigValidation:
                 MultiprocessConfig(num_procs=2, degrade="never"),
                 DEFAULT_COST_MODEL,
             )
+
+
+@needs_fork
+class TestInDriverRungs:
+    """Steps the multiprocess backend enumerates in the driver.
+
+    They run on the planner's probe through the sequential backend's own
+    helper, so they report what a sequential run reports: the planner's
+    finished ``kernel_info`` (decision records included) and the same
+    counter totals, the level-0 listing metered once.
+    """
+
+    KERNEL = "decomposed"
+
+    def _subgraphs(self, engine, graph, kernel=None):
+        ctx = FractalContext(engine=engine, pattern_kernel=kernel)
+        fractoid = query_fractoid(ctx.from_graph(graph), QUERY_PATTERNS["q3"])
+        return fractoid.execute(collect="subgraphs")
+
+    def _assert_reports_like_sequential(self, report, graph, backend_info):
+        sequential = self._subgraphs("sequential", graph, self.KERNEL)
+        step = report.steps[-1]
+        assert report.result_count == sequential.result_count
+        assert step.kernel_info == sequential.steps[-1].kernel_info
+        assert step.kernel_info["decomposition"]["reason"].startswith(
+            "collect='subgraphs'"
+        )
+        assert step.kernel_info["orbit_count"] == {
+            "executed": False,
+            "reason": "step is not a pure count",
+        }
+        expected = sequential.metrics.snapshot()
+        metered = report.metrics.snapshot()
+        # Plan-cache hits depend on what ran earlier in the process.
+        del expected["symmetry_cache_hits"], metered["symmetry_cache_hits"]
+        assert metered == expected
+        assert metered["decomp_fallbacks"] == 1
+        assert step.work_units == sequential.steps[-1].work_units
+        info = dict(step.backend_info)
+        assert info.pop("wall_seconds") >= 0.0
+        assert info == backend_info
+
+    def test_shared_memory_failure_degrades_in_driver(self, monkeypatch, graph):
+        def no_segment(graph):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(
+            "repro.runtime.mp_backend.SharedGraphBuffers", no_segment
+        )
+        config = MultiprocessConfig(num_procs=2, pattern_kernel=self.KERNEL)
+        with pytest.warns(RuntimeWarning, match="shared-memory segment creation"):
+            report = self._subgraphs(config, graph)
+        assert report.result_count > 0
+        self._assert_reports_like_sequential(
+            report,
+            graph,
+            {
+                "backend": "multiprocess",
+                "num_procs": 2,
+                "inline": True,
+                "degraded_to": "sequential",
+            },
+        )
+
+    def test_shared_memory_failure_raises_when_degrade_never(
+        self, monkeypatch, graph
+    ):
+        def no_segment(graph):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(
+            "repro.runtime.mp_backend.SharedGraphBuffers", no_segment
+        )
+        config = MultiprocessConfig(
+            num_procs=2, pattern_kernel=self.KERNEL, degrade="never"
+        )
+        with pytest.raises(RuntimeError, match="shared-memory segment creation"):
+            self._subgraphs(config, graph)
+
+    def test_step_without_roots_runs_in_driver(self):
+        # No vertex carries the query's label: nothing to ship.
+        builder = GraphBuilder()
+        for i in range(4):
+            builder.add_vertex(label=1 + i % 2)
+        for u in range(3):
+            builder.add_edge(u, u + 1)
+        unmatched = builder.build()
+        config = MultiprocessConfig(num_procs=2, pattern_kernel=self.KERNEL)
+        report = self._subgraphs(config, unmatched)
+        assert report.result_count == 0
+        self._assert_reports_like_sequential(
+            report,
+            unmatched,
+            {"backend": "multiprocess", "num_procs": 2, "inline": True},
+        )

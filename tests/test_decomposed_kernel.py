@@ -131,24 +131,77 @@ class TestOracleEquivalence:
         assert counts["decomposed"] == counts["legacy"] == counts["indexed"]
 
     def test_query_patterns_agree_across_backends(self, labeled_graph):
-        for name, pattern in QUERY_PATTERNS.items():
-            baseline, _ = _count(labeled_graph, pattern, "indexed")
-            seq, _ = _count(labeled_graph, pattern, "decomposed")
-            sim, _ = _count(
-                labeled_graph,
-                pattern,
-                None,
-                ClusterConfig(
-                    workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-                ),
-            )
-            mp, _ = _count(
-                labeled_graph,
-                pattern,
-                None,
-                MultiprocessConfig(num_procs=2, pattern_kernel="decomposed"),
-            )
-            assert baseline == seq == sim == mp, name
+        # One planner, three thin backends: the same count, the same
+        # decision and the same metered walk wherever the step runs.
+        counters = (
+            "extension_tests",
+            "extensions_generated",
+            "subgraphs_enumerated",
+            "orbit_multiplied_embeddings",
+            "decomp_core_embeddings",
+            "decomp_terms",
+        )
+        engines = {
+            "sequential": None,
+            "simulator": ClusterConfig(
+                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
+            ),
+            # One simulated core is still a simulated core, not the
+            # sequential path (the comparative harness runs this shape).
+            "simulator-1x1": ClusterConfig(
+                workers=1, cores_per_worker=1, pattern_kernel="decomposed"
+            ),
+            "multiprocess": MultiprocessConfig(
+                num_procs=2, pattern_kernel="decomposed"
+            ),
+        }
+        graphs = {
+            "fixture": labeled_graph,
+            "two-label": erdos_renyi_graph(60, 240, n_labels=2, seed=3),
+            # Dense enough that the chooser decomposes q3 and q7, so both
+            # counting modes are compared.
+            "dense": erdos_renyi_graph(120, 1200, seed=5),
+        }
+        cost = DEFAULT_COST_MODEL
+        modes = set()
+        for graph_name, graph in graphs.items():
+            # Every query pattern is rooted at label 0.
+            n_roots = len(graph.vertices_with_label(0))
+            for name, pattern in QUERY_PATTERNS.items():
+                baseline, _ = _count(graph, pattern, "indexed")
+                seen = {}
+                units = {}
+                for backend, engine in engines.items():
+                    count, report = _count(graph, pattern, "decomposed", engine)
+                    info = report.steps[-1].kernel_info
+                    units[backend] = report.steps[-1].work_units
+                    seen[backend] = (
+                        count,
+                        info["decomposition"]["executed"],
+                        info.get("orbit_count", {}).get("executed"),
+                        [getattr(report.metrics, c) for c in counters],
+                    )
+                assert seen["sequential"][0] == baseline, (graph_name, name)
+                assert all(s == seen["sequential"] for s in seen.values()), (
+                    graph_name,
+                    name,
+                    seen,
+                )
+                modes.add(seen["sequential"][1:3])
+                # The sequential clock is the whole metered step; a
+                # simulated core's leaves out what the driver does — the
+                # root listing and the emit — and more cores only shorten it.
+                assert units["sequential"] == units["multiprocess"]
+                assert units["sequential"] == cost.step_units(report.metrics)
+                driver = Metrics()
+                driver.index_slices = 1
+                driver.extension_tests = n_roots
+                driver.results_emitted = baseline
+                assert units["simulator-1x1"] == pytest.approx(
+                    units["sequential"] - cost.step_units(driver)
+                ), (graph_name, name)
+                assert units["simulator"] <= units["simulator-1x1"]
+        assert modes == {("count", None), ("enumeration", True)}
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +409,25 @@ class TestQuarantine:
             decompose, "plan_step_decomposition", tampered
         )
 
-    def test_sequential_quarantines_to_enumeration(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["sequential", "simulator", "multiprocess"])
+    def test_quarantines_to_enumeration(self, monkeypatch, backend):
+        import multiprocessing
+
+        engine = None
+        if backend == "simulator":
+            engine = ClusterConfig(
+                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
+            )
+        elif backend == "multiprocess":
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("multiprocess backend requires fork start method")
+            engine = MultiprocessConfig(num_procs=2, pattern_kernel="decomposed")
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         baseline, _ = _count(graph, pattern, "indexed")
         self._tampered_planner(monkeypatch)
         with pytest.warns(RuntimeWarning, match="not divisible"):
-            count, report = _count(graph, pattern, "decomposed")
+            count, report = _count(graph, pattern, "decomposed", engine)
         assert count == baseline
         decomp = report.pattern_kernel_summary()["decomposition"]
         assert decomp["executed"] == "enumeration"
@@ -372,21 +437,6 @@ class TestQuarantine:
         assert m.decomp_fallbacks >= 1
         assert m.wasted_extension_tests > 0
         assert m.wasted_work_units > 0
-
-    def test_simulator_quarantines_to_enumeration(self, monkeypatch):
-        graph = erdos_renyi_graph(200, 2400, seed=5)
-        pattern = QUERY_PATTERNS["q7"]
-        baseline, _ = _count(graph, pattern, "indexed")
-        self._tampered_planner(monkeypatch)
-        config = ClusterConfig(
-            workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-        )
-        with pytest.warns(RuntimeWarning, match="not divisible"):
-            count, report = _count(graph, pattern, None, config)
-        assert count == baseline
-        decomp = report.pattern_kernel_summary()["decomposition"]
-        assert decomp["executed"] == "enumeration"
-        assert report.metrics.decomp_fallbacks >= 1
 
     def test_mp_degrade_never_raises(self, monkeypatch):
         import multiprocessing
