@@ -18,9 +18,10 @@ implementations (commit a1bb194) of every component this PR optimized:
   extension computation (full adjacency rescan per call, no incremental
   candidate maintenance);
 * ``LegacySubgraph`` — quotient via per-edge accessor calls and per-vertex
-  label lookups;
-* ``LegacyInterner`` — full ``Pattern`` construction (with eager adjacency,
-  as the seed ``Pattern.__init__`` built it) per cache miss;
+  label lookups, rebuilt for every pattern request;
+* ``LegacyInterner`` — a quotient-keyed cache with full ``Pattern``
+  construction (with eager adjacency, as the seed ``Pattern.__init__``
+  built it) per cache miss;
 * ``legacy_run_step_sequential`` — the seed DFS executor without the leaf
   aggregation specialization or batched counters;
 * the unmemoized minimum-DFS-code search (``_minimum_dfs_code_search``),
@@ -96,6 +97,10 @@ class LegacySubgraph(Subgraph):
             qedges.append((pu, pv, edge_label(eid)))
         qedges.sort()
         return self.vertex_labels(), tuple(qedges)
+
+    def pattern_with_positions(self):
+        # The seed canonicalized every request from its whole quotient.
+        return self.interner.intern(*self.quotient())
 
 
 class LegacyVertexStrategy(ExtensionStrategy):
@@ -185,6 +190,11 @@ class LegacyEdgeStrategy(ExtensionStrategy):
 
 class LegacyInterner(PatternInterner):
     """Seed interner: full Pattern construction per miss, eager adjacency."""
+
+    def __init__(self):
+        super().__init__()
+        self._cache = {}
+        self._by_code = {}
 
     def intern(self, vertex_labels, edges):
         key = (vertex_labels, edges)

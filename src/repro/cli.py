@@ -425,7 +425,12 @@ def _run_app(args) -> int:
             ["pattern labels", "pattern edges", "count"],
             [
                 (p.vertex_labels, p.edges, c)
-                for p, c in sorted(census.items(), key=lambda kv: -kv[1])[:20]
+                # Ties broken by code: the table does not depend on which
+                # backend's merge order filled the census.
+                for p, c in sorted(
+                    census.items(),
+                    key=lambda kv: (-kv[1], kv[0].canonical_code()),
+                )[:20]
             ],
             title=f"{args.k}-vertex motifs on {graph.name} (top 20)",
         )

@@ -9,13 +9,27 @@ stack-like: ``push`` on extension, ``pop`` on backtrack.
 
 User callbacks must not retain references across calls; output operators
 hand out immutable :class:`SubgraphResult` snapshots instead.
+
+Pattern identity follows the same stack.  The subgraph keeps, per level,
+where its prefix stands in the rank-structure table of
+:mod:`repro.pattern.dfscode` — ``((sorted distinct vertex labels, sorted
+distinct edge labels, node), vertices, edges)`` — and derives a level from
+the one below by a *transition*: a small tuple saying what the push added,
+relative to the parent (:meth:`Subgraph._levels_to_depth`).  Levels are
+resolved only when a pattern is asked for at or above them and dropped on
+``pop``/``clear``, so a push costs nothing and a leaf's pattern is one
+transition lookup plus one lookup in the interner's table
+(``PatternInterner.intern`` with the level's rank-compressed part handed
+over) — the quotient is rebuilt only the first time a transition is taken.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..graph.graph import Graph
+from ..pattern import dfscode
 from ..pattern.pattern import Pattern, PatternInterner
 
 __all__ = ["Subgraph", "SubgraphResult"]
@@ -41,6 +55,7 @@ class Subgraph:
         "_vertices_per_level",
         "_pat_version",
         "_pat_cache",
+        "_levels",
     )
 
     def __init__(self, graph: Graph, interner: Optional[PatternInterner] = None):
@@ -63,6 +78,9 @@ class Subgraph:
         # version is enough.
         self._pat_version: int = -1
         self._pat_cache: Optional[Tuple[Pattern, Tuple[int, ...]]] = None
+        # _levels[d]: the prefix of the first d pushes in the rank-node
+        # table; resolved lazily, never longer than depth + 1.
+        self._levels: List[tuple] = [_ROOT_LEVEL]
 
     # ------------------------------------------------------------------
     # Stack-like mutation (used by extension strategies)
@@ -104,6 +122,9 @@ class Subgraph:
         for _ in range(n_vertices):
             self.vertex_set.discard(self.vertices.pop())
         self.version += 1
+        # At most one level is resolved past the new depth.
+        if len(self._levels) > len(self._edges_per_level) + 1:
+            self._levels.pop()
 
     def clear(self) -> None:
         """Reset to the empty subgraph."""
@@ -114,6 +135,7 @@ class Subgraph:
         self.version += 1
         self._edges_per_level.clear()
         self._vertices_per_level.clear()
+        del self._levels[1:]
 
     # ------------------------------------------------------------------
     # Read access (user callbacks and primitives)
@@ -172,24 +194,90 @@ class Subgraph:
     # ------------------------------------------------------------------
     def quotient(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]:
         """Structure with vertices renamed to subgraph positions ``0..k-1``."""
+        return self._quotient(len(self.vertices), len(self.edges))
+
+    def _quotient(
+        self, n_vertices: int, n_edges: int
+    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]:
+        """:meth:`quotient` of the first ``n_vertices`` / ``n_edges``."""
         # list.index beats building a dict for the small k of GPM
-        # subgraphs; this method is on the motif-counting hot path, so
-        # read the graph's edge columns directly instead of going through
-        # per-edge accessor calls.
+        # subgraphs; read the graph's edge columns directly instead of
+        # going through per-edge accessor calls.
         graph = self.graph
+        labels = graph.vertex_labels()
         src, dst, elabels = graph.edge_arrays()
         vertices = self.vertices
         index = vertices.index
         qedges = []
-        for eid in self.edges:
+        for eid in self.edges[:n_edges]:
             pu = index(src[eid])
             pv = index(dst[eid])
             if pu > pv:
                 pu, pv = pv, pu
             qedges.append((pu, pv, elabels[eid]))
         qedges.sort()
-        labels = graph.vertex_labels()
-        return tuple([labels[v] for v in vertices]), tuple(qedges)
+        return tuple([labels[v] for v in vertices[:n_vertices]]), tuple(qedges)
+
+    def _levels_to_depth(self) -> tuple:
+        """Resolve :attr:`_levels` up to the current depth; the last one.
+
+        A level follows from the one below by the transition its push
+        caused, keyed in ``node.children`` by a flat tuple: per new vertex
+        ``~(2 * slot + new)`` — the slot its label takes among the
+        parent's sorted distinct vertex labels, and whether it is a label
+        not seen before — then per new edge its two positions and
+        ``2 * slot + new`` for its label among the distinct edge labels.
+        A new label shifts the ranks above its slot and the code says so,
+        hence parent node and key determine the child's rank structure;
+        vertex entries are the negative ones, so a key parses one way.
+        A transition never taken before finds its child from scratch.
+        """
+        levels = self._levels
+        level = levels[-1]
+        depth = len(self._edges_per_level)
+        if len(levels) > depth:
+            return level
+        graph = self.graph
+        vlabels = graph.vertex_labels()
+        src, dst, elabels = graph.edge_arrays()
+        vertices = self.vertices
+        edges = self.edges
+        index = vertices.index
+        (vdistinct, edistinct, node), n_vertices, n_edges = level
+        for d in range(len(levels) - 1, depth):
+            key = []
+            first = n_vertices
+            n_vertices += self._vertices_per_level[d]
+            for v in vertices[first:n_vertices]:
+                label = vlabels[v]
+                if label in vdistinct:
+                    key.append(~(vdistinct.index(label) << 1))
+                else:
+                    slot = bisect_left(vdistinct, label)
+                    key.append(~(slot << 1 | 1))
+                    vdistinct = vdistinct[:slot] + (label,) + vdistinct[slot:]
+            first = n_edges
+            n_edges += self._edges_per_level[d]
+            for eid in edges[first:n_edges]:
+                key.append(index(src[eid]))
+                key.append(index(dst[eid]))
+                label = elabels[eid]
+                if label in edistinct:
+                    key.append(edistinct.index(label) << 1)
+                else:
+                    slot = bisect_left(edistinct, label)
+                    key.append(slot << 1 | 1)
+                    edistinct = edistinct[:slot] + (label,) + edistinct[slot:]
+            key = tuple(key)
+            child = node.children.get(key)
+            if child is None:
+                child = node.children[key] = dfscode.rank_node(
+                    *self._quotient(n_vertices, n_edges)
+                )[2]
+            node = child
+            level = ((vdistinct, edistinct, node), n_vertices, n_edges)
+            levels.append(level)
+        return level
 
     def pattern(self) -> Pattern:
         """Canonical pattern ρ(S) of this subgraph (interned)."""
@@ -203,12 +291,16 @@ class Subgraph:
         minimum-image (MNI) support counting requires.  Memoized per
         :attr:`version`, so repeated calls at the same enumeration state
         (key_fn, value_fn and update_fn of one aggregation record) pay a
-        single quotient + intern.
+        single lookup.
         """
         if self._pat_version == self.version:
             return self._pat_cache
-        labels, qedges = self.quotient()
-        result = self.interner.intern(labels, qedges)
+        ranked, n_vertices, n_edges = self._levels_to_depth()
+        if n_vertices == len(self.vertices) and n_edges == len(self.edges):
+            result = self.interner.intern(None, None, ranked)
+        else:
+            # The word lists were filled without push: no levels to walk.
+            result = self.interner.intern(*self.quotient())
         self._pat_cache = result
         self._pat_version = self.version
         return result
@@ -238,6 +330,10 @@ class Subgraph:
 
     def __repr__(self) -> str:
         return f"Subgraph(vertices={self.vertices}, edges={self.edges})"
+
+
+# Level 0 of every subgraph: the empty structure.
+_ROOT_LEVEL = (((), (), dfscode.ROOT), 0, 0)
 
 
 class SubgraphResult:

@@ -8,32 +8,190 @@ traversal of a connected graph yields one valid code; the *minimum* code
 over all traversals is a canonical form — two labeled graphs are isomorphic
 iff their minimum codes are equal (a code reconstructs the graph).
 
-This implementation enumerates DFS traversals with branch-and-bound
-pruning against the best code found so far, comparing codes by plain
-lexicographic order over their tuples (a total order over valid codes; any
-consistent total order yields a correct canonical form).  Patterns in GPM
-workloads are small (≤ ~8 vertices), and callers memoize through
-:class:`~repro.pattern.pattern.PatternInterner`, so the exponential worst
-case is never hot.
+The search (:func:`_minimum_dfs_code_search`) enumerates DFS traversals
+with branch-and-bound pruning against the best code found so far,
+comparing codes by plain lexicographic order over their tuples (a total
+order over valid codes; any consistent total order yields a correct
+canonical form).  It is exponential in the worst case, so it runs once per
+*ordered rank structure*, never once per subgraph.
+
+Every label comparison the search makes is within one domain (vertex
+labels against vertex labels in the adjacency sort keys and at fixed tuple
+positions of the lexicographic code comparison; likewise edge labels), so
+replacing labels by their ranks ``0..d-1`` within each domain preserves
+every comparison outcome — the search tree, the pruning decisions, the
+winning traversal and therefore the discovery mapping are identical.  A
+:class:`RankNode` is one such rank-compressed structure with its vertices
+in the order they were given; it owns everything that does not depend on
+the label values: the :class:`Template` (the code over ranks, shared by
+every node that canonicalizes to it) and the vertex -> canonical-position
+mapping.  Nodes live in one module-wide table entered two ways:
+
+* from scratch, through :func:`rank_node` (rank compression plus one
+  lookup) — what :func:`minimum_dfs_code` and ``PatternInterner.intern``
+  on a whole quotient do;
+* by *transition*: ``node.children`` maps what one ``Subgraph`` push
+  added — told relative to the parent, see ``repro.core.subgraph`` — to
+  the child's node, so a DFS walk that requests a pattern at every leaf
+  reaches each node by one small-tuple lookup instead of rebuilding and
+  hashing the whole structure.
+
+A node's template is searched the first time it is asked for
+(:func:`template_of`), so a node that is only walked through — an
+intermediate, possibly disconnected prefix — costs no search.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["minimum_dfs_code", "code_to_edges", "clear_code_cache"]
+__all__ = [
+    "minimum_dfs_code",
+    "code_to_edges",
+    "clear_code_cache",
+    "RankNode",
+    "Template",
+    "ROOT",
+    "rank_node",
+    "template_of",
+]
 
 Code = Tuple[Tuple[int, int, int, int, int], ...]
 
-# Memo of rank-compressed structure -> (template code, mapping); see
-# minimum_dfs_code.  Structures are small (GPM patterns, <= ~8 vertices)
-# so the cache stays tiny relative to the searches it saves.
-_CODE_CACHE: Dict[Tuple, Tuple[Code, Tuple[int, ...]]] = {}
+
+class Template:
+    """A minimum DFS code over label *ranks*.
+
+    A pattern is a template plus the label values its ranks stand for;
+    automorphisms preserve label *equality* only, so the
+    canonical-position orbits are the template's too — ``orbits`` is
+    filled by the first pattern asked for them (``Pattern.vertex_orbits``)
+    and read by every other pattern of this template.
+    """
+
+    __slots__ = ("code", "orbits")
+
+    def __init__(self, code: Code):
+        self.code = code
+        self.orbits: Optional[Tuple[int, ...]] = None
+
+    def substitute(
+        self, vdistinct: Sequence[int], edistinct: Sequence[int]
+    ) -> Code:
+        """The code with rank ``r`` replaced by the ``r``-th label."""
+        if not edistinct:  # (0, 0, label, -1, -1): the 1-vertex pattern
+            return ((0, 0, vdistinct[0], -1, -1),)
+        return tuple(
+            [
+                (i, j, vdistinct[li], edistinct[le], vdistinct[lj])
+                for i, j, li, le, lj in self.code
+            ]
+        )
+
+
+class RankNode:
+    """One ordered rank structure; see the module docstring.
+
+    ``vranks[i]`` is the label rank of the ``i``-th vertex and ``redges``
+    the sorted ``(a, b, edge-label rank)`` triples (``a < b``).
+    ``template`` and ``mapping`` (vertex ``i`` -> canonical position) stay
+    ``None`` until :func:`template_of` runs the search.
+    """
+
+    __slots__ = ("vranks", "redges", "children", "template", "mapping")
+
+    def __init__(
+        self,
+        vranks: Tuple[int, ...],
+        redges: Tuple[Tuple[int, int, int], ...],
+    ):
+        self.vranks = vranks
+        self.redges = redges
+        self.children: Dict[Tuple[int, ...], "RankNode"] = {}
+        self.template: Optional[Template] = None
+        self.mapping: Optional[Tuple[int, ...]] = None
+
+
+# The module-wide node table (rank structure -> node) and the templates
+# the nodes share (code over ranks -> template).  Structures are small
+# (GPM patterns, <= ~8 vertices) and few: every labeling of a shape falls
+# on one of a handful of nodes.
+_NODES: Dict[Tuple, RankNode] = {}
+_TEMPLATES: Dict[Code, Template] = {}
+
+# The empty structure, where every walk starts.  It is not in ``_NODES``:
+# the empty graph has no canonical form.
+ROOT = RankNode((), ())
 
 
 def clear_code_cache() -> None:
-    """Drop the memoized rank-structure -> code table (tests/benchmarks)."""
-    _CODE_CACHE.clear()
+    """Drop every memoized node, transition and template (tests/benchmarks).
+
+    Subgraphs and interners made earlier keep working off the nodes they
+    still hold, but no longer share templates — and so ``Pattern``
+    objects — with structures resolved afterwards; make fresh ones.
+    """
+    _NODES.clear()
+    _TEMPLATES.clear()
+    ROOT.children.clear()
+
+
+def _shared_template(code: Code) -> Template:
+    template = _TEMPLATES.get(code)
+    if template is None:
+        template = _TEMPLATES[code] = Template(code)
+    return template
+
+
+def rank_node(
+    vertex_labels: Sequence[int],
+    edges: Sequence[Tuple[int, int, int]],
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], RankNode]:
+    """Rank-compress a labeled structure and find its node.
+
+    Returns ``(vdistinct, edistinct, node)``: the sorted distinct vertex
+    and edge labels (rank ``r`` stands for the ``r``-th) and the node of
+    the structure with every label replaced by its rank.  ``edges`` must
+    be normalized (``a < b`` within each triple, sorted, no duplicates —
+    what ``Subgraph.quotient`` emits) for equal structures to share a
+    node; the node is created, unsearched, if this is its first visit.
+
+    Raises:
+        ValueError: if the structure is empty.
+    """
+    if not vertex_labels:
+        raise ValueError("cannot canonicalize the empty graph")
+    vdistinct = tuple(sorted(set(vertex_labels)))
+    vrank = {label: r for r, label in enumerate(vdistinct)}
+    edistinct = tuple(sorted({elabel for _, _, elabel in edges}))
+    erank = {label: r for r, label in enumerate(edistinct)}
+    key = (
+        tuple([vrank[label] for label in vertex_labels]),
+        tuple([(a, b, erank[elabel]) for a, b, elabel in edges]),
+    )
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = RankNode(*key)
+    return vdistinct, edistinct, node
+
+
+def template_of(node: RankNode) -> Template:
+    """``node``'s template, searched on first request.
+
+    Goes through :func:`minimum_dfs_code` as looked up on this module at
+    call time, so a span wrapped around that name counts one call per
+    template search.  A node's labels are ranks already, so the code that
+    comes back is the template's own; it is ``node`` itself that gets
+    filled, whether or not the table still holds it (a ``Subgraph`` level
+    may outlive :func:`clear_code_cache`).
+
+    Raises:
+        ValueError: if the node's structure is empty or not connected.
+    """
+    if node.template is None:
+        code, node.mapping = minimum_dfs_code(node.vranks, node.redges)
+        node.template = _shared_template(code)
+    return node.template
 
 
 def minimum_dfs_code(
@@ -55,45 +213,18 @@ def minimum_dfs_code(
         ValueError: if the graph is empty or not connected (Fractal
             enumerates connected subgraphs only).
 
-    The branch-and-bound search is memoized under *order-preserving rank
-    compression* of the labels: every label comparison the search makes
-    is within one domain (vertex labels against vertex labels in the
-    adjacency sort keys and at fixed tuple positions of the lexicographic
-    code comparison; likewise edge labels), so replacing labels by their
-    ranks ``0..d-1`` within each domain preserves every comparison
-    outcome — the search tree, the pruning decisions, the winning
-    traversal and therefore the discovery mapping are identical.  Distinct
-    label values collapse onto few rank structures (e.g. all 29-label
-    triangles share one of a handful of templates), turning almost every
-    call into a dict lookup plus substituting the original labels back
-    into the cached template.
+    The from-scratch entry of the node table: rank-compress, find the
+    node, search its template if nobody has, and substitute the labels
+    back into it.  Distinct label values collapse onto few nodes (e.g.
+    all 29-label triangles share a handful), so almost every call is a
+    dict lookup plus the substitution.
     """
-    n = len(vertex_labels)
-    if n == 0:
-        raise ValueError("cannot canonicalize the empty graph")
-    if n == 1:
-        return ((0, 0, vertex_labels[0], -1, -1),), (0,)
-
-    vdistinct = sorted(set(vertex_labels))
-    vrank = {label: r for r, label in enumerate(vdistinct)}
-    edistinct = sorted({elabel for _, _, elabel in edges})
-    erank = {label: r for r, label in enumerate(edistinct)}
-    key = (
-        tuple([vrank[label] for label in vertex_labels]),
-        tuple([(a, b, erank[elabel]) for a, b, elabel in edges]),
-    )
-    hit = _CODE_CACHE.get(key)
-    if hit is None:
-        hit = _minimum_dfs_code_search(key[0], key[1])
-        _CODE_CACHE[key] = hit
-    template, mapping = hit
-    code = tuple(
-        [
-            (i, j, vdistinct[li], edistinct[le], vdistinct[lj])
-            for i, j, li, le, lj in template
-        ]
-    )
-    return code, mapping
+    vdistinct, edistinct, node = rank_node(vertex_labels, edges)
+    template = node.template
+    if template is None:
+        code, node.mapping = _minimum_dfs_code_search(node.vranks, node.redges)
+        template = node.template = _shared_template(code)
+    return template.substitute(vdistinct, edistinct), node.mapping
 
 
 def _minimum_dfs_code_search(

@@ -8,10 +8,12 @@ code, so patterns can be used directly as aggregation keys — exactly how
 the motif-counting and FSM applications of Appendix A use them.
 
 Building a pattern per enumerated subgraph must be cheap: motif counting
-canonicalizes every enumerated subgraph.  :class:`PatternInterner`
-memoizes the (quotient structure -> canonical pattern) mapping so the
-expensive minimum-DFS-code search runs only once per distinct structure
-encountered.
+canonicalizes every enumerated subgraph.  A pattern's identity splits into
+a label-free part — the :class:`~repro.pattern.dfscode.Template` its rank
+structure canonicalizes to — and the sorted distinct labels the ranks
+stand for; :class:`PatternInterner` keeps one ``Pattern`` per such pair,
+whichever way the rank structure's node was reached (by a ``Subgraph``'s
+transitions or from scratch, off a whole quotient).
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from ..graph.graph import Graph, GraphBuilder
 from . import dfscode
 
 __all__ = ["Pattern", "PatternInterner"]
-
-# A quotient structure: (vertex labels tuple, sorted edge tuples (a, b, elabel)).
-StructKey = Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]
 
 
 class Pattern:
@@ -45,6 +44,7 @@ class Pattern:
         "_pos_orbits",
         "_hash",
         "_symcache",
+        "_template",
     )
 
     def __init__(
@@ -78,6 +78,9 @@ class Pattern:
         # ``repro.pattern.symmetry.symmetry_plan`` (keyed by construction
         # flavor, matching order and graph identity).
         self._symcache: Optional[dict] = None
+        # The shared template of an interned pattern (orbits are computed
+        # once on it); None for patterns constructed directly.
+        self._template: Optional[dfscode.Template] = None
 
     @classmethod
     def _from_normalized(
@@ -88,9 +91,8 @@ class Pattern:
         canonical_map: Tuple[int, ...],
     ) -> "Pattern":
         """Internal fast constructor for pre-validated, pre-canonicalized
-        structures (``a < b``, sorted, no duplicates — e.g. subgraph
-        quotients).  Used by :class:`PatternInterner` so the per-class
-        representative skips re-validation and a redundant code search.
+        structures (``a < b``, sorted, no duplicates), skipping
+        re-validation and a redundant code search.
         """
         pattern = cls.__new__(cls)
         pattern.vertex_labels = vertex_labels
@@ -102,6 +104,7 @@ class Pattern:
         pattern._hash = None
         pattern._adj = None
         pattern._symcache = None
+        pattern._template = None
         return pattern
 
     @classmethod
@@ -112,9 +115,9 @@ class Pattern:
         boundary (only its code is shipped): vertex ``p`` *is* canonical
         position ``p``, so ``canonical_vertex_map()`` is the identity and
         the structure is ``dfscode.code_to_edges(code)`` — the same on
-        every receiver, whichever subgraph quotient the sender happened
-        to intern first.  ``code`` is trusted to be a minimum DFS code
-        (it came out of ``canonical_code()``); the search is not re-run.
+        every receiver, and the one every interner holds for the class.
+        ``code`` is trusted to be a minimum DFS code (it came out of
+        ``canonical_code()``); the search is not re-run.
         """
         vertex_labels, edges = dfscode.code_to_edges(code)
         return cls._from_normalized(
@@ -283,6 +286,10 @@ class Pattern:
         DomainSupport slots merged across processes line up.
         """
         if self._orbits is None:
+            template = self._template
+            if template is not None and template.orbits is not None:
+                self._orbits = self._pos_orbits = template.orbits
+                return self._orbits
             from .isomorphism import automorphisms  # deferred: avoids cycle
 
             n = self.n_vertices
@@ -304,6 +311,10 @@ class Pattern:
                 if o not in remap:
                     remap[o] = len(remap)
             self._orbits = tuple(remap[o] for o in orbit_of)
+            if template is not None:
+                # Vertex p is position p here, and automorphisms see label
+                # equality only: these are every sibling pattern's orbits.
+                template.orbits = self._pos_orbits = self._orbits
         return self._orbits
 
     def canonical_position_orbits(self) -> Tuple[int, ...]:
@@ -314,11 +325,12 @@ class Pattern:
         """
         if self._pos_orbits is None:
             orbits = self.vertex_orbits()
-            mapping = self.canonical_vertex_map()
-            by_position = [0] * self.n_vertices
-            for vertex, position in enumerate(mapping):
-                by_position[position] = orbits[vertex]
-            self._pos_orbits = tuple(by_position)
+            if self._pos_orbits is None:  # else the template's, just adopted
+                mapping = self.canonical_vertex_map()
+                by_position = [0] * self.n_vertices
+                for vertex, position in enumerate(mapping):
+                    by_position[position] = orbits[vertex]
+                self._pos_orbits = tuple(by_position)
         return self._pos_orbits
 
     def ship_words(self) -> int:
@@ -350,19 +362,22 @@ class Pattern:
 
 
 class PatternInterner:
-    """Memoizing factory: subgraph structure -> canonical pattern + mapping.
+    """The one table of shared patterns: ``(template, labels) -> Pattern``.
 
-    ``intern(vertex_labels, edges)`` returns ``(pattern, canonical_map)``
-    where ``canonical_map[i]`` is the canonical position of input vertex
-    ``i``.  The input is a *quotient* of an enumerated subgraph: vertices
-    renamed ``0..k-1`` in subgraph order.  The number of distinct quotient
-    structures for bounded ``k`` is small, so after warm-up interning is a
-    single dict lookup per subgraph.
+    A subgraph's pattern is named by the template of its rank structure's
+    node and the sorted distinct vertex and edge labels the ranks stand
+    for.  :meth:`intern` looks that name up, finding the node from
+    scratch unless the caller — a ``Subgraph``, by its transitions — has
+    reached it already.  Either way one isomorphism class yields one
+    ``Pattern`` object per interner, so downstream aggregation hashing
+    compares precomputed codes of few objects.
+
+    ``hits`` / ``misses`` count requests that found / created their
+    pattern; ``len(interner)`` is the number of distinct patterns held.
     """
 
     def __init__(self):
-        self._cache: Dict[StructKey, Tuple[Pattern, Tuple[int, ...]]] = {}
-        self._by_code: Dict[Tuple, Pattern] = {}
+        self._patterns: Dict[Tuple, Pattern] = {}
         self.misses = 0
         self.hits = 0
 
@@ -370,31 +385,45 @@ class PatternInterner:
         self,
         vertex_labels: Tuple[int, ...],
         edges: Tuple[Tuple[int, int, int], ...],
+        ranked: Optional[
+            Tuple[Tuple[int, ...], Tuple[int, ...], dfscode.RankNode]
+        ] = None,
     ) -> Tuple[Pattern, Tuple[int, ...]]:
-        """Canonicalize a quotient structure, reusing cached results.
+        """The shared pattern of a quotient structure.
 
-        ``edges`` must already be normalized quotient edges: ``a < b``
-        within each triple, sorted, without duplicates (what
-        ``Subgraph.quotient`` emits); they are not re-validated here.
+        Returns ``(pattern, canonical_map)`` where ``canonical_map[i]`` is
+        the canonical position of input vertex ``i``.  The input is a
+        *quotient* of a subgraph: vertices renamed ``0..k-1`` in any
+        order (the vertex prefixes need not be connected), ``edges``
+        normalized — ``a < b`` within each triple, sorted, without
+        duplicates (what ``Subgraph.quotient`` emits); they are not
+        re-validated here.
+
+        A caller that holds the same structure rank-compressed already
+        passes it as ``ranked`` — ``(vdistinct, edistinct, node)``, what
+        ``dfscode.rank_node(vertex_labels, edges)`` returns — and the two
+        sequences are not read.  The shared ``Pattern`` is numbered by
+        canonical position, as :meth:`Pattern.from_canonical_code` builds
+        it, so every interner — in whichever process, from whichever
+        first-seen subgraph — holds the same representative.
         """
-        key = (vertex_labels, edges)
-        hit = self._cache.get(key)
-        if hit is not None:
+        if ranked is None:
+            ranked = dfscode.rank_node(vertex_labels, edges)
+        vdistinct, edistinct, node = ranked
+        template = node.template
+        if template is None:
+            template = dfscode.template_of(node)
+        key = (template, vdistinct, edistinct)
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            self.misses += 1
+            pattern = self._patterns[key] = Pattern.from_canonical_code(
+                template.substitute(vdistinct, edistinct)
+            )
+            pattern._template = template
+        else:
             self.hits += 1
-            return hit
-        self.misses += 1
-        code, mapping = dfscode.minimum_dfs_code(vertex_labels, edges)
-        # Share one Pattern instance per isomorphism class so downstream
-        # aggregation hashing compares precomputed codes of few objects;
-        # only that one representative pays Pattern construction.  Quotient
-        # structures are pre-normalized, so the fast path is safe.
-        shared = self._by_code.get(code)
-        if shared is None:
-            shared = Pattern._from_normalized(vertex_labels, edges, code, mapping)
-            self._by_code[code] = shared
-        result = (shared, mapping)
-        self._cache[key] = result
-        return result
+        return pattern, node.mapping
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._patterns)

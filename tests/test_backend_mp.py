@@ -5,8 +5,8 @@ and byte-identical to the seed behaviour, while the multiprocess backend
 (real worker processes attached to shared-memory CSR buffers) produces
 the same counts and aggregates as the sequential engine on every
 application.  Pattern *objects* compare by canonical DFS code, so
-cross-process results are compared with set/dict equality — different
-interners may pick different (isomorphic) representatives.
+cross-process results are compared with set/dict equality; every interner
+holds the same representative of a class (the code's own structure).
 """
 
 import multiprocessing
@@ -122,6 +122,47 @@ class TestMultiprocessEquivalence:
         assert set(s.vertices for s in mp.subgraphs()) == set(
             s.vertices for s in seq.subgraphs()
         )
+
+
+@needs_fork
+class TestKeyRepresentativesAgree:
+    """A motif key's ``(vertex_labels, edges)`` is the structure its
+    canonical code denotes — not whichever subgraph a backend happened to
+    see first, and not a function of vertex ids."""
+
+    @staticmethod
+    def _representatives(engine, graph):
+        return {
+            p.canonical_code(): (p.vertex_labels, p.edges)
+            for p in _motifs(engine, graph)
+        }
+
+    def test_across_backends_and_relabeling(self):
+        import random
+
+        graph = erdos_renyi_graph(40, 110, n_labels=4, seed=3)
+        # An isomorphic copy: permuted vertex ids, shuffled edge order.
+        rng = random.Random(11)
+        new_id = list(range(graph.n_vertices))
+        rng.shuffle(new_id)
+        old_id = sorted(range(graph.n_vertices), key=new_id.__getitem__)
+        builder = GraphBuilder()
+        for old in old_id:
+            builder.add_vertex(label=graph.vertex_label(old))
+        edges = [(new_id[u], new_id[v], l) for u, v, l in graph.iter_edge_tuples()]
+        rng.shuffle(edges)
+        for u, v, label in edges:
+            builder.add_edge(u, v, label=label)
+
+        sequential = self._representatives("sequential", graph)
+        assert len(sequential) > 20
+        assert self._representatives(
+            ClusterConfig(workers=2, cores_per_worker=2), graph
+        ) == sequential
+        assert self._representatives(
+            MultiprocessConfig(num_procs=2), graph
+        ) == sequential
+        assert self._representatives("sequential", builder.build()) == sequential
 
 
 @needs_fork

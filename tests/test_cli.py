@@ -320,6 +320,22 @@ class TestBackendFlags:
         assert "fork" in message
         assert "--backend simulator" in message
 
+    def test_motif_table_does_not_depend_on_the_backend(self, capsys):
+        # Representatives come from the canonical code and count ties are
+        # broken by it, so the printed rows are the same on every engine.
+        def rows(*extra):
+            assert main(
+                ["run", "motifs", "--dataset", "mico", "--scale", "0.2",
+                 "--k", "3", *extra]
+            ) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if line.startswith("(")]
+
+        sequential = rows()
+        assert len(sequential) == 20
+        assert rows("--workers", "2", "--cores", "2") == sequential
+        assert rows("--backend", "multiprocess", "--num-procs", "2") == sequential
+
     def test_multiprocess_fault_injection(self, capsys):
         # Real-process failure injection: seeded plan, recovery printed,
         # run still succeeds with correct results.

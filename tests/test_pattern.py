@@ -146,7 +146,9 @@ class TestPatternInterner:
         p1, _ = interner.intern((0, 0, 0), ((0, 1, 0), (1, 2, 0)))
         p2, _ = interner.intern((0, 0, 0), ((0, 2, 0), (1, 2, 0)))
         assert p1 is p2
-        assert len(interner) == 2
+        # len() counts distinct patterns held, not the ways they arrived.
+        assert len(interner) == 1
+        assert (interner.hits, interner.misses) == (1, 1)
 
     def test_mapping_points_to_canonical_positions(self):
         interner = PatternInterner()
@@ -161,3 +163,35 @@ class TestPatternInterner:
         endpoint_positions = [mapping[0], mapping[1]]
         assert orbit_of[endpoint_positions[0]] == orbit_of[endpoint_positions[1]]
         assert orbit_of[center_position] != orbit_of[endpoint_positions[0]]
+
+    def test_orbits_are_searched_once_per_template(self, monkeypatch):
+        from repro.pattern import dfscode, isomorphism
+
+        dfscode.clear_code_cache()  # templates are module-wide
+        searches = []
+        real = isomorphism.automorphisms
+
+        def counting(pattern):
+            searches.append(pattern)
+            return real(pattern)
+
+        monkeypatch.setattr(isomorphism, "automorphisms", counting)
+        interner = PatternInterner()
+        # Three labelings of the path end-center-end with equal ends, fed
+        # in different vertex orders: one template.
+        first, _ = interner.intern((9, 4, 4), ((0, 1, 2), (0, 2, 2)))
+        second, _ = interner.intern((1, 7, 1), ((0, 1, 0), (1, 2, 0)))
+        third, _ = interner.intern((5, 5, 6), ((0, 2, 3), (1, 2, 3)))
+        assert len({first, second, third}) == 3
+        orbits = first.canonical_position_orbits()
+        assert second.canonical_position_orbits() is orbits
+        assert third.vertex_orbits() is orbits
+        assert len(searches) == 1
+        # A later interner finds them on the template, too.
+        again, _ = PatternInterner().intern((2, 3, 2), ((0, 1, 1), (1, 2, 1)))
+        assert again.vertex_orbits() is orbits
+        assert len(searches) == 1
+        # Same answer as a pattern built directly, which searches itself.
+        direct = Pattern(second.vertex_labels, second.edges)
+        assert direct.canonical_position_orbits() == orbits
+        assert len(searches) == 2
