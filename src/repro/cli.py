@@ -359,6 +359,19 @@ def _print_pattern_kernel(report) -> None:
         f"order {summary['order']}), "
         f"candidate cost {summary['candidate_units']:.1f} units"
     )
+    levels = summary.get("levels")
+    if levels is not None:
+        shared = [pos for pos, level in enumerate(levels) if level["shared"]]
+        print(
+            "candidate sharing: levels read "
+            f"{[level['reads'] for level in levels]}; "
+            + (
+                f"positions {shared} read less than their prefix and share "
+                "each candidate set between the siblings of a root"
+                if shared
+                else "no position is shared"
+            )
+        )
     print(
         "candidate work: "
         f"{summary['back_edge_probes']:.0f} back-edge probes, "

@@ -392,6 +392,13 @@ def _stable_hash(obj: Any) -> int:
         return int(obj)
     if isinstance(obj, int):
         return obj
+    if isinstance(obj, Pattern):
+        # Folding a canonical code recurses through every code tuple and
+        # a key is partitioned at every shuffle hop: fold once per pattern.
+        folded = obj._shuffle_hash
+        if folded is None:
+            folded = obj._shuffle_hash = _stable_hash(obj.canonical_code())
+        return folded
     if isinstance(obj, str):
         return zlib.crc32(obj.encode("utf-8"))
     if isinstance(obj, bytes):
@@ -403,9 +410,6 @@ def _stable_hash(obj: Any) -> int:
         return h
     if isinstance(obj, (set, frozenset)):
         return sum(_stable_hash(item) for item in obj) & 0xFFFFFFFFFFFFFFFF
-    code = getattr(obj, "canonical_code", None)
-    if code is not None:
-        return _stable_hash(code())
     return zlib.crc32(repr(obj).encode("utf-8"))
 
 

@@ -34,7 +34,12 @@ from ..graph.graph import Graph
 from ..pattern.pattern import Pattern, PatternInterner
 from ..pattern.symmetry import symmetry_plan
 from ..runtime.metrics import Metrics
-from .intersect import LevelProgram, compile_level
+from .intersect import (
+    LevelProgram,
+    compile_levels,
+    level_reads,
+    shares_candidates,
+)
 from .subgraph import Subgraph
 
 __all__ = [
@@ -87,7 +92,7 @@ def orbit_counting_enabled() -> bool:
 
 #: ``level(matched, used)``: the extensions of the prefix ``matched``
 #: (membership set ``used``) at one matching-order position.
-_Level = Callable[[Sequence[int], AbstractSet[int]], List[int]]
+_Level = Callable[[Sequence[int], AbstractSet[int]], Sequence[int]]
 
 
 def _check_kernel(kernel: str) -> str:
@@ -550,7 +555,9 @@ class PatternInducedStrategy(ExtensionStrategy):
       (:meth:`Graph.labeled_adjacency`), symmetry conditions converted to
       a ``[lo, hi)`` range binary-searched on the smallest slice, then
       sorted-set intersection — compiled once per step into one level
-      program per position (:func:`repro.core.intersect.compile_level`);
+      program per position (:func:`repro.core.intersect.compile_levels`),
+      a position that reads only part of its prefix sharing each
+      candidate set between the sibling prefixes of a root;
     * ``"decomposed"`` — enumerates exactly like ``"indexed"``, but
       additionally marks the strategy as *counting-decomposable*
       (:meth:`wants_decomposed_count`): the step planner intercepts pure
@@ -644,29 +651,38 @@ class PatternInducedStrategy(ExtensionStrategy):
         matching-order position ``pos`` and meters them on
         ``self.metrics``.  Depends on the order, the kernel and the
         gallop crossover, so it is rebuilt whenever one of them changes.
+
+        The indexed kernels take their programs from
+        :func:`repro.core.intersect.compile_levels`, so a position that
+        does not read its whole prefix computes each candidate set once
+        per root and hands siblings the stored tuple (read-only — see
+        :meth:`extensions`); the legacy kernel shares nothing.
         """
+        self._forget: Optional[Callable[[], None]] = None
         if self._kernel == "legacy":
             self._levels: List[_Level] = [
                 partial(self._legacy_level, pos) for pos in range(len(self.order))
             ]
         else:
-            self._levels = [
-                self._injective(
-                    compile_level(
-                        self.graph,
-                        self._labels[pos],
-                        self._back_edges[pos],
-                        self._checks[pos],
-                        self._gallop_crossover,
-                    )
-                )
-                for pos in range(len(self.order))
-            ]
+            programs, self._forget = compile_levels(
+                self.graph,
+                self._labels,
+                self._back_edges,
+                self._checks,
+                self._gallop_crossover,
+            )
+            self._levels = [self._injective(program) for program in programs]
+
+    def reset_state(self) -> None:
+        """Drop the shared levels' entries: a new walk shares nothing
+        with the one before it."""
+        if self._forget is not None:
+            self._forget()
 
     def _injective(self, candidates: LevelProgram) -> _Level:
         """``candidates`` minus the matched vertices, metered as generated."""
 
-        def level(matched: Sequence[int], used: AbstractSet[int]) -> List[int]:
+        def level(matched: Sequence[int], used: AbstractSet[int]) -> Sequence[int]:
             metrics = self.metrics
             found = candidates(matched, metrics)
             if not used.isdisjoint(found):
@@ -707,10 +723,23 @@ class PatternInducedStrategy(ExtensionStrategy):
 
     def kernel_info(self) -> dict:
         tail, _ = self.orbit_tail()
+        sharing = self._kernel != "legacy"
+        levels = []
+        for pos in range(len(self.order)):
+            reads = level_reads(self._back_edges[pos], self._checks[pos])
+            levels.append(
+                {
+                    "reads": list(reads),
+                    "shared": sharing and shares_candidates(pos, reads),
+                }
+            )
         return {
             "kernel": self._kernel,
             "order_policy": self._order_policy,
             "order": list(self.order),
+            # Per matching-order position: the earlier positions its
+            # candidates depend on, and whether siblings share them.
+            "levels": levels,
             "symmetry": {
                 "conditions": len(self._conditions),
                 "heuristic_conditions": self._sym_heuristic_size,
@@ -807,7 +836,9 @@ class PatternInducedStrategy(ExtensionStrategy):
 
         A count never reads an edge id, so the walk keeps no
         :class:`Subgraph`: just the matched vertices, their membership
-        set, and the level programs called directly.
+        set, and the level programs called directly.  It only reads the
+        candidates it is handed, so a shared level's stored tuple is
+        used as it is, uncopied.
         """
         metrics = self.metrics
         tau, arrangements = self.orbit_tail()
@@ -849,7 +880,10 @@ class PatternInducedStrategy(ExtensionStrategy):
         pos = len(subgraph.vertices)
         if pos >= self.pattern.n_vertices:
             return []
-        return self._levels[pos](subgraph.vertices, subgraph.vertex_set)
+        found = self._levels[pos](subgraph.vertices, subgraph.vertex_set)
+        # A shared level hands out its stored tuple; enumerator frames are
+        # stolen from by popping, so each gets a list of its own.
+        return list(found) if type(found) is tuple else found
 
     def _legacy_level(
         self, pos: int, matched: Sequence[int], in_subgraph: AbstractSet[int]

@@ -24,11 +24,17 @@ per-candidate tests the legacy kernel would have run.
 Slices are ``(arr, lo, hi)`` triples over a shared flat list: the
 half-open index range ``arr[lo:hi]``, sorted ascending, no copies made
 until the output list.  All outputs are fresh sorted lists.
+
+:func:`compile_levels` turns a whole matching order into level programs
+and shares a level's candidates between the sibling prefixes that agree
+on every position the level reads (:func:`level_reads`,
+:func:`share_level`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..runtime.metrics import Metrics
@@ -40,8 +46,12 @@ __all__ = [
     "GALLOP_CROSSOVER",
     "LevelProgram",
     "compile_level",
+    "compile_levels",
     "intersect_slices",
+    "level_reads",
     "range_bounds",
+    "share_level",
+    "shares_candidates",
 ]
 
 # Size ratio at which galloping beats the linear merge.  Galloping costs
@@ -57,8 +67,10 @@ GALLOP_CROSSOVER = 8
 Slice = Tuple[Sequence[int], int, int]
 
 #: ``program(matched, metrics)``: the candidates of one matching-order
-#: position given the vertices matched at earlier positions.
-LevelProgram = Callable[[Sequence[int], Metrics], List[int]]
+#: position given the vertices matched at earlier positions — a fresh
+#: list from :func:`compile_level`, a stored tuple from a shared level
+#: (:func:`share_level`).
+LevelProgram = Callable[[Sequence[int], Metrics], Sequence[int]]
 
 
 def range_bounds(
@@ -291,6 +303,11 @@ def compile_level(
     one ``extension_tests`` per returned candidate — the per-element
     work actually performed.  Injectivity against ``matched`` is the
     caller's filter.
+
+    The program reads ``matched`` at the positions in
+    :func:`level_reads` only and touches no other counter, which is what
+    lets :func:`compile_levels` share its answers between siblings; the
+    bare program stays the reference the shared one is tested against.
     """
     if not backs:
 
@@ -396,3 +413,116 @@ def compile_level(
         return found
 
     return multiway
+
+
+def level_reads(
+    backs: Sequence[Tuple[int, int]], checks: Sequence[Tuple[int, bool]]
+) -> Tuple[int, ...]:
+    """The matching-order positions a level's program reads, ascending.
+
+    A level looks at ``matched`` only through its back edges (one slice
+    lookup each) and its symmetry checks (the window bounds), so two
+    prefixes that agree on these positions get the same candidates and
+    meter the same work, whatever sits at the others.
+    """
+    return tuple(sorted({pos for pos, _ in backs} | {pos for pos, _ in checks}))
+
+
+def shares_candidates(pos: int, reads: Sequence[int]) -> bool:
+    """Whether position ``pos`` shares its candidates between siblings.
+
+    Entries live for one root subtree (:func:`share_level`), so the root
+    is part of every key whether the level reads it or not.  Only when
+    ``reads`` plus position 0 is a *proper* subset of the prefix
+    ``0..pos-1`` can two prefixes under one root agree on all of it and
+    still differ: a level that reads the rest of its prefix is entered
+    with distinct inputs every time, so a memo there would be all
+    misses.  Such levels (the root level and position 1 among them) run
+    their program bare.
+    """
+    return bool(reads) and len({0, *reads}) < pos
+
+
+def share_level(
+    program: LevelProgram, reads: Sequence[int], graph: "Graph", memo: dict
+) -> LevelProgram:
+    """``program`` computed once per distinct ``reads`` image per root.
+
+    ``memo`` maps ``matched`` restricted to ``reads`` to the candidates
+    (a tuple: the entry is handed out as it is, and must not be editable)
+    and the four counter deltas the program metered for them.  A miss
+    runs ``program`` and records both; a hit re-adds the deltas, so
+    ``Metrics`` — hence ``work_units`` and the simulated clock — stay
+    those of the enumeration problem no matter which sibling came first,
+    while the host skips the intersection.  Entries live for one root
+    subtree: ``memo`` is emptied when ``matched[0]`` changes (what bounds
+    its size), when ``graph.version`` moves, and by whoever owns it
+    (:func:`compile_levels` hands the owner a ``forget``).
+    """
+    key_of = itemgetter(*reads)
+    root = -1
+    version = graph.version
+
+    def shared(matched: Sequence[int], metrics: Metrics) -> Sequence[int]:
+        nonlocal root, version
+        if matched[0] != root or graph.version != version:
+            memo.clear()
+            root = matched[0]
+            version = graph.version
+        key = key_of(matched)
+        entry = memo.get(key)
+        if entry is None:
+            slices = metrics.index_slices
+            comparisons = metrics.intersect_comparisons
+            gallops = metrics.gallop_steps
+            tests = metrics.extension_tests
+            found = tuple(program(matched, metrics))
+            memo[key] = (
+                found,
+                metrics.index_slices - slices,
+                metrics.intersect_comparisons - comparisons,
+                metrics.gallop_steps - gallops,
+                metrics.extension_tests - tests,
+            )
+            return found
+        found, slices, comparisons, gallops, tests = entry
+        metrics.index_slices += slices
+        metrics.intersect_comparisons += comparisons
+        metrics.gallop_steps += gallops
+        metrics.extension_tests += tests
+        return found
+
+    return shared
+
+
+def compile_levels(
+    graph: "Graph",
+    labels: Sequence[int],
+    back_edges: Sequence[Sequence[Tuple[int, int]]],
+    checks: Sequence[Sequence[Tuple[int, bool]]],
+    crossover: Optional[int] = None,
+) -> Tuple[List[LevelProgram], Callable[[], None]]:
+    """Compile a matching order: one :func:`compile_level` program per
+    position, shared between siblings where :func:`shares_candidates`.
+
+    Returns ``(programs, forget)``; ``forget()`` drops every shared
+    level's entries (a walk that starts over calls it, so nothing
+    outlives the walk that computed it).
+    """
+    programs: List[LevelProgram] = []
+    memos: List[dict] = []
+    for pos, label in enumerate(labels):
+        program = compile_level(
+            graph, label, back_edges[pos], checks[pos], crossover
+        )
+        reads = level_reads(back_edges[pos], checks[pos])
+        if shares_candidates(pos, reads):
+            memos.append({})
+            program = share_level(program, reads, graph, memos[-1])
+        programs.append(program)
+
+    def forget() -> None:
+        for memo in memos:
+            memo.clear()
+
+    return programs, forget

@@ -49,7 +49,6 @@ class Subgraph:
         "vertices",
         "edges",
         "vertex_set",
-        "edge_set",
         "version",
         "_edges_per_level",
         "_vertices_per_level",
@@ -64,7 +63,6 @@ class Subgraph:
         self.vertices: List[int] = []
         self.edges: List[int] = []
         self.vertex_set: set = set()
-        self.edge_set: set = set()
         # Bumped on every mutation; extension strategies compare it to
         # detect out-of-band changes without scanning the word lists.
         self.version: int = 0
@@ -90,7 +88,6 @@ class Subgraph:
         self.vertices.append(v)
         self.vertex_set.add(v)
         self.edges.extend(incident_edges)
-        self.edge_set.update(incident_edges)
         self.version += 1
         self._edges_per_level.append(len(incident_edges))
         self._vertices_per_level.append(1)
@@ -108,7 +105,6 @@ class Subgraph:
             self.vertex_set.add(v)
             added += 1
         self.edges.append(eid)
-        self.edge_set.add(eid)
         self.version += 1
         self._edges_per_level.append(1)
         self._vertices_per_level.append(added)
@@ -117,8 +113,8 @@ class Subgraph:
         """Undo the most recent push."""
         n_edges = self._edges_per_level.pop()
         n_vertices = self._vertices_per_level.pop()
-        for _ in range(n_edges):
-            self.edge_set.discard(self.edges.pop())
+        if n_edges:
+            del self.edges[-n_edges:]
         for _ in range(n_vertices):
             self.vertex_set.discard(self.vertices.pop())
         self.version += 1
@@ -131,7 +127,6 @@ class Subgraph:
         self.vertices.clear()
         self.edges.clear()
         self.vertex_set.clear()
-        self.edge_set.clear()
         self.version += 1
         self._edges_per_level.clear()
         self._vertices_per_level.clear()
@@ -149,6 +144,12 @@ class Subgraph:
     def n_edges(self) -> int:
         """Number of edges in the subgraph."""
         return len(self.edges)
+
+    @property
+    def edge_set(self) -> set:
+        """The subgraph's edge ids as a fresh set (nothing on the
+        enumeration path needs edge membership, so none is maintained)."""
+        return set(self.edges)
 
     @property
     def depth(self) -> int:

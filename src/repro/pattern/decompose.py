@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.intersect import compile_level, intersect_slices
+from ..core.intersect import compile_levels, intersect_slices
 from ..graph.graph import Graph
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.metrics import Metrics
@@ -784,11 +784,12 @@ def count_embeddings(
     """Raw injective embedding count of ``plan.pattern`` in ``graph``.
 
     Enumerates core embeddings depth-first with the indexed kernel's
-    own level programs (:func:`repro.core.intersect.compile_level`, so
+    own level programs (:func:`repro.core.intersect.compile_levels`, so
     metered exactly like it: one ``index_slices`` per segment lookup,
     intersection work inside ``intersect_slices``, ``extension_tests``
-    per candidate), then evaluates the inclusion–exclusion combine at
-    every leaf.
+    per candidate — and sharing candidates between sibling prefixes
+    exactly where it does), then evaluates the inclusion–exclusion
+    combine at every leaf.
 
     The walk is symmetry-restricted by the plan's core conditions
     (``core_checks``): they are each level program's ``[lo, hi)``
@@ -807,17 +808,13 @@ def count_embeddings(
     depth = len(plan.core)
     blocks = plan.blocks
     terms = plan.terms
-    core_checks = plan.core_checks
-    levels = [
-        compile_level(
-            graph,
-            plan.core_labels[pos],
-            plan.core_back_edges[pos],
-            core_checks[pos] if core_checks else (),
-            crossover,
-        )
-        for pos in range(depth)
-    ]
+    levels, _ = compile_levels(
+        graph,
+        plan.core_labels,
+        plan.core_back_edges,
+        plan.core_checks or [()] * depth,
+        crossover,
+    )
     matched = [0] * depth
     used = set()
     total = 0

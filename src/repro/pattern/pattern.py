@@ -45,6 +45,7 @@ class Pattern:
         "_hash",
         "_symcache",
         "_template",
+        "_shuffle_hash",
     )
 
     def __init__(
@@ -81,6 +82,9 @@ class Pattern:
         # The shared template of an interned pattern (orbits are computed
         # once on it); None for patterns constructed directly.
         self._template: Optional[dfscode.Template] = None
+        # Shuffle-partition hash of the canonical code, managed by
+        # ``repro.core.aggregation._stable_hash``.
+        self._shuffle_hash: Optional[int] = None
 
     @classmethod
     def _from_normalized(
@@ -105,6 +109,7 @@ class Pattern:
         pattern._adj = None
         pattern._symcache = None
         pattern._template = None
+        pattern._shuffle_hash = None
         return pattern
 
     @classmethod

@@ -260,6 +260,12 @@ class ExecutionReport:
         ``decomp_*`` counters meter the inclusion–exclusion combine;
         they stay zero on pure-enumeration runs.
 
+        ``levels`` lists, per matching-order position, the earlier
+        positions its candidates are computed from (``reads``) and
+        whether sibling prefixes share them (``shared`` — a plan-time
+        property: the indexed kernels share the positions that, the root
+        aside, do not read their whole prefix).
+
         ``symmetry`` reports the restriction set the matching plan uses
         (optimized size vs the classic heuristic, the automorphism group
         order, and the bulk-counted orbit tail); ``orbit_count`` records
@@ -278,6 +284,7 @@ class ExecutionReport:
             "kernel": info["kernel"] if info else None,
             "order_policy": info["order_policy"] if info else None,
             "order": info["order"] if info else None,
+            "levels": info.get("levels") if info else None,
             "decomposition": info.get("decomposition") if info else None,
             "symmetry": info.get("symmetry") if info else None,
             "orbit_count": info.get("orbit_count") if info else None,
