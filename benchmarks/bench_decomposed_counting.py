@@ -5,19 +5,19 @@ repository root:
 
 * **Counting workload** — the q1-q8 subgraph-counting queries on the
   patents stand-in (the Fig 15 workload, sparse) and the denser mico
-  stand-in, each run under ``pattern_kernel="indexed"`` (pure
-  enumeration) and ``"decomposed"`` (the cost-based chooser between
-  enumeration and the core-fringe inclusion-exclusion combine,
+  stand-in, each run under ``kernel="indexed"`` (pure enumeration) and
+  ``"decomposed"`` (the cost-based chooser between enumeration and the
+  core-fringe inclusion-exclusion combine,
   :mod:`repro.pattern.decompose`).  Counts are asserted byte-identical
   per query; candidate cost units and wall-clock are recorded for both.
 * **Crossover sweep** — the galloping crossover
-  (``CostModel.gallop_crossover``) swept over {1, 2, 4, 8, 16, 32, 64}
+  (``intersect.GALLOP_CROSSOVER``) swept over {1, 2, 4, 8, 16, 32, 64}
   on the Fig 15 workload; asserts the default (8) prices within 10% of
   the best value (the assertion runs on deterministic candidate units;
   wall-clock per value is reported alongside).
 * **Cross-backend equality** — the decomposition-heavy queries run
   under the simulator and multiprocess backends with
-  ``pattern_kernel="decomposed"``; counts must match the sequential
+  ``kernel="decomposed"``; counts must match the sequential
   enumeration baseline.
 
 The acceptance target is a >= 5x candidate-unit reduction (geometric
@@ -53,9 +53,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import ClusterConfig, FractalContext  # noqa: E402
 from repro.apps import QUERY_PATTERNS  # noqa: E402
 from repro.apps.queries import query_fractoid  # noqa: E402
+from repro.core import intersect  # noqa: E402
 from repro.harness import bench_mico, bench_patents  # noqa: E402
 from repro.pattern.decompose import DECOMPOSITION_MARGIN  # noqa: E402
-from repro.runtime.costmodel import DEFAULT_COST_MODEL, CostModel  # noqa: E402
 from repro.runtime.mp_backend import MultiprocessConfig  # noqa: E402
 
 from bench_schema import make_header  # noqa: E402
@@ -67,14 +67,10 @@ CROSSOVER_TOLERANCE = 1.10  # default must price within 10% of the best
 TARGET_REDUCTION = 5.0
 
 
-def run_count(graph, kernel: str, pattern, cost_model=None, engine=None):
+def run_count(graph, kernel: str, pattern, engine="sequential"):
     """One counting run; returns (count, units, wall_s, decomposition)."""
-    context = FractalContext(
-        engine=engine if engine is not None else "sequential",
-        cost_model=cost_model if cost_model is not None else DEFAULT_COST_MODEL,
-        pattern_kernel=kernel,
-    )
-    fractoid = query_fractoid(context.from_graph(graph), pattern)
+    context = FractalContext(engine=engine)
+    fractoid = query_fractoid(context.from_graph(graph), pattern, kernel=kernel)
     started = time.perf_counter()
     report = fractoid.execute(collect="count")
     wall = time.perf_counter() - started
@@ -144,42 +140,45 @@ def measure(name: str, graph, pattern, reps: int) -> Dict:
 
 
 def crossover_sweep(graph, query_names: Sequence[str], reps: int) -> Dict:
-    """Sweep gallop_crossover on the indexed kernel over the workload.
+    """Sweep the gallop crossover on the indexed kernel over the workload.
 
-    The assertion runs on priced candidate units (deterministic); wall
-    seconds per crossover are recorded for the honest picture.
+    ``intersect.GALLOP_CROSSOVER`` is an algorithm constant, not an
+    option: the sweep sets it here, for this bench only, to check the
+    shipped value.  The assertion runs on priced candidate units
+    (deterministic); wall seconds per crossover are recorded for the
+    honest picture.
     """
     results = {}
-    for crossover in CROSSOVER_SWEEP:
-        model = CostModel(gallop_crossover=crossover)
-        total_units = 0.0
-        walls = []
-        for _ in range(reps):
-            rep_wall = 0.0
+    default = intersect.GALLOP_CROSSOVER
+    try:
+        for crossover in CROSSOVER_SWEEP:
+            intersect.GALLOP_CROSSOVER = crossover
             total_units = 0.0
-            for name in query_names:
-                _, u, w, _ = run_count(
-                    graph, "indexed", QUERY_PATTERNS[name], cost_model=model
-                )
-                total_units += u
-                rep_wall += w
-            walls.append(rep_wall)
-        results[str(crossover)] = {
-            "candidate_units": round(total_units, 2),
-            "wall_s": round(min(walls), 4),
-        }
-        print(
-            f"  crossover {crossover:>3d}: "
-            f"{total_units:>12.0f} units, {min(walls):.3f}s"
-        )
+            walls = []
+            for _ in range(reps):
+                rep_wall = 0.0
+                total_units = 0.0
+                for name in query_names:
+                    _, u, w, _ = run_count(graph, "indexed", QUERY_PATTERNS[name])
+                    total_units += u
+                    rep_wall += w
+                walls.append(rep_wall)
+            results[str(crossover)] = {
+                "candidate_units": round(total_units, 2),
+                "wall_s": round(min(walls), 4),
+            }
+            print(
+                f"  crossover {crossover:>3d}: "
+                f"{total_units:>12.0f} units, {min(walls):.3f}s"
+            )
+    finally:
+        intersect.GALLOP_CROSSOVER = default
     best_units = min(r["candidate_units"] for r in results.values())
-    default_units = results[str(DEFAULT_COST_MODEL.gallop_crossover)][
-        "candidate_units"
-    ]
+    default_units = results[str(default)]["candidate_units"]
     within = default_units <= best_units * CROSSOVER_TOLERANCE
     return {
         "values": results,
-        "default": DEFAULT_COST_MODEL.gallop_crossover,
+        "default": default,
         "best_units": best_units,
         "default_units": default_units,
         "tolerance": CROSSOVER_TOLERANCE,
@@ -195,17 +194,12 @@ def cross_backend(graph, query_names: Sequence[str]) -> Dict:
         baseline, _, _, _ = run_count(graph, "indexed", pattern)
         sim, _, _, _ = run_count(
             graph,
-            None,
+            "decomposed",
             pattern,
-            engine=ClusterConfig(
-                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-            ),
+            engine=ClusterConfig(workers=2, cores_per_worker=2),
         )
         mp, _, _, _ = run_count(
-            graph,
-            None,
-            pattern,
-            engine=MultiprocessConfig(num_procs=2, pattern_kernel="decomposed"),
+            graph, "decomposed", pattern, engine=MultiprocessConfig(num_procs=2)
         )
         if not (baseline == sim == mp):
             raise AssertionError(

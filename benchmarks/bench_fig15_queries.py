@@ -8,6 +8,7 @@ to enumerate or have few edges and OOMs on the rest.
 
 from repro.apps import QUERY_PATTERNS
 from repro.harness import bench_patents, paper_cluster, run_fig15_queries
+from repro.harness.configs import PAPER_KERNEL
 
 from conftest import record, run_once
 
@@ -15,12 +16,10 @@ CLUSTER = paper_cluster(workers=4, cores_per_worker=7)
 
 
 def _both_kernels(graph, queries, cluster):
-    """Fig 15 rows under the legacy kernel, plus indexed-kernel rows."""
-    legacy = run_fig15_queries(
-        graph, queries, cluster, pattern_kernel="legacy"
-    )
+    """Fig 15 rows under the paper preset, plus indexed-kernel rows."""
+    legacy = run_fig15_queries(graph, queries, cluster, kernel=PAPER_KERNEL)
     indexed = run_fig15_queries(
-        graph, queries, cluster, pattern_kernel="indexed", verbose=False
+        graph, queries, cluster, kernel="indexed", verbose=False
     )
     return legacy, indexed
 

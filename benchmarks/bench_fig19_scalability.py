@@ -15,7 +15,7 @@ from repro.apps import (
     query_fractoid,
 )
 from repro.harness import bench_mico, bench_patents, run_fig19_scalability
-from repro.harness.configs import bench_fsm_patents
+from repro.harness.configs import PAPER_KERNEL, bench_fsm_patents
 
 from conftest import record, run_once
 
@@ -48,6 +48,7 @@ def _query_runner(config):
     return query_fractoid(
         FractalContext().from_graph(bench_patents(labeled=False)),
         QUERY_PATTERNS["q6"],
+        kernel=PAPER_KERNEL,
     ).execute(collect=None, engine=config).simulated_seconds
 
 

@@ -47,6 +47,7 @@ from repro.apps import (  # noqa: E402
     motif_census_by_pattern,
     motif_counts_ignoring_labels,
     motifs,
+    query_fractoid,
 )
 from repro.core.enumerator import set_orbit_counting  # noqa: E402
 from repro.harness import bench_mico, bench_patents  # noqa: E402
@@ -64,14 +65,10 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_symmetry.json"
 TARGET_REDUCTION = 2.0
 
 
-def run_count(graph, pattern, kernel: str, engine=None):
-    """One counting run; returns (count, enumerated, wall_s)."""
-    context = FractalContext(
-        engine=engine if engine is not None else "sequential",
-        pattern_kernel=kernel,
-    )
-    fractoid = context.from_graph(graph).pfractoid(pattern).expand(
-        pattern.n_vertices
+def run_count(graph, pattern, kernel: str):
+    """One sequential counting run; returns (count, enumerated, wall_s)."""
+    fractoid = query_fractoid(
+        FractalContext().from_graph(graph), pattern, kernel=kernel
     )
     started = time.perf_counter()
     report = fractoid.execute(collect="count")

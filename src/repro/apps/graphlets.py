@@ -65,7 +65,7 @@ def graphlet_frequency_profile(
     fractal_graph: FractalGraph,
     k: int,
     engine: Optional[EngineSpec] = None,
-    kernel: str = "decomposed",
+    kernel: Optional[str] = None,
 ) -> Dict[Pattern, float]:
     """Relative k-graphlet frequencies via per-pattern counting queries.
 

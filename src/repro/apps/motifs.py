@@ -80,7 +80,7 @@ def motif_census_by_pattern(
     fractal_graph: FractalGraph,
     k: int,
     engine: Optional[EngineSpec] = None,
-    kernel: str = "decomposed",
+    kernel: Optional[str] = None,
     on_report: Optional[Callable] = None,
 ) -> Dict[Pattern, int]:
     """Induced k-motif census via per-pattern *counting* queries.
@@ -89,7 +89,7 @@ def motif_census_by_pattern(
     (what :func:`motifs` does), this runs one pattern-induced counting
     query per connected k-vertex pattern — each query benefits from
     minimal symmetry-breaking restriction sets, orbit-multiplicity bulk
-    counting, and (with ``kernel="decomposed"``) the core–fringe
+    counting, and (under the default ``kernel``) the core–fringe
     inclusion–exclusion kernel.  The per-pattern counts are *non-induced*
     copy counts; a Möbius transform over the pattern lattice (solved in
     descending edge-count order) recovers the induced census, which
@@ -116,14 +116,13 @@ def motif_census_by_pattern(
     context = FractalContext(
         engine=engine if engine is not None else source_context.engine,
         cost_model=source_context.cost_model,
-        pattern_kernel=kernel,
     )
     patterns = all_connected_patterns(k)
     noninduced: Dict[Pattern, int] = {}
     for pattern in patterns:
         report = (
             context.from_graph(graph)
-            .pfractoid(pattern)
+            .pfractoid(pattern, kernel=kernel)
             .expand(k)
             .execute(collect="count")
         )

@@ -93,9 +93,9 @@ def query_fractoid(
 ) -> Fractoid:
     """The Listing 5 workflow: extend to the pattern's vertex count.
 
-    ``kernel`` pins the candidate kernel for this query (``"legacy"``,
-    ``"indexed"`` or ``"decomposed"``); ``None`` defers to the context
-    or engine, exactly as :meth:`FractalGraph.pfractoid` does.
+    ``kernel`` names the candidate kernel for this query (``"legacy"``,
+    ``"indexed"`` or ``"decomposed"``), exactly as on
+    :meth:`FractalGraph.pfractoid`; ``None`` is the default kernel.
     """
     return fractal_graph.pfractoid(pattern, kernel=kernel).expand(
         pattern.n_vertices
@@ -119,10 +119,11 @@ def count_query_matches(
 ) -> int:
     """Number of distinct instances of ``pattern``.
 
-    With ``kernel="decomposed"`` the count may be produced without
-    enumerating instances at all: a cost-based chooser decides between
-    indexed enumeration and a core–fringe inclusion–exclusion combine
-    (:mod:`repro.pattern.decompose`); the count is identical either way.
+    Under the default kernel (``"decomposed"``) the count may be
+    produced without enumerating instances at all: a cost-based chooser
+    decides between indexed enumeration and a core–fringe
+    inclusion–exclusion combine (:mod:`repro.pattern.decompose`); the
+    count is identical either way.
     """
     return query_fractoid(fractal_graph, pattern, kernel=kernel).count(
         engine=engine

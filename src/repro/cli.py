@@ -38,7 +38,7 @@ from .apps import (
     keyword_search,
     motifs,
 )
-from .core.enumerator import ORDER_POLICIES, PATTERN_KERNELS
+from .core.enumerator import PATTERN_KERNELS
 from .graph import dataset_registry, dataset_stats
 from .harness import (
     KEYWORD_QUERIES,
@@ -115,9 +115,6 @@ def _engine(args) -> object:
             return MultiprocessConfig(
                 num_procs=num_procs,
                 partition=partition,
-                pattern_kernel=getattr(args, "pattern_kernel", "legacy")
-                or "legacy",
-                order_policy=getattr(args, "order_policy", None),
                 worker_timeout=getattr(args, "worker_timeout", 30.0),
                 max_worker_retries=getattr(args, "max_worker_retries", 2),
                 fault_plan=plan,
@@ -146,8 +143,6 @@ def _engine(args) -> object:
             cores_per_worker=args.cores,
             fault_plan=plan,
             steal_policy=getattr(args, "steal_policy", "one"),
-            pattern_kernel=getattr(args, "pattern_kernel", "legacy"),
-            order_policy=getattr(args, "order_policy", None),
             partition=partition,
         )
     except ValueError as exc:
@@ -295,15 +290,30 @@ def _print_backend(report) -> None:
     summary = report.backend_summary()
     if summary.get("backend") != "multiprocess":
         return
-    print(
-        "backend: multiprocess "
-        f"({summary.get('num_procs', '?')} procs, "
-        f"start method {summary.get('start_method', '?')}), "
-        f"shared graph {summary.get('shared_graph_bytes', 0)} bytes, "
-        f"shipped {summary.get('entries_shipped', 0)} entries "
-        f"({summary.get('shipped_bytes', 0)} bytes), "
-        f"wall {summary.get('wall_seconds', 0.0):.3f}s"
+    # A counting step the driver ran itself forked nothing: say so rather
+    # than print a start method and a shared segment that never existed.
+    info = report.steps[-1].backend_info
+    counted = (
+        "orbit" if info.get("orbit_counted_in_driver")
+        else "decomposed" if info.get("decomposed_in_driver")
+        else None
     )
+    if counted:
+        print(
+            f"backend: multiprocess ({summary.get('num_procs', '?')} procs), "
+            f"counted in driver ({counted}), no workers forked, "
+            f"wall {summary.get('wall_seconds', 0.0):.3f}s"
+        )
+    else:
+        print(
+            "backend: multiprocess "
+            f"({summary.get('num_procs', '?')} procs, "
+            f"start method {summary.get('start_method', '?')}), "
+            f"shared graph {summary.get('shared_graph_bytes', 0)} bytes, "
+            f"shipped {summary.get('entries_shipped', 0)} entries "
+            f"({summary.get('shipped_bytes', 0)} bytes), "
+            f"wall {summary.get('wall_seconds', 0.0):.3f}s"
+        )
     if (
         summary.get("workers_lost")
         or summary.get("chunks_reexecuted")
@@ -355,8 +365,7 @@ def _print_pattern_kernel(report) -> None:
     print(
         "pattern kernel: "
         f"{summary['kernel']} "
-        f"(order policy {summary['order_policy']}, "
-        f"order {summary['order']}), "
+        f"(order {summary['order']}), "
         f"candidate cost {summary['candidate_units']:.1f} units"
     )
     levels = summary.get("levels")
@@ -421,16 +430,7 @@ def _print_pattern_kernel(report) -> None:
 def _run_app(args) -> int:
     graph = _load_dataset(args.dataset, args.scale)
     engine = _engine(args)
-    carries_kernel = isinstance(engine, (ClusterConfig, MultiprocessConfig))
-    context = FractalContext(
-        engine=engine,
-        pattern_kernel=getattr(args, "pattern_kernel", None)
-        if not carries_kernel
-        else None,
-        order_policy=getattr(args, "order_policy", None)
-        if not carries_kernel
-        else None,
-    )
+    context = FractalContext(engine=engine)
     fg = context.from_graph(graph)
     if args.app == "motifs":
         census = motifs(fg, args.k)
@@ -472,7 +472,7 @@ def _run_app(args) -> int:
             )
         from .apps import count_query_matches
 
-        count = count_query_matches(fg, pattern)
+        count = count_query_matches(fg, pattern, kernel=args.pattern_kernel)
         print(f"query {args.query} on {graph.name}: {count} matches")
         _print_pattern_kernel(context.last_report)
     elif args.app == "keywords":
@@ -644,21 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--pattern-kernel",
         choices=PATTERN_KERNELS,
-        default="legacy",
-        help="candidate kernel for pattern-induced enumeration: 'legacy' "
-        "(per-neighbor back-edge probing, the seed behaviour), "
-        "'indexed' (label-partitioned adjacency index with sorted-set "
-        "intersection), or 'decomposed' (indexed enumeration plus a "
-        "cost-based core-fringe inclusion-exclusion kernel for pure "
-        "counting queries); counts are identical under all three",
-    )
-    p_run.add_argument(
-        "--order-policy",
-        choices=ORDER_POLICIES,
         default=None,
-        help="matching-order policy for pattern queries: 'legacy' "
-        "(static degree-greedy) or 'cost' (statistics-based planner); "
-        "default derives from the kernel ('cost' for indexed)",
+        help="candidate kernel for 'run query': 'decomposed' (the "
+        "default: label-partitioned adjacency index with sorted-set "
+        "intersection in a cost-planned matching order, plus a "
+        "cost-chosen core-fringe inclusion-exclusion count), 'indexed' "
+        "(the same without the decomposed count) or 'legacy' "
+        "(degree-greedy order with per-neighbor back-edge probing, the "
+        "paper-faithful reference); counts are identical under all three",
     )
     p_run.add_argument(
         "--profile",

@@ -23,6 +23,8 @@ from .enumerator import (
     EdgeInducedStrategy,
     PatternInducedStrategy,
     VertexInducedStrategy,
+    _check_kernel,
+    _check_pattern,
 )
 from .fractoid import Fractoid
 
@@ -38,31 +40,15 @@ class FractalContext:
             :class:`~repro.runtime.cluster.ClusterConfig` for the simulated
             distributed runtime.
         cost_model: calibration constants for simulated time.
-        pattern_kernel: default candidate kernel for pattern-induced
-            fractoids — ``"legacy"``, ``"indexed"``, or ``"decomposed"``
-            (indexed enumeration plus a cost-chosen core–fringe
-            inclusion–exclusion kernel for pure counting steps; see
-            :mod:`repro.pattern.decompose`).  ``None`` (the default)
-            leaves the choice unpinned so a cluster engine's
-            ``ClusterConfig.pattern_kernel`` can select it; an explicit
-            value pins every pattern strategy created under this context.
-        order_policy: default matching-order policy for pattern-induced
-            fractoids — ``"legacy"`` or ``"cost"`` (``None`` = derive
-            from the kernel: ``"cost"`` for indexed/decomposed, else
-            ``"legacy"``).
     """
 
     def __init__(
         self,
         engine: EngineSpec = "sequential",
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        pattern_kernel: Optional[str] = None,
-        order_policy: Optional[str] = None,
     ):
         self.engine = engine
         self.cost_model = cost_model
-        self.pattern_kernel = pattern_kernel
-        self.order_policy = order_policy
         self.interner = PatternInterner()
         self.aggregation_cache: Dict[int, AggregationView] = {}
         # The most recent ExecutionReport of any fractoid run under this
@@ -123,33 +109,29 @@ class FractalGraph:
         factory = custom_strategy if custom_strategy is not None else EdgeInducedStrategy
         return Fractoid(self, factory, (), mode="edge")
 
-    def pfractoid(
-        self,
-        pattern: Pattern,
-        kernel: Optional[str] = None,
-        order_policy: Optional[str] = None,
-    ) -> Fractoid:
+    def pfractoid(self, pattern: Pattern, kernel: Optional[str] = None) -> Fractoid:
         """B3: pattern-induced fractoid guided by ``pattern``.
 
-        ``kernel`` / ``order_policy`` pin the candidate kernel and
-        matching-order policy for this fractoid; when ``None`` they fall
-        back to the context defaults, and when those are also ``None``
-        the engine may configure them (``ClusterConfig.pattern_kernel``).
+        ``kernel`` names the candidate kernel (``"legacy"``, ``"indexed"``
+        or ``"decomposed"``); ``None`` means
+        :data:`~repro.core.enumerator.DEFAULT_KERNEL`.  This is the one
+        place it is chosen: the matching order, restriction set and
+        decomposition are what the system derives from it, the pattern
+        and the graph (docs/internals.md "Choosing a kernel").  A bad
+        kernel name or an empty or disconnected pattern raises here, not
+        inside ``execute()``.
+
+        Every kernel returns the same full-pattern matches.  A *partial*
+        ``expand(k < |V(pattern)|)`` returns the ``k``-prefix of the
+        matching order, so prefix results are order-defined: they differ
+        between ``"legacy"`` and the cost-ordered kernels.
         """
-        context = self.context
-        resolved_kernel = kernel if kernel is not None else context.pattern_kernel
-        resolved_policy = (
-            order_policy if order_policy is not None else context.order_policy
-        )
+        kernel = _check_kernel(kernel)
+        _check_pattern(pattern)
 
         def factory(graph, metrics, interner):
             return PatternInducedStrategy(
-                graph,
-                metrics,
-                interner,
-                pattern,
-                kernel=resolved_kernel,
-                order_policy=resolved_policy,
+                graph, metrics, interner, pattern, kernel=kernel
             )
 
         return Fractoid(self, factory, (), mode="pattern")

@@ -53,7 +53,7 @@ __all__ = [
     "set_orbit_counting",
     "orbit_counting_enabled",
     "PATTERN_KERNELS",
-    "ORDER_POLICIES",
+    "DEFAULT_KERNEL",
 ]
 
 #: Candidate-generation kernels of :class:`PatternInducedStrategy`.
@@ -66,10 +66,10 @@ __all__ = [
 #: *sets* (and counts) are identical under all three.
 PATTERN_KERNELS = ("legacy", "indexed", "decomposed")
 
-#: Matching-order policies: ``"legacy"`` is the static degree-greedy
-#: order, ``"cost"`` the statistics-based planner
-#: (:func:`plan_matching_order`).
-ORDER_POLICIES = ("legacy", "cost")
+#: The kernel a pattern-induced fractoid gets when none is named: indexed
+#: enumeration in the cost-planned order, orbit counting, and the checked
+#: chooser deciding per counting step whether to decompose.
+DEFAULT_KERNEL = "decomposed"
 
 
 #: Global enable for orbit-multiplicity counting on counting-only steps
@@ -95,20 +95,23 @@ def orbit_counting_enabled() -> bool:
 _Level = Callable[[Sequence[int], AbstractSet[int]], Sequence[int]]
 
 
-def _check_kernel(kernel: str) -> str:
+def _check_kernel(kernel: Optional[str]) -> str:
+    """``kernel`` resolved (``None`` is :data:`DEFAULT_KERNEL`) and validated."""
+    if kernel is None:
+        return DEFAULT_KERNEL
     if kernel not in PATTERN_KERNELS:
         raise ValueError(
-            f"pattern_kernel must be one of {PATTERN_KERNELS}, got {kernel!r}"
+            f"kernel must be one of {PATTERN_KERNELS}, got {kernel!r}"
         )
     return kernel
 
 
-def _check_policy(policy: str) -> str:
-    if policy not in ORDER_POLICIES:
-        raise ValueError(
-            f"order_policy must be one of {ORDER_POLICIES}, got {policy!r}"
-        )
-    return policy
+def _check_pattern(pattern: Pattern) -> Pattern:
+    if pattern.n_vertices == 0:
+        raise ValueError("pattern must have at least one vertex")
+    if not pattern.is_connected():
+        raise ValueError("pattern-induced fractoids require a connected pattern")
+    return pattern
 
 
 class ExtensionStrategy:
@@ -157,23 +160,6 @@ class ExtensionStrategy:
         """Maximum enumeration depth, if the strategy imposes one."""
         return None
 
-    def configure_kernel(
-        self,
-        kernel: Optional[str] = None,
-        order_policy: Optional[str] = None,
-        gallop_crossover: Optional[int] = None,
-    ) -> None:
-        """Engine hook: adopt engine-level candidate-kernel settings.
-
-        The backends call this on every per-core strategy with their
-        engine-config values (``ClusterConfig.pattern_kernel`` /
-        ``order_policy`` and the cost model's ``gallop_crossover``).
-        Only the pattern-induced strategy reacts; everything else
-        ignores it.  Settings pinned at construction (explicit
-        ``kernel`` / ``order_policy`` arguments) take precedence and are
-        not overridden.
-        """
-
     def wants_decomposed_count(self) -> bool:
         """Whether this strategy asked for the decomposed counting kernel.
 
@@ -195,8 +181,8 @@ class ExtensionStrategy:
         """Describe the candidate kernel in use, if the strategy has one.
 
         ``None`` for strategies without a selectable kernel; the
-        pattern-induced strategy reports its kernel, order policy and
-        matching order for execution reports and the CLI.
+        pattern-induced strategy reports its kernel and matching order
+        for execution reports and the CLI.
         """
         return None
 
@@ -569,14 +555,13 @@ class PatternInducedStrategy(ExtensionStrategy):
     All kernels produce the same candidate *set* at every position, in
     ascending vertex order, so with the same matching order the whole
     enumeration stream is identical; under different orders the final
-    match sets still agree.  ``order_policy`` selects the matching order:
-    ``"legacy"`` (static degree-greedy) or ``"cost"`` (statistics-based
-    :func:`plan_matching_order`).  ``None`` values are *unpinned*: they
-    default to legacy behavior (``"cost"`` order for the indexed and
-    decomposed kernels) but may be overridden by the engine via
-    :meth:`configure_kernel` — this is how
-    ``ClusterConfig.pattern_kernel`` reaches per-core strategies.
-    Explicit values are pinned and never overridden.
+    match sets still agree.  The matching order follows from the kernel:
+    ``"legacy"`` — the paper-faithful preset — matches in the static
+    degree-greedy order (:func:`matching_order`), the indexed kernels in
+    the statistics-based one (:func:`plan_matching_order`).
+    ``kernel=None`` means :data:`DEFAULT_KERNEL`.  Kernel, order,
+    restriction set and level programs are fixed by the constructor;
+    nothing re-plans a strategy afterwards.
     """
 
     mode = "pattern"
@@ -588,36 +573,19 @@ class PatternInducedStrategy(ExtensionStrategy):
         interner: PatternInterner,
         pattern: Pattern,
         kernel: Optional[str] = None,
-        order_policy: Optional[str] = None,
     ):
         super().__init__(graph, metrics, interner)
-        if pattern.n_vertices == 0:
-            raise ValueError("pattern must have at least one vertex")
-        if not pattern.is_connected():
-            raise ValueError("pattern-induced fractoids require a connected pattern")
-        self.pattern = pattern
-        self._kernel_pinned = kernel is not None
-        self._policy_pinned = order_policy is not None
-        self._kernel = _check_kernel(kernel) if kernel is not None else "legacy"
-        if order_policy is not None:
-            self._order_policy = _check_policy(order_policy)
-        else:
-            self._order_policy = "cost" if self._kernel != "legacy" else "legacy"
-        self._gallop_crossover: Optional[int] = None
-        self._setup_order()
-
-    def _setup_order(self) -> None:
-        """(Re)derive order-dependent state for the current order policy."""
-        pattern = self.pattern
-        if self._order_policy == "cost":
-            self.order = plan_matching_order(pattern, self.graph)
-            score_graph = self.graph
-        else:
+        self.pattern = _check_pattern(pattern)
+        self._kernel = _check_kernel(kernel)
+        if self._kernel == "legacy":
             self.order = matching_order(pattern)
-            # Legacy order stays statistics-free: restriction-set scoring
-            # uses the generic fan-out model, keeping legacy runs
+            # The legacy order stays statistics-free: restriction-set
+            # scoring uses the generic fan-out model, keeping legacy runs
             # independent of graph label statistics.
             score_graph = None
+        else:
+            self.order = plan_matching_order(pattern, graph)
+            score_graph = graph
         plan = symmetry_plan(pattern, self.order, score_graph, self.metrics)
         self._conditions = plan.conditions
         self._sym_heuristic_size = plan.heuristic_size
@@ -641,23 +609,14 @@ class PatternInducedStrategy(ExtensionStrategy):
         # one (Pattern, positions) per depth, learned from the first
         # embedding whose pattern is asked for (see push/pop).
         self._depth_patterns: List[Optional[tuple]] = [None] * len(self.order)
-        self._compile_levels()
-
-    def _compile_levels(self) -> None:
-        """Build the match plan: one candidate routine per position.
-
-        ``self._levels[pos](matched, used)`` returns the extensions of
-        the prefix ``matched`` (with membership set ``used``) at
-        matching-order position ``pos`` and meters them on
-        ``self.metrics``.  Depends on the order, the kernel and the
-        gallop crossover, so it is rebuilt whenever one of them changes.
-
-        The indexed kernels take their programs from
-        :func:`repro.core.intersect.compile_levels`, so a position that
-        does not read its whole prefix computes each candidate set once
-        per root and hands siblings the stored tuple (read-only — see
-        :meth:`extensions`); the legacy kernel shares nothing.
-        """
+        # The match plan: ``self._levels[pos](matched, used)`` returns the
+        # extensions of the prefix ``matched`` (with membership set
+        # ``used``) at matching-order position ``pos`` and meters them on
+        # ``self.metrics``.  The indexed kernels take their programs from
+        # :func:`repro.core.intersect.compile_levels`, so a position that
+        # does not read its whole prefix computes each candidate set once
+        # per root and hands siblings the stored tuple (read-only — see
+        # :meth:`extensions`); the legacy kernel shares nothing.
         self._forget: Optional[Callable[[], None]] = None
         if self._kernel == "legacy":
             self._levels: List[_Level] = [
@@ -665,11 +624,7 @@ class PatternInducedStrategy(ExtensionStrategy):
             ]
         else:
             programs, self._forget = compile_levels(
-                self.graph,
-                self._labels,
-                self._back_edges,
-                self._checks,
-                self._gallop_crossover,
+                graph, self._labels, self._back_edges, self._checks
             )
             self._levels = [self._injective(program) for program in programs]
 
@@ -692,32 +647,6 @@ class PatternInducedStrategy(ExtensionStrategy):
 
         return level
 
-    def configure_kernel(
-        self,
-        kernel: Optional[str] = None,
-        order_policy: Optional[str] = None,
-        gallop_crossover: Optional[int] = None,
-    ) -> None:
-        new_kernel = self._kernel
-        if kernel is not None and not self._kernel_pinned:
-            new_kernel = _check_kernel(kernel)
-        new_policy = self._order_policy
-        if not self._policy_pinned:
-            if order_policy is not None:
-                new_policy = _check_policy(order_policy)
-            else:
-                new_policy = "cost" if new_kernel != "legacy" else "legacy"
-        stale = new_kernel != self._kernel
-        self._kernel = new_kernel
-        if gallop_crossover is not None and gallop_crossover != self._gallop_crossover:
-            self._gallop_crossover = gallop_crossover
-            stale = True
-        if new_policy != self._order_policy:
-            self._order_policy = new_policy
-            self._setup_order()
-        elif stale:
-            self._compile_levels()
-
     def wants_decomposed_count(self) -> bool:
         return self._kernel == "decomposed"
 
@@ -735,7 +664,6 @@ class PatternInducedStrategy(ExtensionStrategy):
             )
         return {
             "kernel": self._kernel,
-            "order_policy": self._order_policy,
             "order": list(self.order),
             # Per matching-order position: the earlier positions its
             # candidates depend on, and whether siblings share them.

@@ -57,11 +57,10 @@ __all__ = [
 # Size ratio at which galloping beats the linear merge.  Galloping costs
 # O(small * log(big/small)) versus O(small + big) for the merge; with the
 # binary-search constant factor the crossover sits near big/small = 8.
-# This is the *default*: callers tune it per run through
-# ``CostModel.gallop_crossover`` (plumbed down via
-# ``ExtensionStrategy.configure_kernel``), and
-# ``benchmarks/bench_decomposed_counting.py`` sweeps it to assert the
-# default stays within noise of the best setting on the Fig 15 workload.
+# An algorithm constant, spelled here only; :func:`intersect_slices`
+# reads it per call, and ``benchmarks/bench_decomposed_counting.py``
+# sweeps it to assert it stays within noise of the best setting on the
+# Fig 15 workload.
 GALLOP_CROSSOVER = 8
 
 Slice = Tuple[Sequence[int], int, int]
@@ -278,7 +277,6 @@ def compile_level(
     label: int,
     backs: Sequence[Tuple[int, int]],
     checks: Sequence[Tuple[int, bool]] = (),
-    crossover: Optional[int] = None,
 ) -> LevelProgram:
     """Compile one matching-order position into its candidate routine.
 
@@ -384,7 +382,7 @@ def compile_level(
                 if lo >= hi:
                     return []
             found = intersect_slices(
-                [(lnbr, lo, hi), (lnbr, large[0], large[1])], metrics, crossover
+                [(lnbr, lo, hi), (lnbr, large[0], large[1])], metrics
             )
             metrics.extension_tests += len(found)
             return found
@@ -408,7 +406,7 @@ def compile_level(
             if lo >= hi:
                 return []
             slices[slices.index(smallest)] = (lnbr, lo, hi)
-        found = intersect_slices(slices, metrics, crossover)
+        found = intersect_slices(slices, metrics)
         metrics.extension_tests += len(found)
         return found
 
@@ -500,7 +498,6 @@ def compile_levels(
     labels: Sequence[int],
     back_edges: Sequence[Sequence[Tuple[int, int]]],
     checks: Sequence[Sequence[Tuple[int, bool]]],
-    crossover: Optional[int] = None,
 ) -> Tuple[List[LevelProgram], Callable[[], None]]:
     """Compile a matching order: one :func:`compile_level` program per
     position, shared between siblings where :func:`shares_candidates`.
@@ -512,9 +509,7 @@ def compile_levels(
     programs: List[LevelProgram] = []
     memos: List[dict] = []
     for pos, label in enumerate(labels):
-        program = compile_level(
-            graph, label, back_edges[pos], checks[pos], crossover
-        )
+        program = compile_level(graph, label, back_edges[pos], checks[pos])
         reads = level_reads(back_edges[pos], checks[pos])
         if shares_candidates(pos, reads):
             memos.append({})

@@ -8,7 +8,6 @@ runtimes; ``OOM`` outcomes surface as infinite runtimes with ``oom=True``.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from .. import FractalContext
@@ -35,7 +34,7 @@ from ..graph.graph import Graph
 from ..pattern.pattern import Pattern
 from ..runtime.cluster import ClusterConfig
 from ..runtime.memory import DEFAULT_MEMORY_MODEL
-from .configs import paper_cluster
+from .configs import PAPER_KERNEL, paper_cluster
 from .formatting import fmt_seconds, print_table
 
 __all__ = [
@@ -336,7 +335,7 @@ def run_fig15_queries(
     cluster: Optional[ClusterConfig] = None,
     budget_factor: float = 40.0,
     verbose: bool = True,
-    pattern_kernel: Optional[str] = None,
+    kernel: str = PAPER_KERNEL,
 ) -> List[Dict]:
     """Fractal vs SEED vs Arabesque on the q1-q8 query set.
 
@@ -344,13 +343,11 @@ def run_fig15_queries(
     input size; querying uses a tighter default than the other figures
     because edge-induced frontiers blow up fastest here (it also bounds
     the wall-clock a doomed Arabesque run burns before its OOM).
-    ``pattern_kernel`` overrides the cluster's candidate kernel
-    (``"legacy"`` / ``"indexed"``) so callers can compare the two on the
-    same workload; each row records the kernel and its candidate cost.
+    ``kernel`` is the query fractoids' candidate kernel (the paper
+    preset unless a caller compares another on the same workload); each
+    row records the kernel and its candidate cost.
     """
     cluster = cluster if cluster is not None else paper_cluster()
-    if pattern_kernel is not None:
-        cluster = dataclasses.replace(cluster, pattern_kernel=pattern_kernel)
     budget = scaled_memory_budget(graph, budget_factor)
     bfs_config = BFSConfig(
         workers=cluster.workers,
@@ -364,7 +361,7 @@ def run_fig15_queries(
     for name in sorted(queries):
         pattern = queries[name]
         context = FractalContext()
-        fractoid = query_fractoid(context.from_graph(graph), pattern)
+        fractoid = query_fractoid(context.from_graph(graph), pattern, kernel)
         report = fractoid.execute(collect="count", engine=cluster)
         seed = seed_query(graph, pattern, seed_config)
         arabesque = arabesque_run(

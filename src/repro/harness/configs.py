@@ -25,6 +25,7 @@ from ..graph import (
 from ..runtime.cluster import ClusterConfig
 
 __all__ = [
+    "PAPER_KERNEL",
     "paper_cluster",
     "single_machine",
     "bench_mico",
@@ -37,6 +38,13 @@ __all__ = [
     "bench_cost_cliques",
     "bench_memory_cliques",
 ]
+
+
+#: The pattern kernel the paper-figure runners pin (Figs 15, 18, 19):
+#: degree-greedy matching order and the neighbourhood-scan candidate
+#: test, as the paper's system matches — so EXPERIMENTS.md's numbers do
+#: not move with :data:`repro.core.enumerator.DEFAULT_KERNEL`.
+PAPER_KERNEL = "legacy"
 
 
 def paper_cluster(

@@ -33,7 +33,7 @@ from ..baselines import (
 from ..core.fractoid import Fractoid
 from ..graph.graph import Graph
 from ..runtime.cluster import ClusterConfig
-from .configs import single_machine
+from .configs import PAPER_KERNEL, single_machine
 from .formatting import fmt_seconds, print_table
 
 __all__ = ["cost_of", "run_fig18_cost", "run_fig20b_cost", "run_fig19_scalability"]
@@ -156,7 +156,7 @@ def run_fig18_cost(
         baseline = singlethread_query(queries_graph, pattern)
         outcome = cost_of(
             lambda p=pattern: query_fractoid(
-                FractalContext().from_graph(queries_graph), p
+                FractalContext().from_graph(queries_graph), p, PAPER_KERNEL
             ),
             baseline.runtime_seconds,
         )

@@ -4,7 +4,7 @@ The enumeration kernels walk one tree node per embedding.  For
 counting-only aggregations that is wasted work: DwarvesGraph and the
 SEED baseline (PAPERS.md) show that the count of a pattern follows from
 counts of smaller *sub-patterns*, combined algebraically.  This module
-implements that third kernel (``pattern_kernel="decomposed"``):
+implements that third kernel (``kernel="decomposed"``):
 
 1. **Core–fringe split.**  Pick the smallest *connected vertex cover*
    ``C`` of the pattern (brute force over subsets — query patterns are
@@ -779,7 +779,6 @@ def count_embeddings(
     graph: Graph,
     metrics: Metrics,
     roots: Optional[Sequence[int]] = None,
-    crossover: Optional[int] = None,
 ) -> int:
     """Raw injective embedding count of ``plan.pattern`` in ``graph``.
 
@@ -813,7 +812,6 @@ def count_embeddings(
         plan.core_labels,
         plan.core_back_edges,
         plan.core_checks or [()] * depth,
-        crossover,
     )
     matched = [0] * depth
     used = set()
@@ -844,9 +842,7 @@ def count_embeddings(
                 size = hi - lo
             else:
                 members = intersect_slices(
-                    [(lnbr, lo, hi) for lo, hi in segments],
-                    metrics,
-                    crossover,
+                    [(lnbr, lo, hi) for lo, hi in segments], metrics
                 )
                 arr, lo, hi = members, 0, len(members)
                 size = hi - lo

@@ -22,7 +22,7 @@ surfaced in :class:`~repro.runtime.driver.StepReport` for reporting
 (real wall time, partition quality, shared-segment size).
 
 A backend decides *where* a step runs, never *what* it runs as: every
-``run_step`` configures a probe strategy, asks
+``run_step`` builds a probe strategy, asks
 :func:`~repro.runtime.stepplan.plan_step` for the step's plan, and
 either wraps the count :func:`~repro.runtime.stepplan.count_step`
 produced (:func:`counted_outcome`) or hands the step to its own
@@ -158,7 +158,7 @@ def run_in_process(
 ) -> StepOutcome:
     """Enumerate one step on the calling thread (Algorithm 1, one core).
 
-    ``strategy`` is the backend's configured probe: it executes the step
+    ``strategy`` is the backend's probe: it executes the step
     and its metrics bundle becomes the step's, so nothing is planned or
     metered twice.  The driver-provided ``sink`` runs in this process.
     """
@@ -190,9 +190,8 @@ class SequentialBackend(ExecutionBackend):
 
     ``degraded_from`` is the
     :class:`~repro.runtime.mp_backend.MultiprocessConfig` this backend
-    stands in for on a platform without ``fork``: the probe is
-    configured with its kernel and order policy exactly as its workers'
-    strategies would have been, and every step reports ``degraded_to``.
+    stands in for on a platform without ``fork``: every step reports
+    ``degraded_to``.
     """
 
     name = "sequential"
@@ -216,19 +215,13 @@ class SequentialBackend(ExecutionBackend):
         collect=None,
     ) -> StepOutcome:
         cost = self.cost_model
-        config = self._degraded_from
         metrics = Metrics()
         # The one executing strategy doubles as the planner's probe.
         strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            config.pattern_kernel if config is not None else None,
-            config.order_policy if config is not None else None,
-            cost.gallop_crossover,
-        )
         step = plan_step(strategy, graph, primitives, collect, root_words, cost)
         step, units = count_step(step, graph, strategy, metrics, cost)
         info: Dict[str, object] = {"backend": self.name}
-        if config is not None:
+        if self._degraded_from is not None:
             info["degraded_to"] = self.name
         if units is not None:
             return counted_outcome(step, metrics, units, cost, info)
@@ -270,11 +263,7 @@ class SimulatorBackend(ExecutionBackend):
         cost = config.cost_model
 
         def core_strategy(core_metrics: Metrics):
-            strategy = strategy_factory(graph, core_metrics, interner)
-            strategy.configure_kernel(
-                config.pattern_kernel, config.order_policy, cost.gallop_crossover
-            )
-            return strategy
+            return strategy_factory(graph, core_metrics, interner)
 
         needs_enumerators = None
         if config.fault_plan is not None or config.fail_at:
@@ -352,10 +341,9 @@ def resolve_backend(
     On platforms without the ``fork`` start method a
     ``MultiprocessConfig`` cannot run real workers; with
     ``degrade="auto"`` (the default) the step degrades to a
-    :class:`SequentialBackend` that keeps the config's kernel and order
-    policy and reports ``degraded_to``, under a ``RuntimeWarning``
-    naming the platform; with ``degrade="never"`` the same message
-    raises.
+    :class:`SequentialBackend` that reports ``degraded_to``, under a
+    ``RuntimeWarning`` naming the platform; with ``degrade="never"`` the
+    same message raises.
     """
     from .mp_backend import (
         MultiprocessBackend,

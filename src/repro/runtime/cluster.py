@@ -50,12 +50,7 @@ from ..core.aggregation import (
     stable_partition,
 )
 from ..core.computation import Computation
-from ..core.enumerator import (
-    ExtensionStrategy,
-    SubgraphEnumerator,
-    _check_kernel,
-    _check_policy,
-)
+from ..core.enumerator import ExtensionStrategy, SubgraphEnumerator
 from ..core.primitives import (
     AggregationFilter,
     Expand,
@@ -136,23 +131,13 @@ class ClusterConfig:
     record_timeline: bool = False
     fail_at: Optional[Dict[int, float]] = None
     fault_plan: Optional[FaultPlan] = None
-    # Quanta a scheduled core executes before control returns to the
-    # global scheduler.  1 (the default) reproduces exact per-quantum
-    # interleaving — every published metric is computed at that setting.
-    # Larger values amortize the heap churn of the event loop for long
-    # simulations; results and totals (counts, EC) are unchanged, but
-    # steal interleavings, per-core clocks and makespan may differ.
-    batch_quantum: int = 1
     # Two-level aggregation shuffle (DESIGN §5, docs/internals.md §9).
     # ``agg_entry_budget`` bounds each core's map-side combiner: above
     # the budget the coldest entries spill and are re-reduced during the
-    # worker-level combine (None = unbounded, the default).
-    # ``meter_agg_shuffle`` charges the worker combine and the
-    # driver-ward entry shipping to the simulated clock; finalized views
-    # are identical either way, only makespan and the agg_* unit metrics
-    # change.
+    # worker-level combine (None = unbounded, the default).  The worker
+    # combine and the driver-ward entry shipping are charged to the
+    # simulated clock.
     agg_entry_budget: Optional[int] = None
-    meter_agg_shuffle: bool = True
     # How much work one successful steal moves (docs/internals.md §10).
     # ``"one"`` — a single extension per steal, bit-identical to the
     # original engine (clocks, metrics and results unchanged).
@@ -168,9 +153,6 @@ class ClusterConfig:
     # Results and aggregation views are identical under every policy;
     # chunked policies change clocks, steal counts and message traffic.
     steal_policy: str = "one"
-    # Upper bound on the adaptive controller's steal degree (extensions
-    # per transfer).  Ignored by the fixed policies.
-    adaptive_max_chunk: int = 64
     # Optional heterogeneous interconnect: ``((src_worker, dst_worker,
     # units), ...)`` adds ``units`` to every external steal crossing that
     # worker pair (symmetric; the DLB ``offloadlatency`` scenario).
@@ -183,22 +165,6 @@ class ClusterConfig:
     # ``"poll"`` keeps the original busy-poll loop as a reference
     # implementation for equivalence testing.
     scheduler: str = "event"
-    # Candidate-generation kernel for pattern-induced strategies
-    # (docs/internals.md §11, §14).  ``"legacy"`` scans the first back
-    # neighbor's whole adjacency (bit-identical to the original engine);
-    # ``"indexed"`` intersects label-partitioned sorted slices;
-    # ``"decomposed"`` additionally runs counting-only steps through the
-    # core–fringe inclusion–exclusion planner when the cost-based
-    # chooser favors it (falling back to indexed enumeration otherwise
-    # — and always under fault plans or partitioned storage, which need
-    # real enumerators).  Match sets, counts and aggregation views are
-    # identical under all three; metrics and clocks differ.
-    # ``order_policy`` picks the matching order (``"legacy"``
-    # degree-greedy or ``"cost"`` planner; None = derived from the
-    # kernel).  Both are ignored by non-pattern strategies, and never
-    # override values pinned on the strategy itself.
-    pattern_kernel: str = "legacy"
-    order_policy: Optional[str] = None
     # Partitioned graph storage (docs/internals.md §12).  ``None`` (the
     # default) keeps the replicated-graph model of the original engine —
     # every clock and counter bit-identical to prior releases.  A
@@ -211,11 +177,7 @@ class ClusterConfig:
     partition: Optional[str] = None
 
     def __post_init__(self):
-        if self.batch_quantum < 1:
-            raise ValueError("batch_quantum must be >= 1")
         _parse_steal_policy(self.steal_policy)
-        if self.adaptive_max_chunk < 1:
-            raise ValueError("adaptive_max_chunk must be >= 1")
         if self.link_latency is not None:
             links = tuple(tuple(entry) for entry in self.link_latency)
             object.__setattr__(self, "link_latency", links)
@@ -252,9 +214,6 @@ class ClusterConfig:
             raise ValueError(
                 f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
             )
-        _check_kernel(self.pattern_kernel)
-        if self.order_policy is not None:
-            _check_policy(self.order_policy)
         if self.agg_entry_budget is not None and self.agg_entry_budget < 1:
             raise ValueError("agg_entry_budget must be >= 1 (or None)")
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
@@ -598,6 +557,11 @@ class _FaultRuntime:
         metrics.wasted_work_units += rebuild_units
 
 
+# Upper bound on the adaptive controller's steal degree (extensions per
+# transfer).
+_ADAPTIVE_MAX_DEGREE = 64.0
+
+
 class _StealController:
     """Online steal-degree (AIMD) and victim-cost state for one step.
 
@@ -644,11 +608,10 @@ class _StealController:
     MD_FACTOR = 0.5  # multiplicative decrease on fragmented frames
     COMEBACK_FACTOR = 2.0  # "fast" = within this multiple of the steal price
 
-    __slots__ = ("degree", "max_degree", "last_steal", "channel_cost", "prior")
+    __slots__ = ("degree", "last_steal", "channel_cost", "prior")
 
-    def __init__(self, config: ClusterConfig, cost: CostModel):
+    def __init__(self, cost: CostModel):
         self.degree = 1.0
-        self.max_degree = float(config.adaptive_max_chunk)
         self.last_steal: Dict[int, float] = {}  # core_id -> clock
         self.channel_cost: Dict[Tuple[int, int], float] = {}
         self.prior = cost.steal_channel_prior()
@@ -737,7 +700,7 @@ class _StealController:
             # left on it runs at the straggler's (slow) rate.  Grow
             # multiplicatively (slow-start) so the degree escapes the
             # cold start in O(log) steals instead of O(degree).
-            grown = min(self.max_degree, self.degree * self.MI_FACTOR)
+            grown = min(_ADAPTIVE_MAX_DEGREE, self.degree * self.MI_FACTOR)
             if grown != self.degree:
                 self.degree = grown
                 thief.metrics.steal_degree_adjustments += 1
@@ -748,7 +711,7 @@ class _StealController:
             # The thief burned through its last chunk in little more
             # than the time the steal itself cost: round-trips, not
             # work, are the bottleneck.
-            grown = min(self.max_degree, self.degree + self.AI_STEP)
+            grown = min(_ADAPTIVE_MAX_DEGREE, self.degree + self.AI_STEP)
             if grown != self.degree:
                 self.degree = grown
                 thief.metrics.steal_degree_adjustments += 1
@@ -1022,9 +985,7 @@ class ClusterEngine:
         # One controller per step: observed channel costs and the steal
         # degree persist across recovery drains within the step.
         self._controller = (
-            _StealController(config, cost)
-            if config.steal_policy == "adaptive"
-            else None
+            _StealController(cost) if config.steal_policy == "adaptive" else None
         )
         self._links = config.link_latency_map() if config.link_latency else None
         cores = self._build_cores(graph, strategy_factory, interner, aggregation_views)
@@ -1137,7 +1098,6 @@ class ClusterEngine:
         bit-identical clocks, metrics and results against this loop.
         """
         config = self.config
-        batch_quantum = config.batch_quantum
         deadlines = runtime.deadlines
         sched_metrics = runtime.metrics
         steal_messages = 0
@@ -1160,18 +1120,9 @@ class ClusterEngine:
                 sched.on_death(core)
                 continue
             if core.stack:
-                # Run up to batch_quantum quanta before rescheduling.  At
-                # the default of 1 this is the exact per-quantum loop; with
-                # batching a core may run slightly past the point where the
-                # strict interleaving would have preempted it (same results
-                # and work totals, different steal timing).
+                # One quantum, then back to the global scheduler.
                 storages = storages_per_core[core_id]
-                remaining = batch_quantum
-                while remaining > 0 and core.stack:
-                    self._advance(core, primitives, storages, sink, cost, sched)
-                    remaining -= 1
-                    if deadline is not None and core.clock >= deadline:
-                        break
+                self._advance(core, primitives, storages, sink, cost, sched)
                 heapq.heappush(heap, (core.clock, core_id))
                 continue
             # Idle: the stack is empty. Try to steal.
@@ -1213,7 +1164,6 @@ class ClusterEngine:
         of ``idle_cores × events``.
         """
         config = self.config
-        batch_quantum = config.batch_quantum
         sched_metrics = runtime.metrics
         steal_messages = 0
         while True:
@@ -1245,12 +1195,7 @@ class ClusterEngine:
                 continue
             if core.stack:
                 storages = storages_per_core[core_id]
-                remaining = batch_quantum
-                while remaining > 0 and core.stack:
-                    self._advance(core, primitives, storages, sink, cost, sched)
-                    remaining -= 1
-                    if deadline is not None and core.clock >= deadline:
-                        break
+                self._advance(core, primitives, storages, sink, cost, sched)
                 core.queued_clock = core.clock
                 heapq.heappush(heap, (core.clock, core_id))
                 continue
@@ -1299,13 +1244,6 @@ class ClusterEngine:
         for core_id in range(config.total_cores):
             metrics = Metrics()
             strategy = strategy_factory(graph, metrics, interner)
-            # Engine-level kernel selection: fills any settings the
-            # strategy left unpinned; a no-op for non-pattern strategies.
-            strategy.configure_kernel(
-                config.pattern_kernel,
-                config.order_policy,
-                config.cost_model.gallop_crossover,
-            )
             computation = Computation(graph, metrics, interner, aggregation_views)
             cores.append(
                 _Core(
@@ -1920,7 +1858,6 @@ class ClusterEngine:
         uids = list(storages_per_core[0]) if storages_per_core else []
         if not uids:
             return {}
-        meter = config.meter_agg_shuffle
         n_workers = config.workers
         cpw = config.cores_per_worker
         worker_combined: List[Dict[int, AggregationStorage]] = []
@@ -1964,13 +1901,12 @@ class ClusterEngine:
                 metrics.agg_combine_entries_out += entries_out
                 metrics.agg_spilled_entries += spilled
                 survivor.agg_entries_shipped += entries_out
-                if meter:
-                    combine_units = cost.agg_combine_cost(entries_in)
-                    ship_units = cost.agg_ship_cost(entries_out, words, messages)
-                    metrics.agg_combine_units += combine_units
-                    metrics.agg_ship_units += ship_units
-                    survivor.agg_units += combine_units + ship_units
-                    survivor.charge(combine_units + ship_units)
+                combine_units = cost.agg_combine_cost(entries_in)
+                ship_units = cost.agg_ship_cost(entries_out, words, messages)
+                metrics.agg_combine_units += combine_units
+                metrics.agg_ship_units += ship_units
+                survivor.agg_units += combine_units + ship_units
+                survivor.charge(combine_units + ship_units)
             worker_combined.append(combined_by_uid)
         return {
             uid: merge_storages_streaming([wc[uid] for wc in worker_combined])

@@ -61,17 +61,6 @@ class CostModel:
     gallop_step_units: float = 0.5
     index_slice_units: float = 2.0
 
-    # Size ratio at which the two-slice intersection switches from the
-    # linear merge to galloping (docs/internals.md §11).  Previously a
-    # hardcoded literal in ``core/intersect.py``; the default matches
-    # that literal exactly, so untouched configurations produce
-    # bit-identical metered work.  Every intersection output is the same
-    # set at any crossover — only the merge-vs-gallop work split moves —
-    # and ``benchmarks/bench_decomposed_counting.py`` sweeps this knob
-    # on the Fig 15 workload to assert the default stays within noise
-    # of the best setting.
-    gallop_crossover: int = 8
-
     # Pattern-decomposition counting kernel (docs/internals.md §14).  A
     # core-embedding visit is the bookkeeping of one inclusion–exclusion
     # evaluation point; a block evaluation prices one fringe-block count
@@ -161,8 +150,8 @@ class CostModel:
     def candidate_units(self, metrics: Metrics) -> float:
         """Candidate-generation share of the work, in units.
 
-        The quantity ``BENCH_pattern_kernels.json`` and
-        ``BENCH_decomposed_counting.json`` compare across kernels:
+        The quantity ``BENCH_decomposed_counting.json`` and the Fig 15
+        rows compare across kernels:
         per-candidate extension tests, legacy back-edge hash probes, the
         indexed kernel's intersection/gallop/slice work, and the
         decomposed kernel's core-embedding/block/term combine work.

@@ -45,7 +45,7 @@ class StepReport:
     cluster: Optional[ClusterStepResult] = None
     # Candidate-kernel description (``ExtensionStrategy.kernel_info``):
     # ``None`` for strategies without a selectable kernel, else a dict
-    # with the kernel name, order policy and matching order.
+    # with the kernel name and matching order.
     kernel_info: Optional[Dict[str, object]] = None
     # Backend-specific observability (backend name, real wall time,
     # partition quality, shared-memory footprint, ...).
@@ -245,9 +245,9 @@ class ExecutionReport:
     def pattern_kernel_summary(self) -> Dict[str, object]:
         """Candidate-kernel observability rolled up over all steps.
 
-        ``kernel`` / ``order_policy`` / ``order`` describe the pattern
-        strategy's kernel (``None`` when the execution used no pattern
-        strategy).  The counters meter candidate generation:
+        ``kernel`` / ``order`` describe the pattern strategy's kernel and
+        the matching order derived from it (``None`` when the execution
+        used no pattern strategy).  The counters meter candidate generation:
         ``back_edge_probes`` are the legacy kernel's ``edge_between``
         hash probes, the rest is the indexed kernel's sorted-array work.
         ``candidate_units`` prices all of it (plus extension tests) with
@@ -282,7 +282,6 @@ class ExecutionReport:
         m = self.metrics
         return {
             "kernel": info["kernel"] if info else None,
-            "order_policy": info["order_policy"] if info else None,
             "order": info["order"] if info else None,
             "levels": info.get("levels") if info else None,
             "decomposition": info.get("decomposition") if info else None,

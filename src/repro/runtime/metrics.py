@@ -52,8 +52,9 @@ The paper's evaluation is expressed in a handful of measurable quantities:
   inclusion–exclusion combine), inclusion–exclusion terms evaluated
   (``decomp_terms``) and steps where a decomposition was requested but
   the planner/chooser fell back to enumeration (``decomp_fallbacks``).
-  All zero unless ``pattern_kernel="decomposed"`` runs, so enumeration
-  cost arithmetic is bit-identical to prior releases;
+  All zero unless a pattern fractoid's ``"decomposed"`` kernel (the
+  default) plans a step, so the other kernels' cost arithmetic is
+  untouched;
 * multiprocess supervision — real worker processes lost to crashes,
   hangs or stragglers (``workers_lost``) and respawned replacements,
   chunk leases re-executed after a worker death or lost result message,

@@ -122,7 +122,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.aggregation import decode_entries, encode_entries
 from ..core.computation import Computation
-from ..core.enumerator import _check_kernel, _check_policy
 from ..core.primitives import Expand
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
@@ -171,17 +170,12 @@ class _ChunkExecutor:
     """
 
     def __init__(
-        self, config, graph, strategy_factory, primitives, aggregation_views,
+        self, graph, strategy_factory, primitives, aggregation_views,
         cached_uids, collect, chunk_lists,
     ):
         self.metrics = Metrics()
         interner = PatternInterner()
         self.strategy = strategy_factory(graph, self.metrics, interner)
-        self.strategy.configure_kernel(
-            config.pattern_kernel,
-            config.order_policy,
-            config.cost_model.gallop_crossover,
-        )
         self._computation = Computation(
             graph, self.metrics, interner, aggregation_views
         )
@@ -291,9 +285,7 @@ class MultiprocessConfig:
     ``partition=None`` (default) distributes chunk leases dynamically;
     a strategy name from ``PARTITION_STRATEGIES`` pins each chunk to its
     owner's worker slot and turns on local/remote adjacency-fetch
-    metering.  ``pattern_kernel``/``order_policy`` are forwarded to each
-    worker's strategy exactly as ``ClusterConfig`` forwards them to
-    simulated cores.
+    metering.
 
     Fault-tolerance knobs: ``worker_timeout`` bounds how long a chunk
     lease may stay unacknowledged before its worker is declared lost;
@@ -311,8 +303,6 @@ class MultiprocessConfig:
     partition: Optional[str] = None
     chunks_per_proc: int = 8
     cost_model: CostModel = DEFAULT_COST_MODEL
-    pattern_kernel: str = "legacy"
-    order_policy: Optional[str] = None
     worker_timeout: float = 30.0
     max_worker_retries: int = 2
     max_chunk_retries: int = 2
@@ -330,9 +320,6 @@ class MultiprocessConfig:
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
                 f"got {self.partition!r}"
             )
-        _check_kernel(self.pattern_kernel)
-        if self.order_policy is not None:
-            _check_policy(self.order_policy)
         if not self.worker_timeout > 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout!r}"
@@ -417,9 +404,6 @@ class MultiprocessBackend(ExecutionBackend):
         # counter totals match the sequential engine's exactly.
         setup_metrics = Metrics()
         parent_strategy = strategy_factory(graph, setup_metrics, interner)
-        parent_strategy.configure_kernel(
-            config.pattern_kernel, config.order_policy, cost.gallop_crossover
-        )
         needs_enumerators = None
         if config.fault_plan is not None:
             needs_enumerators = (
@@ -575,8 +559,8 @@ class MultiprocessBackend(ExecutionBackend):
 
         def executor_on(graph_view) -> _ChunkExecutor:
             return _ChunkExecutor(
-                config, graph_view, strategy_factory, primitives,
-                aggregation_views, cached_uids, collect, chunk_lists,
+                graph_view, strategy_factory, primitives, aggregation_views,
+                cached_uids, collect, chunk_lists,
             )
 
         def worker_main(slot: int, gen: int, task_queue) -> None:

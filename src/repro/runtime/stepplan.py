@@ -87,9 +87,8 @@ def plan_step(
 ) -> StepPlan:
     """Plan one fractal step for the backend that owns ``probe``.
 
-    ``probe`` is a strategy of the step, already configured by the
-    backend (kernel, order policy, gallop crossover); only its answers
-    are read, nothing is enumerated.  ``needs_enumerators`` is the
+    ``probe`` is a strategy of the step; only its answers are read,
+    nothing is enumerated.  ``needs_enumerators`` is the
     backend's reason why this run needs real enumerators (fault
     injection, partitioned storage), or ``None``: the backend states the
     fact, the consequence — no counting shortcut, the reason in the
@@ -133,7 +132,7 @@ def count_step(
     in-driver counting): ``metrics`` must be the bundle it meters into,
     and the clock is that bundle.  With one, level-0 roots are split
     round-robin into ``shares`` simulated cores —
-    ``share_strategy(share_metrics)`` builds each core's configured
+    ``share_strategy(share_metrics)`` builds each core's
     strategy, also when there is only one core — and the clock is the
     busiest share.  Raw subtotals are summed and only the merged total is
     divided by the plan's residual multiplicity (per-share subtotals
@@ -154,7 +153,6 @@ def count_step(
         from ..pattern import decompose
 
         plan = step.decomposition
-        crossover = cost_model.gallop_crossover
         # Metered apart from ``metrics`` until the multiplicity check has
         # passed: a tripped check books the walk as wasted instead.
         walked = Metrics()
@@ -162,9 +160,7 @@ def count_step(
             # The probe's own walk is the whole step: it lists (and meters)
             # its level-0 roots itself, and the clock is the whole bundle.
             if plan is not None:
-                raw = decompose.count_embeddings(
-                    plan, graph, walked, crossover=crossover
-                )
+                raw = decompose.count_embeddings(plan, graph, walked)
             else:
                 raw = probe.count_matches()
         else:
@@ -191,7 +187,7 @@ def count_step(
                 share_metrics = Metrics()
                 if plan is not None:
                     raw += decompose.count_embeddings(
-                        plan, graph, share_metrics, share_roots, crossover
+                        plan, graph, share_metrics, share_roots
                     )
                 else:
                     strategy = share_strategy(share_metrics)

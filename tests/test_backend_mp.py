@@ -348,12 +348,12 @@ class TestMultiprocessConfigValidation:
         message = str(caught[0].message)
         assert "fork" in message
         assert "--backend simulator" in message
-        # The stand-in keeps the configured kernel and says it is one —
-        # exactly like the shared-memory-failure degrade.
-        ctx = FractalContext(
-            engine=MultiprocessConfig(num_procs=2, pattern_kernel="decomposed")
+        # The stand-in runs the fractoid's kernel and says it is a
+        # stand-in — exactly like the shared-memory-failure degrade.
+        ctx = FractalContext(engine=MultiprocessConfig(num_procs=2))
+        fractoid = query_fractoid(
+            ctx.from_graph(graph), QUERY_PATTERNS["q3"], kernel="decomposed"
         )
-        fractoid = query_fractoid(ctx.from_graph(graph), QUERY_PATTERNS["q3"])
         with pytest.warns(RuntimeWarning, match="degrading to sequential"):
             report = fractoid.execute(collect="count")
         assert report.pattern_kernel_summary()["kernel"] == "decomposed"
@@ -387,13 +387,15 @@ class TestInDriverRungs:
 
     KERNEL = "decomposed"
 
-    def _subgraphs(self, engine, graph, kernel=None):
-        ctx = FractalContext(engine=engine, pattern_kernel=kernel)
-        fractoid = query_fractoid(ctx.from_graph(graph), QUERY_PATTERNS["q3"])
+    def _subgraphs(self, engine, graph):
+        ctx = FractalContext(engine=engine)
+        fractoid = query_fractoid(
+            ctx.from_graph(graph), QUERY_PATTERNS["q3"], kernel=self.KERNEL
+        )
         return fractoid.execute(collect="subgraphs")
 
     def _assert_reports_like_sequential(self, report, graph, backend_info):
-        sequential = self._subgraphs("sequential", graph, self.KERNEL)
+        sequential = self._subgraphs("sequential", graph)
         step = report.steps[-1]
         assert report.result_count == sequential.result_count
         assert step.kernel_info == sequential.steps[-1].kernel_info
@@ -422,7 +424,7 @@ class TestInDriverRungs:
         monkeypatch.setattr(
             "repro.runtime.mp_backend.SharedGraphBuffers", no_segment
         )
-        config = MultiprocessConfig(num_procs=2, pattern_kernel=self.KERNEL)
+        config = MultiprocessConfig(num_procs=2)
         with pytest.warns(RuntimeWarning, match="shared-memory segment creation"):
             report = self._subgraphs(config, graph)
         assert report.result_count > 0
@@ -446,9 +448,7 @@ class TestInDriverRungs:
         monkeypatch.setattr(
             "repro.runtime.mp_backend.SharedGraphBuffers", no_segment
         )
-        config = MultiprocessConfig(
-            num_procs=2, pattern_kernel=self.KERNEL, degrade="never"
-        )
+        config = MultiprocessConfig(num_procs=2, degrade="never")
         with pytest.raises(RuntimeError, match="shared-memory segment creation"):
             self._subgraphs(config, graph)
 
@@ -460,7 +460,7 @@ class TestInDriverRungs:
         for u in range(3):
             builder.add_edge(u, u + 1)
         unmatched = builder.build()
-        config = MultiprocessConfig(num_procs=2, pattern_kernel=self.KERNEL)
+        config = MultiprocessConfig(num_procs=2)
         report = self._subgraphs(config, unmatched)
         assert report.result_count == 0
         self._assert_reports_like_sequential(

@@ -25,16 +25,16 @@ class TestParser:
 
     def test_pattern_kernel_defaults(self):
         args = build_parser().parse_args(["run", "query"])
-        assert args.pattern_kernel == "legacy"
-        assert args.order_policy is None
+        assert args.pattern_kernel is None  # the fractoid's default kernel
+        assert not hasattr(args, "order_policy")
 
     def test_pattern_kernel_flags(self):
         args = build_parser().parse_args(
-            ["run", "query", "--pattern-kernel", "indexed",
-             "--order-policy", "legacy"]
+            ["run", "query", "--pattern-kernel", "indexed"]
         )
         assert args.pattern_kernel == "indexed"
-        assert args.order_policy == "legacy"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "query", "--order-policy", "cost"])
 
     def test_invalid_pattern_kernel_exits(self):
         with pytest.raises(SystemExit):
@@ -78,16 +78,17 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "matches" in out
-        assert "pattern kernel: legacy" in out
+        assert "pattern kernel: decomposed" in out
 
     def test_run_query_indexed_kernel(self, capsys):
         base = ["run", "query", "--dataset", "orkut", "--scale", "0.3",
                 "--query", "q1"]
-        assert main(base) == 0
+        assert main(base + ["--pattern-kernel", "legacy"]) == 0
         legacy_out = capsys.readouterr().out
+        assert "pattern kernel: legacy (order [" in legacy_out
         assert main(base + ["--pattern-kernel", "indexed"]) == 0
         indexed_out = capsys.readouterr().out
-        assert "pattern kernel: indexed (order policy cost" in indexed_out
+        assert "pattern kernel: indexed (order [" in indexed_out
         # Same matches line under both kernels.
         assert legacy_out.splitlines()[0] == indexed_out.splitlines()[0]
 
@@ -95,10 +96,10 @@ class TestCommands:
         assert main(
             ["run", "query", "--dataset", "orkut", "--scale", "0.2",
              "--query", "q1", "--workers", "2", "--cores", "2",
-             "--pattern-kernel", "indexed", "--order-policy", "legacy"]
+             "--pattern-kernel", "indexed"]
         ) == 0
         out = capsys.readouterr().out
-        assert "pattern kernel: indexed (order policy legacy" in out
+        assert "pattern kernel: indexed (order [" in out
 
     def test_run_keywords(self, capsys):
         assert main(
@@ -374,6 +375,16 @@ class TestBackendFlags:
         out = capsys.readouterr().out
         assert "3-cliques" in out
         assert "backend: multiprocess (2 procs" in out
+        # A query the driver counted itself forked nothing, and says so
+        # instead of printing a start method it never used.
+        assert main(
+            ["run", "query", "--dataset", "orkut", "--scale", "0.2",
+             "--query", "q1", "--backend", "multiprocess"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "pattern kernel: decomposed" in out
+        assert "counted in driver (orbit), no workers forked" in out
+        assert "start method ?" not in out
 
     def test_run_multiprocess_partitioned(self, capsys):
         assert main(

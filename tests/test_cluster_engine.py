@@ -201,55 +201,3 @@ class TestReports:
             FractalContext(engine=config), graph, 4
         ).execute()
         assert report.metrics.peak_enumerator_bytes > 0
-
-
-class TestBatchQuantum:
-    """Opt-in batching of the simulator's scheduling quantum."""
-
-    def test_default_is_strict_interleaving(self):
-        graph = erdos_renyi_graph(30, 80, seed=3)
-        base = ClusterConfig(workers=2, cores_per_worker=2)
-        assert base.batch_quantum == 1
-        explicit = ClusterConfig(workers=2, cores_per_worker=2, batch_quantum=1)
-        rep_a = _clique_fractoid(FractalContext(engine=base), graph, 3).execute()
-        rep_b = _clique_fractoid(
-            FractalContext(engine=explicit), graph, 3
-        ).execute()
-        cl_a = rep_a.steps[0].cluster
-        cl_b = rep_b.steps[0].cluster
-        assert rep_a.result_count == rep_b.result_count
-        assert cl_a.makespan_units == cl_b.makespan_units
-        assert cl_a.steal_messages == cl_b.steal_messages
-        assert [
-            (c.steals_internal, c.steals_external) for c in cl_a.cores
-        ] == [(c.steals_internal, c.steals_external) for c in cl_b.cores]
-
-    def test_batched_results_identical(self):
-        graph = erdos_renyi_graph(30, 80, seed=3)
-        rep_default = _clique_fractoid(
-            FractalContext(engine=ClusterConfig(workers=2, cores_per_worker=2)),
-            graph,
-            3,
-        ).execute()
-        for quantum in (4, 64):
-            config = ClusterConfig(
-                workers=2, cores_per_worker=2, batch_quantum=quantum
-            )
-            rep = _clique_fractoid(
-                FractalContext(engine=config), graph, 3
-            ).execute()
-            # Results and work totals never depend on the quantum; only
-            # scheduling interleavings (steals, makespan) may shift.
-            assert rep.result_count == rep_default.result_count
-            assert (
-                rep.metrics.extension_tests
-                == rep_default.metrics.extension_tests
-            )
-            assert (
-                rep.metrics.subgraphs_enumerated
-                == rep_default.metrics.subgraphs_enumerated
-            )
-
-    def test_batch_quantum_validation(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(batch_quantum=0)

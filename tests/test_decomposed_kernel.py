@@ -8,13 +8,12 @@ independent backtracking oracle and the enumeration kernels:
 
 * exact counts — the decomposition executor, forced on random labeled
   (pattern, graph) pairs, matches ``count_pattern_matches``;
-* end-to-end counts — ``pattern_kernel="decomposed"`` equals legacy and
+* end-to-end counts — ``kernel="decomposed"`` equals legacy and
   indexed across the sequential, simulator and multiprocess backends;
 * the eligibility gate — every aggregation or embedding-requiring
   workflow falls back to enumeration (and is metered as a fallback);
 * chooser determinism and the decision record in ``kernel_info``;
-* the galloping-crossover plumbing from ``CostModel`` down to
-  ``intersect_slices``.
+* the galloping crossover of ``intersect_slices``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, FractalContext, Pattern
-from repro.apps import QUERY_PATTERNS, fsm, motifs
+from repro.apps import QUERY_PATTERNS
 from repro.apps.queries import count_query_matches, query_fractoid
 from repro.core.enumerator import PATTERN_KERNELS, PatternInducedStrategy
 from repro.core.intersect import intersect_slices
@@ -43,7 +42,7 @@ from repro.pattern.decompose import (
 )
 from repro.pattern.isomorphism import count_pattern_matches
 from repro.pattern.pattern import PatternInterner
-from repro.runtime.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.runtime.costmodel import DEFAULT_COST_MODEL
 from repro.runtime.metrics import Metrics
 from repro.runtime.mp_backend import MultiprocessConfig
 
@@ -94,11 +93,8 @@ def graph_and_pattern(draw):
 
 
 def _count(graph, pattern, kernel, engine=None):
-    ctx = FractalContext(
-        engine=engine if engine is not None else "sequential",
-        pattern_kernel=kernel if not isinstance(engine, (ClusterConfig, MultiprocessConfig)) else None,
-    )
-    fr = query_fractoid(ctx.from_graph(graph), pattern)
+    ctx = FractalContext(engine=engine if engine is not None else "sequential")
+    fr = query_fractoid(ctx.from_graph(graph), pattern, kernel=kernel)
     report = fr.execute(collect="count")
     return report.result_count, report
 
@@ -143,17 +139,11 @@ class TestOracleEquivalence:
         )
         engines = {
             "sequential": None,
-            "simulator": ClusterConfig(
-                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-            ),
+            "simulator": ClusterConfig(workers=2, cores_per_worker=2),
             # One simulated core is still a simulated core, not the
             # sequential path (the comparative harness runs this shape).
-            "simulator-1x1": ClusterConfig(
-                workers=1, cores_per_worker=1, pattern_kernel="decomposed"
-            ),
-            "multiprocess": MultiprocessConfig(
-                num_procs=2, pattern_kernel="decomposed"
-            ),
+            "simulator-1x1": ClusterConfig(workers=1, cores_per_worker=1),
+            "multiprocess": MultiprocessConfig(num_procs=2),
         }
         graphs = {
             "fixture": labeled_graph,
@@ -247,19 +237,11 @@ class TestDecomposedExecution:
         graph = self._dense_graph()
         pattern = QUERY_PATTERNS["q7"]
         _, sim_report = _count(
-            graph,
-            pattern,
-            None,
-            ClusterConfig(
-                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-            ),
+            graph, pattern, "decomposed", ClusterConfig(workers=2, cores_per_worker=2)
         )
         assert sim_report.steps[-1].backend_info.get("decomposed") is True
         _, mp_report = _count(
-            graph,
-            pattern,
-            None,
-            MultiprocessConfig(num_procs=2, pattern_kernel="decomposed"),
+            graph, pattern, "decomposed", MultiprocessConfig(num_procs=2)
         )
         assert (
             mp_report.steps[-1].backend_info.get("decomposed_in_driver")
@@ -283,17 +265,18 @@ class TestDecomposedExecution:
 # ----------------------------------------------------------------------
 class TestFallbacks:
     def test_subgraphs_collection_falls_back(self, labeled_graph):
-        ctx = FractalContext(pattern_kernel="decomposed")
-        fr = query_fractoid(ctx.from_graph(labeled_graph), QUERY_PATTERNS["q3"])
+        ctx = FractalContext()
+        fr = query_fractoid(
+            ctx.from_graph(labeled_graph), QUERY_PATTERNS["q3"], kernel="decomposed"
+        )
         report = fr.execute(collect="subgraphs")
         decomp = report.pattern_kernel_summary()["decomposition"]
         assert decomp["executed"] == "enumeration"
         assert "embeddings" in decomp["reason"]
         assert report.metrics.decomp_fallbacks >= 1
         # Identical enumeration to the indexed kernel.
-        ctx2 = FractalContext(pattern_kernel="indexed")
         fr2 = query_fractoid(
-            ctx2.from_graph(labeled_graph), QUERY_PATTERNS["q3"]
+            ctx.from_graph(labeled_graph), QUERY_PATTERNS["q3"], kernel="indexed"
         )
         report2 = fr2.execute(collect="subgraphs")
         assert [s.vertices for s in report.subgraphs] == [
@@ -335,31 +318,13 @@ class TestFallbacks:
         )
         assert plan is None
 
-    def test_fsm_and_motifs_identical_under_decomposed(self, labeled_graph):
-        ctx_a = FractalContext(pattern_kernel="decomposed")
-        ctx_b = FractalContext()
-        fa = fsm(ctx_a.from_graph(labeled_graph), min_support=2, max_edges=2)
-        fb = fsm(ctx_b.from_graph(labeled_graph), min_support=2, max_edges=2)
-        assert {p.canonical_code(): fa.support_of(p) for p in fa.frequent} == {
-            p.canonical_code(): fb.support_of(p) for p in fb.frequent
-        }
-        assert ctx_a.last_report.metrics.decomp_core_embeddings == 0
-        ma = motifs(ctx_a.from_graph(labeled_graph), 3)
-        mb = motifs(ctx_b.from_graph(labeled_graph), 3)
-        assert ma == mb
-
     def test_simulator_fault_and_partition_fall_back(self):
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         baseline, _ = _count(graph, pattern, "indexed")
         for extra in ({"fail_at": {0: 5000.0}}, {"partition": "hash"}):
-            config = ClusterConfig(
-                workers=2,
-                cores_per_worker=2,
-                pattern_kernel="decomposed",
-                **extra,
-            )
-            count, report = _count(graph, pattern, None, config)
+            config = ClusterConfig(workers=2, cores_per_worker=2, **extra)
+            count, report = _count(graph, pattern, "decomposed", config)
             assert count == baseline, extra
             decomp = report.pattern_kernel_summary()["decomposition"]
             assert decomp["executed"] == "enumeration", extra
@@ -415,13 +380,11 @@ class TestQuarantine:
 
         engine = None
         if backend == "simulator":
-            engine = ClusterConfig(
-                workers=2, cores_per_worker=2, pattern_kernel="decomposed"
-            )
+            engine = ClusterConfig(workers=2, cores_per_worker=2)
         elif backend == "multiprocess":
             if "fork" not in multiprocessing.get_all_start_methods():
                 pytest.skip("multiprocess backend requires fork start method")
-            engine = MultiprocessConfig(num_procs=2, pattern_kernel="decomposed")
+            engine = MultiprocessConfig(num_procs=2)
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         baseline, _ = _count(graph, pattern, "indexed")
@@ -448,11 +411,9 @@ class TestQuarantine:
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         self._tampered_planner(monkeypatch)
-        config = MultiprocessConfig(
-            num_procs=2, pattern_kernel="decomposed", degrade="never"
-        )
+        config = MultiprocessConfig(num_procs=2, degrade="never")
         with pytest.raises(decompose.DecompositionError):
-            _count(graph, pattern, None, config)
+            _count(graph, pattern, "decomposed", config)
 
 
 # ----------------------------------------------------------------------
@@ -508,17 +469,9 @@ class TestChooser:
 
 
 # ----------------------------------------------------------------------
-# Config plumbing
+# The kernel on the app call
 # ----------------------------------------------------------------------
 class TestConfigPlumbing:
-    def test_configs_accept_decomposed(self):
-        ClusterConfig(workers=2, cores_per_worker=2, pattern_kernel="decomposed")
-        MultiprocessConfig(num_procs=2, pattern_kernel="decomposed")
-        with pytest.raises(ValueError):
-            ClusterConfig(workers=2, cores_per_worker=2, pattern_kernel="bogus")
-        with pytest.raises(ValueError):
-            MultiprocessConfig(num_procs=2, pattern_kernel="bogus")
-
     def test_kernel_constant_lists_decomposed(self):
         assert PATTERN_KERNELS == ("legacy", "indexed", "decomposed")
 
@@ -532,7 +485,7 @@ class TestConfigPlumbing:
 
 
 # ----------------------------------------------------------------------
-# Galloping crossover: CostModel-tunable, default preserved
+# Galloping crossover
 # ----------------------------------------------------------------------
 class TestGallopCrossover:
     # One short sorted run against one long one: ratio 16x.  At
@@ -558,35 +511,3 @@ class TestGallopCrossover:
         assert gallop_m.gallop_steps > 0
         assert merge_m.gallop_steps == 0
         assert merge_m.intersect_comparisons > 0
-
-    def test_default_crossover_is_cost_model_default(self):
-        from repro.core.intersect import GALLOP_CROSSOVER
-
-        assert DEFAULT_COST_MODEL.gallop_crossover == GALLOP_CROSSOVER == 8
-
-    def test_cost_model_crossover_reaches_strategy(self):
-        # crossover=1 forces two-slice intersections to always gallop:
-        # zero linear-merge comparisons, more gallop steps than the
-        # default (which only gallops at a 8x size ratio).  Symmetry
-        # windows meter gallop_steps via range_bounds regardless, so
-        # compare against the default rather than asserting zero.
-        graph = erdos_renyi_graph(30, 80, n_labels=2, seed=3)
-        pattern = QUERY_PATTERNS["q6"]
-        ctx_default = FractalContext(pattern_kernel="indexed")
-        fr = query_fractoid(ctx_default.from_graph(graph), pattern)
-        default_report = fr.execute(collect="count")
-        assert default_report.metrics.intersect_comparisons > 0
-
-        gallop_model = CostModel(gallop_crossover=1)
-        ctx_gallop = FractalContext(
-            cost_model=gallop_model, pattern_kernel="indexed"
-        )
-        fr = query_fractoid(ctx_gallop.from_graph(graph), pattern)
-        gallop_report = fr.execute(collect="count")
-
-        assert gallop_report.result_count == default_report.result_count
-        assert gallop_report.metrics.intersect_comparisons == 0
-        assert (
-            gallop_report.metrics.gallop_steps
-            > default_report.metrics.gallop_steps
-        )

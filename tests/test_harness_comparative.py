@@ -52,6 +52,16 @@ def test_fig15_runner_rows():
     # SEED and Fractal agree on match counts when both complete.
     for row in rows:
         assert row["matches"] >= 0
+    # The figure runs the paper preset whatever the default kernel is:
+    # matches, simulated seconds and candidate units as recorded before
+    # the default moved off "legacy".
+    assert {
+        q: (r["pattern_kernel"], r["matches"], r["fractal_s"], r["candidate_units"])
+        for q, r in by_query.items()
+    } == {
+        "q1": ("legacy", 38, 1.50616, 1400.0),
+        "q3": ("legacy", 56, 1.52158, 2882.0),
+    }
 
 
 def test_fig16_runner_rows():

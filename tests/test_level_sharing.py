@@ -31,7 +31,7 @@ from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
 from repro.apps import QUERY_PATTERNS
 from repro.apps.queries import query_fractoid
 from repro.core import intersect
-from repro.core.enumerator import ORDER_POLICIES, PatternInducedStrategy
+from repro.core.enumerator import PatternInducedStrategy
 from repro.graph import erdos_renyi_graph
 from repro.pattern.decompose import (
     count_embeddings,
@@ -135,7 +135,7 @@ def _random_pattern(rng: random.Random, n_labels: int, n_elabels: int) -> Patter
 
 @st.composite
 def cases(draw):
-    """``(graph, pattern, order policy, rng)``: a random labeled graph
+    """``(graph, pattern, rng)``: a random labeled graph
     with a catalog query (all-zero labels) or a random labeled pattern."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
@@ -151,14 +151,12 @@ def cases(draw):
         pattern = QUERY_PATTERNS[draw(st.sampled_from(sorted(QUERY_PATTERNS)))]
     else:
         pattern = _random_pattern(rng, n_labels, n_elabels)
-    policy = draw(st.sampled_from(ORDER_POLICIES))
-    return graph, pattern, policy, rng
+    return graph, pattern, rng
 
 
-def _strategy(graph, pattern, policy, kernel="indexed"):
+def _strategy(graph, pattern, kernel="indexed"):
     return PatternInducedStrategy(
-        graph, Metrics(), PatternInterner(), pattern,
-        kernel=kernel, order_policy=policy,
+        graph, Metrics(), PatternInterner(), pattern, kernel=kernel
     )
 
 
@@ -233,11 +231,11 @@ def _drive(strategy, graph, rng, n_labels):
 @given(cases())
 @settings(max_examples=60, deadline=None)
 def test_every_level_call_replays_against_the_bare_program(case):
-    graph, pattern, policy, rng = case
+    graph, pattern, rng = case
     n_labels = len(set(graph.vertex_labels()))
     expected = _instances(graph, pattern)
     with replaying() as replay:
-        strategy = _strategy(graph, pattern, policy)
+        strategy = _strategy(graph, pattern)
         # Exactly the positions kernel_info calls shared were wrapped.
         levels = strategy.kernel_info()["levels"]
         assert replay.wrapped == [
@@ -265,7 +263,7 @@ def test_sharing_is_exercised_and_explained():
     shared_positions = {}
     for name in ("q3", "q6", "q8"):
         with replaying() as replay:
-            strategy = _strategy(graph, QUERY_PATTERNS[name], "cost")
+            strategy = _strategy(graph, QUERY_PATTERNS[name])
             strategy.count_matches()
         shared_positions[name] = [
             pos
@@ -278,7 +276,7 @@ def test_sharing_is_exercised_and_explained():
             assert replay.calls == 0, name
     assert shared_positions["q3"] == []
     assert shared_positions["q6"] and shared_positions["q8"]
-    legacy = _strategy(graph, QUERY_PATTERNS["q6"], "cost", kernel="legacy")
+    legacy = _strategy(graph, QUERY_PATTERNS["q6"], kernel="legacy")
     assert not any(level["shared"] for level in legacy.kernel_info()["levels"])
 
 
@@ -287,7 +285,7 @@ def test_relabel_between_two_calls_on_one_root():
     same root and prefix must answer from the new labels."""
     graph = erdos_renyi_graph(40, 160, n_labels=1, seed=11)
     with replaying() as replay:
-        strategy = _strategy(graph, QUERY_PATTERNS["q6"], "cost")
+        strategy = _strategy(graph, QUERY_PATTERNS["q6"])
         subgraph = strategy.make_subgraph()
         shared = [
             pos
@@ -309,23 +307,16 @@ def test_relabel_between_two_calls_on_one_root():
 # End to end, every backend
 # ----------------------------------------------------------------------
 ENGINES = {
-    "sequential": lambda kernel: "sequential",
-    "sim-1x1": lambda kernel: ClusterConfig(
-        workers=1, cores_per_worker=1, pattern_kernel=kernel
-    ),
-    "sim-2x2": lambda kernel: ClusterConfig(
-        workers=2, cores_per_worker=2, pattern_kernel=kernel
-    ),
-    "mp-2": lambda kernel: MultiprocessConfig(num_procs=2, pattern_kernel=kernel),
+    "sequential": "sequential",
+    "sim-1x1": ClusterConfig(workers=1, cores_per_worker=1),
+    "sim-2x2": ClusterConfig(workers=2, cores_per_worker=2),
+    "mp-2": MultiprocessConfig(num_procs=2),
 }
 
 
 def _run(graph, pattern, engine_name, kernel, collect):
-    engine = ENGINES[engine_name](kernel)
-    context = FractalContext(
-        engine=engine, pattern_kernel=kernel if engine == "sequential" else None
-    )
-    fractoid = query_fractoid(context.from_graph(graph), pattern)
+    context = FractalContext(engine=ENGINES[engine_name])
+    fractoid = query_fractoid(context.from_graph(graph), pattern, kernel=kernel)
     report = fractoid.execute(collect=collect)
     listing = None
     if collect == "subgraphs":

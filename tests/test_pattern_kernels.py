@@ -1,11 +1,12 @@
 """Pattern-matching candidate kernels: oracle equivalence and plumbing.
 
-The legacy and indexed kernels (× both order policies) must enumerate
-exactly the same distinct pattern instances as the independent
-backtracking oracle ``pattern.isomorphism.match_pattern`` — including the
-symmetry-breaking dedup count: exactly one result per automorphism class,
-no duplicates.  Further tests pin the label-partitioned index structures,
-the cost-based planner, kernel pinning/configuration plumbing, the
+Every kernel — and the un-pinned default — must enumerate exactly the
+same distinct pattern instances as the independent backtracking oracle
+``pattern.isomorphism.match_pattern`` — including the symmetry-breaking
+dedup count: exactly one result per automorphism class, no duplicates.
+Further tests pin the label-partitioned index structures, the cost-based
+planner, the one place a kernel is chosen (``pfractoid(kernel=)``: order
+derived from it, planned once, bad input refused at the call site), the
 cluster path, and the back-edge probe metering bugfix.  A literal
 counter table recorded before the match plan was compiled pins the
 indexed/decomposed kernels' metering to history on all three backends.
@@ -14,16 +15,26 @@ indexed/decomposed kernels' metering to history on all three backends.
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
-from repro.apps import QUERY_PATTERNS, fsm
+from repro import (
+    ClusterConfig,
+    CostModel,
+    FractalContext,
+    MultiprocessConfig,
+    Pattern,
+)
+from repro.apps import QUERY_PATTERNS
 from repro.apps.queries import query_fractoid
+from repro.core import enumerator
 from repro.core.enumerator import (
+    DEFAULT_KERNEL,
+    PATTERN_KERNELS,
     PatternInducedStrategy,
     matching_order,
     plan_matching_order,
@@ -36,7 +47,6 @@ from repro.pattern.pattern import PatternInterner
 from repro.runtime.metrics import Metrics
 
 KERNELS = ("legacy", "indexed")
-POLICIES = ("legacy", "cost")
 
 
 # ----------------------------------------------------------------------
@@ -87,11 +97,9 @@ def graph_and_pattern(draw):
     return graph, pattern
 
 
-def _enumerate(graph, pattern, kernel, order_policy=None):
-    ctx = FractalContext(pattern_kernel=kernel, order_policy=order_policy)
-    fr = query_fractoid(ctx.from_graph(graph), pattern)
-    report = fr.execute(collect="subgraphs")
-    return report
+def _enumerate(graph, pattern, kernel):
+    fr = query_fractoid(FractalContext().from_graph(graph), pattern, kernel=kernel)
+    return fr.execute(collect="subgraphs")
 
 
 def _oracle_instances(graph, pattern):
@@ -111,35 +119,47 @@ class TestOracleEquivalence:
     def test_all_kernels_match_oracle(self, gp):
         graph, pattern = gp
         expected = _oracle_instances(graph, pattern)
-        for kernel in KERNELS:
-            for policy in POLICIES:
-                report = _enumerate(graph, pattern, kernel, policy)
-                got = Counter(
-                    frozenset(s.vertices) for s in report.subgraphs
-                )
-                assert got == expected, (kernel, policy)
-                # Symmetry breaking deduplicates exactly: one result per
-                # instance, so the count equals the oracle's total.
-                assert report.result_count == sum(expected.values()), (
-                    kernel,
-                    policy,
-                )
+        for kernel in (None,) + PATTERN_KERNELS:
+            report = _enumerate(graph, pattern, kernel)
+            got = Counter(frozenset(s.vertices) for s in report.subgraphs)
+            assert got == expected, kernel
+            # Symmetry breaking deduplicates exactly: one result per
+            # instance, so the count equals the oracle's total.
+            assert report.result_count == sum(expected.values()), kernel
 
     @given(graph_and_pattern())
     @settings(max_examples=30, deadline=None)
     def test_kernels_identical_streams_under_same_order(self, gp):
-        # With the matching order held fixed, the two kernels must
-        # produce byte-identical enumeration streams, not just sets.
+        # With the plan held fixed, the two kernels must produce
+        # byte-identical enumeration streams, not just sets.  The order
+        # and the restriction-set scoring follow from the kernel, so the
+        # test holds them fixed itself: every kernel plans as "legacy".
         graph, pattern = gp
-        for policy in POLICIES:
-            legacy = _enumerate(graph, pattern, "legacy", policy)
-            indexed = _enumerate(graph, pattern, "indexed", policy)
-            assert [s.vertices for s in legacy.subgraphs] == [
-                s.vertices for s in indexed.subgraphs
-            ], policy
-            assert [s.edges for s in legacy.subgraphs] == [
-                s.edges for s in indexed.subgraphs
-            ], policy
+        real_plan = enumerator.symmetry_plan
+        with mock.patch.object(
+            enumerator, "plan_matching_order", lambda p, g: matching_order(p)
+        ), mock.patch.object(
+            enumerator,
+            "symmetry_plan",
+            lambda p, order, g, metrics: real_plan(p, order, None, metrics),
+        ):
+            legacy = _enumerate(graph, pattern, "legacy")
+            indexed = _enumerate(graph, pattern, "indexed")
+        assert indexed.steps[-1].kernel_info["order"] == matching_order(pattern)
+        assert [s.vertices for s in legacy.subgraphs] == [
+            s.vertices for s in indexed.subgraphs
+        ]
+        assert [s.edges for s in legacy.subgraphs] == [
+            s.edges for s in indexed.subgraphs
+        ]
+
+
+DEFAULT_ENGINES = {
+    "sequential": lambda: "sequential",
+    "simulator-1x1": lambda: ClusterConfig(workers=1, cores_per_worker=1),
+    "simulator-2x2": lambda: ClusterConfig(workers=2, cores_per_worker=2),
+    "multiprocess": lambda: MultiprocessConfig(num_procs=2),
+}
 
 
 class TestQueriesCorpus:
@@ -148,7 +168,7 @@ class TestQueriesCorpus:
         pattern = QUERY_PATTERNS[name]
         legacy = _enumerate(small_random_graph, pattern, "legacy")
         indexed = _enumerate(small_random_graph, pattern, "indexed")
-        # Default order policies differ per kernel, so compare instances
+        # The matching order differs per kernel, so compare instances
         # (vertex sets), not match tuples.
         assert Counter(frozenset(s.vertices) for s in legacy.subgraphs) == (
             Counter(frozenset(s.vertices) for s in indexed.subgraphs)
@@ -158,32 +178,42 @@ class TestQueriesCorpus:
         pattern = QUERY_PATTERNS["q2"]
         counts = {}
         for kernel in KERNELS:
-            config = ClusterConfig(
-                workers=2, cores_per_worker=2, pattern_kernel=kernel
-            )
+            config = ClusterConfig(workers=2, cores_per_worker=2)
             ctx = FractalContext()
-            fr = query_fractoid(ctx.from_graph(small_random_graph), pattern)
+            fr = query_fractoid(
+                ctx.from_graph(small_random_graph), pattern, kernel=kernel
+            )
             report = fr.execute(collect="count", engine=config)
             counts[kernel] = report.result_count
             assert report.pattern_kernel_summary()["kernel"] == kernel
         assert counts["legacy"] == counts["indexed"]
 
-    def test_fsm_corpus_unaffected(self, small_random_graph):
-        # FSM runs on edge-induced fractoids: the pattern kernel setting
-        # must be a no-op for its aggregation views.
-        results = {}
-        for kernel in KERNELS:
-            ctx = FractalContext(pattern_kernel=kernel)
-            result = fsm(
-                ctx.from_graph(small_random_graph),
-                min_support=3,
-                max_edges=2,
-            )
-            results[kernel] = {
-                p.canonical_code(): result.support_of(p)
-                for p in result.patterns
-            }
-        assert results["legacy"] == results["indexed"]
+    @pytest.mark.parametrize("engine", sorted(DEFAULT_ENGINES))
+    def test_unpinned_default_equals_reference_and_oracle(self, engine):
+        # What a caller who names only a pattern gets: the default kernel,
+        # with the counts and listings of the paper preset and of brute
+        # force, on every backend.
+        graph = erdos_renyi_graph(24, 90, seed=3)
+        fg = FractalContext().from_graph(graph)
+        for name, pattern in QUERY_PATTERNS.items():
+            expected = _oracle_instances(graph, pattern)
+            for kernel in (None, "legacy"):
+                fractoid = query_fractoid(fg, pattern, kernel=kernel)
+                listed = fractoid.execute(
+                    collect="subgraphs", engine=DEFAULT_ENGINES[engine]()
+                )
+                counted = fractoid.execute(
+                    collect="count", engine=DEFAULT_ENGINES[engine]()
+                )
+                assert Counter(
+                    frozenset(s.vertices) for s in listed.subgraphs
+                ) == expected, (name, kernel)
+                assert counted.result_count == sum(expected.values())
+                for report in (listed, counted):
+                    assert report.pattern_kernel_summary()["kernel"] == (
+                        kernel or DEFAULT_KERNEL
+                    )
+        assert DEFAULT_KERNEL == "decomposed"
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +301,7 @@ class TestLabeledIndex:
 
 
 # ----------------------------------------------------------------------
-# Kernel configuration plumbing
+# Choosing a kernel: one place, at construction
 # ----------------------------------------------------------------------
 def _strategy(graph, pattern, **kwargs):
     return PatternInducedStrategy(
@@ -280,55 +310,70 @@ def _strategy(graph, pattern, **kwargs):
 
 
 class TestConfiguration:
-    def test_default_is_legacy(self, small_random_graph):
+    def test_default_is_decomposed(self, small_random_graph):
         strategy = _strategy(small_random_graph, QUERY_PATTERNS["q1"])
         info = strategy.kernel_info()
-        assert info["kernel"] == "legacy"
-        assert info["order_policy"] == "legacy"
-        assert info["order"] == matching_order(QUERY_PATTERNS["q1"])
+        assert info["kernel"] == DEFAULT_KERNEL == "decomposed"
+        assert info["order"] == plan_matching_order(
+            QUERY_PATTERNS["q1"], small_random_graph
+        )
+
+    def test_legacy_matches_in_the_degree_greedy_order(self, small_random_graph):
+        strategy = _strategy(
+            small_random_graph, QUERY_PATTERNS["q3"], kernel="legacy"
+        )
+        assert strategy.kernel_info()["order"] == matching_order(
+            QUERY_PATTERNS["q3"]
+        )
 
     def test_indexed_defaults_to_cost_order(self, small_random_graph):
         strategy = _strategy(
             small_random_graph, QUERY_PATTERNS["q1"], kernel="indexed"
         )
-        info = strategy.kernel_info()
-        assert info["order_policy"] == "cost"
-        assert info["order"] == plan_matching_order(
+        assert strategy.kernel_info()["order"] == plan_matching_order(
             QUERY_PATTERNS["q1"], small_random_graph
         )
-
-    def test_unpinned_strategy_takes_engine_config(self, small_random_graph):
-        strategy = _strategy(small_random_graph, QUERY_PATTERNS["q1"])
-        strategy.configure_kernel("indexed")
-        info = strategy.kernel_info()
-        assert info["kernel"] == "indexed"
-        assert info["order_policy"] == "cost"
-
-    def test_pinned_strategy_ignores_engine_config(self, small_random_graph):
-        strategy = _strategy(
-            small_random_graph,
-            QUERY_PATTERNS["q1"],
-            kernel="legacy",
-            order_policy="legacy",
-        )
-        strategy.configure_kernel("indexed", "cost")
-        info = strategy.kernel_info()
-        assert info["kernel"] == "legacy"
-        assert info["order_policy"] == "legacy"
 
     def test_invalid_values_rejected(self, small_random_graph):
         with pytest.raises(ValueError):
             _strategy(small_random_graph, QUERY_PATTERNS["q1"], kernel="bogus")
-        with pytest.raises(ValueError):
-            _strategy(
-                small_random_graph,
-                QUERY_PATTERNS["q1"],
-                order_policy="bogus",
-            )
-        with pytest.raises(ValueError):
-            ClusterConfig(workers=1, cores_per_worker=2, pattern_kernel="x")
-        with pytest.raises(ValueError):
-            ClusterConfig(workers=1, cores_per_worker=2, order_policy="x")
+
+    def test_bad_input_fails_at_the_call_site(self, small_random_graph):
+        # Before any execute(): a typo or an unusable pattern is the
+        # caller's mistake, reported where the caller made it.
+        fg = FractalContext().from_graph(small_random_graph)
+        disconnected = Pattern([0, 0, 0], [(0, 1, 0)])
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            fg.pfractoid(QUERY_PATTERNS["q1"], kernel="nope")
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            query_fractoid(fg, QUERY_PATTERNS["q1"], kernel="bogus")
+        with pytest.raises(ValueError, match="connected"):
+            fg.pfractoid(disconnected)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            query_fractoid(fg, Pattern([], []))
+
+    def test_deleted_options_are_refused(self, small_random_graph):
+        # No accepted-and-ignored shim for any option this layer lost.
+        fg = FractalContext().from_graph(small_random_graph)
+        for call in (
+            lambda: FractalContext(pattern_kernel="indexed"),
+            lambda: FractalContext(order_policy="cost"),
+            lambda: fg.pfractoid(QUERY_PATTERNS["q1"], order_policy="cost"),
+            lambda: _strategy(
+                small_random_graph, QUERY_PATTERNS["q1"], order_policy="cost"
+            ),
+            lambda: ClusterConfig(pattern_kernel="indexed"),
+            lambda: ClusterConfig(order_policy="cost"),
+            lambda: ClusterConfig(batch_quantum=4),
+            lambda: ClusterConfig(adaptive_max_chunk=8),
+            lambda: ClusterConfig(meter_agg_shuffle=False),
+            lambda: MultiprocessConfig(pattern_kernel="indexed"),
+            lambda: MultiprocessConfig(order_policy="cost"),
+            lambda: CostModel(gallop_crossover=4),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert not hasattr(PatternInducedStrategy, "configure_kernel")
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +407,7 @@ class TestMetering:
         )
         summary = report.pattern_kernel_summary()
         assert summary["kernel"] == "indexed"
-        assert summary["order_policy"] == "cost"
+        assert "order_policy" not in summary
         assert summary["candidate_units"] > 0
         assert summary["order"] == report.steps[-1].kernel_info["order"]
 
@@ -434,6 +479,17 @@ class TestRecordedCounters:
             row = _counter_row(count, context.last_report.metrics)
             assert row == recorded, (engine, name)
 
+    def test_indexed_halves_the_reference_candidate_work(self, orkut_small):
+        # The gate of the retired legacy-vs-indexed bench: >= 2x fewer
+        # candidate cost units, summed over the Fig 15 queries.
+        fg = FractalContext().from_graph(orkut_small)
+        units = dict.fromkeys(KERNELS, 0.0)
+        for pattern in QUERY_PATTERNS.values():
+            for kernel in KERNELS:
+                report = query_fractoid(fg, pattern, kernel=kernel).execute()
+                units[kernel] += report.pattern_kernel_summary()["candidate_units"]
+        assert units["legacy"] >= 2.0 * units["indexed"]
+
     @pytest.mark.parametrize("name", sorted(RECORDED_COUNTERS))
     def test_root_chunks_sum_to_the_whole(self, orkut_small, name):
         pattern = QUERY_PATTERNS[name]
@@ -459,85 +515,42 @@ class TestRecordedCounters:
 
 
 # ----------------------------------------------------------------------
-# The compiled plan follows configure_kernel
+# The plan is final after __init__
 # ----------------------------------------------------------------------
-def _walk_trace(strategy):
-    """Every ``extensions()`` answer of a full DFS, in visit order."""
-    subgraph = strategy.make_subgraph()
-    trace = []
-
-    def visit():
-        words = strategy.extensions(subgraph)
-        trace.append((tuple(subgraph.vertices), tuple(words)))
-        for word in words:
-            strategy.push(subgraph, word)
-            visit()
-            strategy.pop(subgraph)
-
-    visit()
-    return trace
-
-
-def _walk_counters(strategy):
-    counters = strategy.metrics.snapshot()
-    del counters["symmetry_cache_hits"]  # planning: one per re-plan
-    return counters
-
-
-class TestPlanFollowsConfiguration:
-    @pytest.mark.parametrize(
-        "settings_",
-        [
-            ("indexed", None, None),
-            ("indexed", "legacy", None),
-            ("indexed", "cost", 1),
-            ("decomposed", None, 2),
-            ("legacy", "cost", None),
-            ("legacy", None, None),
-        ],
-    )
-    @pytest.mark.parametrize("name", ["q3", "q4", "q6"])
-    def test_reconfigured_equals_constructed(
-        self, small_random_graph, name, settings_
+class TestPlannedOnce:
+    @pytest.mark.parametrize("kernel", (None,) + PATTERN_KERNELS)
+    def test_each_strategy_is_planned_once(
+        self, monkeypatch, small_random_graph, kernel
     ):
-        kernel, policy, crossover = settings_
-        pattern = QUERY_PATTERNS[name]
-        # Built under the other kernel's plan, then reconfigured (a
-        # crossover of None keeps the one already set) ...
-        late = _strategy(small_random_graph, pattern)
-        late.configure_kernel(
-            "legacy" if kernel != "legacy" else "indexed",
-            "legacy" if policy == "cost" else "cost",
-            None if crossover is None else 7,
-        )
-        late.configure_kernel(kernel, policy, crossover)
-        # ... against one that had its settings from the constructor on
-        # (the crossover has no constructor argument).
-        fresh = _strategy(
-            small_random_graph, pattern, kernel=kernel, order_policy=policy
-        )
-        fresh.configure_kernel(gallop_crossover=crossover)
-        assert late.kernel_info() == fresh.kernel_info()
-        assert _walk_trace(late) == _walk_trace(fresh)
-        assert _walk_counters(late) == _walk_counters(fresh)
-        if kernel != "legacy":
-            assert late.count_matches() == fresh.count_matches()
-            assert _walk_counters(late) == _walk_counters(fresh)
+        calls = Counter()
 
-    def test_crossover_change_recompiles(self, orkut_small):
-        # Same strategy object, two crossovers: the work must move
-        # between merge comparisons and gallop steps accordingly.
-        pattern = QUERY_PATTERNS["q1"]
-        readings = {}
-        for crossover in (1, 10**6):
-            strategy = _strategy(orkut_small, pattern, kernel="indexed")
-            strategy.configure_kernel(gallop_crossover=8)
-            strategy.configure_kernel(gallop_crossover=crossover)
-            strategy.count_matches()
-            readings[crossover] = strategy.metrics
-        assert readings[1].intersect_comparisons == 0
-        assert readings[10**6].intersect_comparisons > 0
-        assert readings[1].gallop_steps > readings[10**6].gallop_steps
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(PatternInducedStrategy, "__init__")
+        for planner in (
+            "symmetry_plan", "matching_order", "plan_matching_order", "compile_levels"
+        ):
+            count(enumerator, planner)
+        fg = FractalContext().from_graph(small_random_graph)
+        for engine in ("sequential", ClusterConfig(workers=2, cores_per_worker=2)):
+            for collect in ("count", "subgraphs"):
+                query_fractoid(fg, QUERY_PATTERNS["q3"], kernel=kernel).execute(
+                    collect=collect, engine=engine
+                )
+        built = calls["__init__"]
+        assert built > 4  # probes plus one strategy per simulated core
+        legacy = kernel == "legacy"
+        assert calls["symmetry_plan"] == built
+        assert calls["matching_order"] == (built if legacy else 0)
+        assert calls["plan_matching_order"] == (0 if legacy else built)
+        assert calls["compile_levels"] == (0 if legacy else built)
 
 
 # ----------------------------------------------------------------------

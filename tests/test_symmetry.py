@@ -194,8 +194,10 @@ class TestOrbitCounting:
         hypothesis.assume(pattern.is_connected())
         graph = erdos_renyi_graph(14, 40, n_labels=2, seed=seed)
         expected = count_pattern_matches(pattern, graph)
-        fc = FractalContext(engine="sequential", pattern_kernel="indexed")
-        fr = fc.from_graph(graph).pfractoid(pattern).expand(pattern.n_vertices)
+        fc = FractalContext(engine="sequential")
+        fr = fc.from_graph(graph).pfractoid(pattern, kernel="indexed").expand(
+            pattern.n_vertices
+        )
         report = fr.execute(collect="count")
         assert report.result_count == expected
         info = report.steps[-1].kernel_info
@@ -207,8 +209,8 @@ class TestOrbitCounting:
             assert enumerator.orbit_counting_enabled() is False
             graph = erdos_renyi_graph(20, 60, seed=3)
             star = Pattern.from_edge_list([(0, 1), (0, 2), (0, 3)])
-            fc = FractalContext(engine="sequential", pattern_kernel="indexed")
-            fr = fc.from_graph(graph).pfractoid(star).expand(4)
+            fc = FractalContext(engine="sequential")
+            fr = fc.from_graph(graph).pfractoid(star, kernel="indexed").expand(4)
             report = fr.execute(collect="count")
             # Counting still exact, but walked one node per embedding.
             assert report.result_count == count_pattern_matches(star, graph)
