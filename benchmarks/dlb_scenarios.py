@@ -28,10 +28,8 @@ optional heterogeneous-link map, from which `config(policy)` builds the
     (big chunks pay off), then the imbalance disappears and oversized
     chunks would just bounce fragments between idle cores.
 
-The shared knobs that were previously duplicated across
-``bench_steal_policies.py`` and ``bench_fig16_worksteal.py`` —
-:func:`straggler_plan` and :func:`clique_fractoid` — live here now;
-both benches (and ``bench_adaptive_steal.py``) import them.
+The knobs ``bench_fig16_worksteal.py`` and ``bench_adaptive_steal.py``
+share — :func:`straggler_plan` and :func:`clique_fractoid` — live here.
 
 All quantities are simulated and deterministic: a scenario run twice
 produces byte-identical clocks, metrics and results.
@@ -201,7 +199,7 @@ def offloadlatency(mode: str = "quick") -> Scenario:
 
 
 def syntheticslow(mode: str = "quick") -> Scenario:
-    """Heavy skew: the bench_steal_policies traffic shape, 8x stragglers."""
+    """Heavy skew: 8x stragglers, the shape where big chunks win."""
     vertices = _size(mode, 120, 250, 400)
     workers, cores = _size(mode, (2, 4), (4, 4), (4, 8))
     return Scenario(

@@ -273,8 +273,7 @@ def _print_agg_shuffle(report) -> None:
         f"{summary['messages']:.0f} messages), "
         f"combine ratio {summary['combine_ratio']:.3f} "
         f"({summary['combine_entries_in']:.0f} -> "
-        f"{summary['combine_entries_out']:.0f} entries, "
-        f"{summary['spilled_entries']:.0f} spilled)"
+        f"{summary['combine_entries_out']:.0f} entries)"
     )
     print(
         "aggregation cost: "

@@ -4,11 +4,9 @@ The aggregation primitive reduces ``(key, value)`` pairs extracted from
 subgraphs.  :class:`AggregationStorage` is the mutable reducer used while a
 step runs — it doubles as the *map-side combiner* of the two-level
 aggregation pipeline (local per-core combine, then a metered shuffle to
-the driver; see ``docs/internals.md`` §9).  :class:`BoundedCombinerStorage`
-is the optional bounded variant that spills its coldest entries when a
-configured entry budget is exceeded, trading combine ratio for memory.
-:class:`AggregationView` is the read-only finalized mapping that
-aggregation filters and output operators consume.
+the driver; see ``docs/internals.md`` §9).  :class:`AggregationView` is
+the read-only finalized mapping that aggregation filters and output
+operators consume.
 
 :func:`merge_storages_streaming` is the driver-side reduce: a streaming
 merge over the worker-combined storages that completes each key's
@@ -52,7 +50,6 @@ from ..pattern.pattern import Pattern
 
 __all__ = [
     "AggregationStorage",
-    "BoundedCombinerStorage",
     "AggregationView",
     "DomainSupport",
     "merge_storages_streaming",
@@ -132,17 +129,13 @@ class AggregationStorage:
             self.add(key, value)
 
     def merge_pairs(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
-        """Reduce a stream of ``(key, value)`` pairs (spilled entries)."""
+        """Reduce a stream of ``(key, value)`` pairs (shipped entries)."""
         for key, value in pairs:
             self.add(key, value)
 
     def entries(self) -> Iterator[Tuple[Any, Any]]:
         """Iterate the live ``(key, value)`` entries in insertion order."""
         return iter(self._data.items())
-
-    def spill_pairs(self) -> Sequence[Tuple[Any, Any]]:
-        """Entries evicted by a bounded combiner (empty for the base)."""
-        return ()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -174,65 +167,6 @@ class AggregationStorage:
             if self.agg_filter(key, value)
         }
         return AggregationView(kept)
-
-
-class BoundedCombinerStorage(AggregationStorage):
-    """Map-side combiner with an entry budget.
-
-    When the live map exceeds ``entry_budget`` the coldest quarter of the
-    entries (least recently updated, deterministic tie-free order via a
-    monotonically increasing touch tick) is evicted to an append-only
-    spill list.  Spilled entries ship to the driver *uncombined* — the
-    shuffle meters them individually, so a tight budget shows up as a
-    worse combine ratio and more shipped entries — and are re-reduced
-    during the worker-level combine, which keeps finalized views equal to
-    the unbounded combiner for commutative/associative reduce functions.
-    """
-
-    __slots__ = ("entry_budget", "_touch", "_tick", "_spilled")
-
-    def __init__(
-        self,
-        name: str,
-        reduce_fn: Callable[[Any, Any], Any],
-        agg_filter: Optional[Callable[[Any, Any], bool]] = None,
-        filter_monotone: bool = False,
-        entry_budget: int = 1024,
-    ):
-        if entry_budget < 1:
-            raise ValueError("entry_budget must be >= 1")
-        super().__init__(name, reduce_fn, agg_filter, filter_monotone)
-        self.entry_budget = entry_budget
-        self._touch: Dict[Any, int] = {}
-        self._tick = 0
-        self._spilled: List[Tuple[Any, Any]] = []
-
-    def add(self, key: Any, value: Any) -> None:
-        super().add(key, value)
-        self._tick += 1
-        self._touch[key] = self._tick
-        if len(self._data) > self.entry_budget:
-            self._spill_coldest()
-
-    def add_inplace(self, key, subgraph, computation, value_fn, update_fn) -> None:
-        super().add_inplace(key, subgraph, computation, value_fn, update_fn)
-        self._tick += 1
-        self._touch[key] = self._tick
-        if len(self._data) > self.entry_budget:
-            self._spill_coldest()
-
-    def _spill_coldest(self) -> None:
-        """Evict the coldest ~25% of entries (at least one) to the spill."""
-        data = self._data
-        touch = self._touch
-        n_evict = max(1, self.entry_budget // 4)
-        coldest = sorted(data, key=touch.__getitem__)[:n_evict]
-        for key in coldest:
-            self._spilled.append((key, data.pop(key)))
-            del touch[key]
-
-    def spill_pairs(self) -> Sequence[Tuple[Any, Any]]:
-        return self._spilled
 
 
 def merge_storages_streaming(

@@ -50,8 +50,6 @@ __all__ = [
     "SubgraphEnumerator",
     "matching_order",
     "plan_matching_order",
-    "set_orbit_counting",
-    "orbit_counting_enabled",
     "PATTERN_KERNELS",
     "DEFAULT_KERNEL",
 ]
@@ -70,24 +68,6 @@ PATTERN_KERNELS = ("legacy", "indexed", "decomposed")
 #: enumeration in the cost-planned order, orbit counting, and the checked
 #: chooser deciding per counting step whether to decompose.
 DEFAULT_KERNEL = "decomposed"
-
-
-#: Global enable for orbit-multiplicity counting on counting-only steps
-#: (see :meth:`PatternInducedStrategy.count_matches`).  On by default; the
-#: symmetry benchmark flips it off for its heuristic baseline A/B runs.
-_ORBIT_COUNTING = True
-
-
-def set_orbit_counting(enabled: bool) -> bool:
-    """Enable/disable orbit-multiplicity counting; returns previous value."""
-    global _ORBIT_COUNTING
-    previous = _ORBIT_COUNTING
-    _ORBIT_COUNTING = bool(enabled)
-    return previous
-
-
-def orbit_counting_enabled() -> bool:
-    return _ORBIT_COUNTING
 
 
 #: ``level(matched, used)``: the extensions of the prefix ``matched``
@@ -680,10 +660,9 @@ class PatternInducedStrategy(ExtensionStrategy):
         """Whether counting-only steps may run via :meth:`count_matches`.
 
         Gated on the indexed-family kernels so ``"legacy"`` stays
-        byte-identical to the original implementation, and on the global
-        :func:`set_orbit_counting` switch (benchmark A/B knob).
+        byte-identical to the original implementation.
         """
-        return self._kernel != "legacy" and _ORBIT_COUNTING
+        return self._kernel != "legacy"
 
     def orbit_tail(self) -> Tuple[int, int]:
         """``(tau, arrangements)``: the interchangeable matching-order tail.
@@ -935,17 +914,10 @@ class SubgraphEnumerator:
         self.cursor += 1
         return word
 
-    def steal_one(self) -> Optional[int]:
-        """Steal one extension from the *tail* (the victim keeps its cursor)."""
-        if self.cursor >= len(self.extensions):
-            return None
-        return self.extensions.pop()
-
     def steal_chunk(self, count: int) -> List[int]:
         """Steal up to ``count`` extensions from the tail, in original order.
 
-        ``steal_chunk(1)`` moves exactly the extension ``steal_one`` would,
-        so the one-at-a-time policy is the ``count == 1`` special case.  The
+        The one-at-a-time policy is the ``count == 1`` special case.  The
         victim keeps its cursor and the head of the list; the tail slice is
         handed to the thief untouched, preserving enumeration order of each
         individual extension no matter how the work was partitioned.

@@ -16,7 +16,6 @@ from .symmetry import (
     minimal_restriction_set,
     restriction_conditions_for_group,
     satisfies_conditions,
-    set_symmetry_construction,
     symmetry_breaking_conditions,
     symmetry_plan,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "minimal_restriction_set",
     "restriction_conditions_for_group",
     "satisfies_conditions",
-    "set_symmetry_construction",
     "symmetry_breaking_conditions",
     "symmetry_plan",
     "edge_adjacency",

@@ -40,10 +40,10 @@ kernel uses it to symmetry-break its *core* walk with the projection of
 the core-stabilizing automorphisms (see ``repro.pattern.decompose``).
 
 Results are cached per pattern instance (``Pattern._symcache``), keyed by
-construction flavor, matching order and graph identity — per-core
-strategies of the simulated cluster share one pattern object, so the
-optimizer runs once per (pattern, order, graph) instead of once per core
-per step; hits are metered as ``Metrics.symmetry_cache_hits``.
+matching order and graph identity — per-core strategies of the simulated
+cluster share one pattern object, so the optimizer runs once per
+(pattern, order, graph) instead of once per core per step; hits are
+metered as ``Metrics.symmetry_cache_hits``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "restriction_conditions_for_group",
     "minimal_restriction_set",
     "symmetry_plan",
-    "set_symmetry_construction",
     "conditions_by_position",
     "satisfies_conditions",
 ]
@@ -84,25 +83,6 @@ EXACT_SCORE_MAX_PREFIX = 7
 # available (``graph=None``): each level is assumed this many times wider
 # than the previous one.
 DEFAULT_LEVEL_FANOUT = 4.0
-
-# Default construction flavor.  ``"minimal"`` is the GraphZero-style
-# optimizer; ``"heuristic"`` forces the classic min-anchor construction
-# everywhere — an A/B knob for benchmarks (``bench_symmetry.py``), not a
-# user-facing setting.
-_CONSTRUCTION = "minimal"
-
-
-def set_symmetry_construction(name: str) -> str:
-    """Select the global construction flavor; returns the previous one."""
-    global _CONSTRUCTION
-    if name not in ("minimal", "heuristic"):
-        raise ValueError(
-            f"construction must be 'minimal' or 'heuristic', got {name!r}"
-        )
-    previous = _CONSTRUCTION
-    _CONSTRUCTION = name
-    return previous
-
 
 @dataclass(frozen=True)
 class SymmetryPlan:
@@ -466,30 +446,18 @@ def symmetry_plan(
     The cache lives on the pattern object (per-core strategies and
     repeated steps share it); hits are metered into
     ``metrics.symmetry_cache_hits`` when a metrics bundle is supplied.
-    The construction flavor (:func:`set_symmetry_construction`) is part
-    of the key so benchmark A/B runs never cross-contaminate.
     """
     cache = pattern._symcache
     if cache is None:
         cache = {}
         pattern._symcache = cache
-    key = (_CONSTRUCTION, tuple(order), _graph_key(graph))
+    key = (tuple(order), _graph_key(graph))
     plan = cache.get(key)
     if plan is not None:
         if metrics is not None:
             metrics.symmetry_cache_hits += 1
         return plan
-    if _CONSTRUCTION == "heuristic":
-        heuristic = heuristic_symmetry_breaking_conditions(pattern)
-        plan = SymmetryPlan(
-            conditions=tuple(heuristic),
-            checks=_freeze_checks(conditions_by_position(heuristic, order)),
-            heuristic_size=len(heuristic),
-            group_order=len(automorphisms(pattern)),
-            candidates_searched=0,
-        )
-    else:
-        plan = minimal_restriction_set(pattern, order, graph)
+    plan = minimal_restriction_set(pattern, order, graph)
     cache[key] = plan
     return plan
 
@@ -508,8 +476,6 @@ def symmetry_breaking_conditions(
     ``order``/``graph`` to score candidates against a concrete matching
     order and graph statistics.
     """
-    if _CONSTRUCTION == "heuristic":
-        return heuristic_symmetry_breaking_conditions(pattern)
     return list(minimal_restriction_set(pattern, order, graph).conditions)
 
 

@@ -131,13 +131,6 @@ class ClusterConfig:
     record_timeline: bool = False
     fail_at: Optional[Dict[int, float]] = None
     fault_plan: Optional[FaultPlan] = None
-    # Two-level aggregation shuffle (DESIGN §5, docs/internals.md §9).
-    # ``agg_entry_budget`` bounds each core's map-side combiner: above
-    # the budget the coldest entries spill and are re-reduced during the
-    # worker-level combine (None = unbounded, the default).  The worker
-    # combine and the driver-ward entry shipping are charged to the
-    # simulated clock.
-    agg_entry_budget: Optional[int] = None
     # How much work one successful steal moves (docs/internals.md §10).
     # ``"one"`` — a single extension per steal, bit-identical to the
     # original engine (clocks, metrics and results unchanged).
@@ -214,8 +207,6 @@ class ClusterConfig:
             raise ValueError(
                 f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
             )
-        if self.agg_entry_budget is not None and self.agg_entry_budget < 1:
-            raise ValueError("agg_entry_budget must be >= 1 (or None)")
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
@@ -990,8 +981,7 @@ class ClusterEngine:
         self._links = config.link_latency_map() if config.link_latency else None
         cores = self._build_cores(graph, strategy_factory, interner, aggregation_views)
         storages_per_core = [
-            new_storages(primitives, cached_uids, entry_budget=config.agg_entry_budget)
-            for _ in cores
+            new_storages(primitives, cached_uids) for _ in cores
         ]
         partition_info: Optional[Dict[str, object]] = None
         self._word_owner = None
@@ -1839,16 +1829,14 @@ class ClusterEngine:
 
         Level 1 — worker combine, on the simulated clock: per worker, the
         per-core combiner maps fold into one storage per aggregation
-        (cores in id order, a core's spilled entries re-reduced before its
-        live map).  Level 2 — metered ship + driver merge: the combined
-        entries are hash-partitioned, shipped driver-ward at the
+        (cores in id order).  Level 2 — metered ship + driver merge: the
+        combined entries are hash-partitioned, shipped driver-ward at the
         ``agg_ship_*`` rates plus one message latency per non-empty
         partition, then k-way merged in worker order with a per-key
         monotone ``agg_filter`` applied early.
 
-        Under the default config (unbounded combiner) the key
-        first-appearance order and per-key fold order match the seed's
-        sequential merge, so finalized views are byte-identical; the
+        The key first-appearance order and per-key fold order match the
+        seed's sequential merge, so finalized views are byte-identical; the
         shuffle costs land on the first surviving core of each worker and
         move makespan, not results.  Dead cores' storages are still
         merged (seed semantics — results are fault-independent), but a
@@ -1874,15 +1862,10 @@ class ClusterEngine:
                     template.filter_monotone,
                 )
                 entries_in = 0
-                spilled = 0
                 for c in worker_cores:
                     storage = storages_per_core[c.core_id][uid]
-                    spill = storage.spill_pairs()
-                    if spill:
-                        combined.merge_pairs(spill)
-                        spilled += len(spill)
                     combined.merge(storage)
-                    entries_in += len(spill) + len(storage)
+                    entries_in += len(storage)
                 combined_by_uid[uid] = combined
                 if entries_in == 0 or survivor is None:
                     continue
@@ -1899,7 +1882,6 @@ class ClusterEngine:
                 metrics.agg_messages += messages
                 metrics.agg_combine_entries_in += entries_in
                 metrics.agg_combine_entries_out += entries_out
-                metrics.agg_spilled_entries += spilled
                 survivor.agg_entries_shipped += entries_out
                 combine_units = cost.agg_combine_cost(entries_in)
                 ship_units = cost.agg_ship_cost(entries_out, words, messages)

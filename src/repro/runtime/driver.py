@@ -156,7 +156,6 @@ class ExecutionReport:
                 m.agg_combine_entries_out / entries_in if entries_in else 0.0
             ),
             "combine_units": m.agg_combine_units,
-            "spilled_entries": m.agg_spilled_entries,
         }
 
     def backend_summary(self) -> Dict[str, object]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.aggregation import AggregationStorage, BoundedCombinerStorage
+from ..core.aggregation import AggregationStorage
 from ..core.computation import Computation
 from ..core.enumerator import ExtensionStrategy
 from ..core.primitives import (
@@ -35,34 +35,18 @@ Sink = Callable[[object], None]
 
 
 def new_storages(
-    primitives: Sequence[Primitive],
-    cached_uids,
-    entry_budget: Optional[int] = None,
+    primitives: Sequence[Primitive], cached_uids
 ) -> Dict[int, AggregationStorage]:
-    """Fresh storage for every non-cached aggregation in a step.
-
-    ``entry_budget`` selects the bounded map-side combiner (cluster cores
-    under ``ClusterConfig.agg_entry_budget``); None keeps the unbounded
-    storage.
-    """
+    """Fresh storage for every non-cached aggregation in a step."""
     storages: Dict[int, AggregationStorage] = {}
     for primitive in primitives:
         if isinstance(primitive, Aggregate) and primitive.uid not in cached_uids:
-            if entry_budget is not None:
-                storages[primitive.uid] = BoundedCombinerStorage(
-                    primitive.name,
-                    primitive.reduce_fn,
-                    primitive.agg_filter,
-                    filter_monotone=primitive.agg_filter_monotone,
-                    entry_budget=entry_budget,
-                )
-            else:
-                storages[primitive.uid] = AggregationStorage(
-                    primitive.name,
-                    primitive.reduce_fn,
-                    primitive.agg_filter,
-                    filter_monotone=primitive.agg_filter_monotone,
-                )
+            storages[primitive.uid] = AggregationStorage(
+                primitive.name,
+                primitive.reduce_fn,
+                primitive.agg_filter,
+                filter_monotone=primitive.agg_filter_monotone,
+            )
     return storages
 
 

@@ -9,9 +9,9 @@ The paper's evaluation is expressed in a handful of measurable quantities:
 * work-stealing activity (internal/external steals, steal messages);
 * aggregation-shuffle traffic — entries/words shipped driver-ward after
   the worker-level combine, combine input/output entry counts (their
-  ratio is the map-side combine ratio), metered combine/ship units and
-  bounded-combiner spills.  Kept strictly separate from steal counters
-  so communication-overhead tables can attribute each;
+  ratio is the map-side combine ratio) and metered combine/ship units.
+  Kept strictly separate from steal counters so communication-overhead
+  tables can attribute each;
 * memory footprints (enumerator state, aggregation storage);
 * fault handling — injected/detected failures, detection latency,
   re-enumerated (recovered) work, wasted work units and wasted EC,
@@ -104,7 +104,6 @@ class Metrics:
         "agg_combine_entries_in",
         "agg_combine_entries_out",
         "agg_combine_units",
-        "agg_spilled_entries",
         "peak_enumerator_bytes",
         "peak_aggregation_entries",
         "failures_injected",
@@ -168,7 +167,6 @@ class Metrics:
         self.agg_combine_entries_in = 0
         self.agg_combine_entries_out = 0
         self.agg_combine_units = 0.0
-        self.agg_spilled_entries = 0
         self.peak_enumerator_bytes = 0
         self.peak_aggregation_entries = 0
         self.failures_injected = 0
@@ -232,7 +230,6 @@ class Metrics:
         self.agg_combine_entries_in += other.agg_combine_entries_in
         self.agg_combine_entries_out += other.agg_combine_entries_out
         self.agg_combine_units += other.agg_combine_units
-        self.agg_spilled_entries += other.agg_spilled_entries
         self.failures_injected += other.failures_injected
         self.failures_detected += other.failures_detected
         self.detection_latency_units += other.detection_latency_units

@@ -1,13 +1,13 @@
 """Two-level aggregation pipeline: equivalence and metering properties.
 
 The pipeline's correctness contract: for commutative/associative reduce
-functions, neither the merge order, nor the hash partitioning, nor the
-bounded combiner's spill threshold may change a finalized aggregation
-view.  The hypothesis suites below drive randomized key/value streams and
-cluster shapes through every combination and compare against the seed's
-flat sequential merge; the app-level tests re-assert the same on real
-motifs/FSM workloads, including the update_fn (in-place combining) path
-and the early (streaming, per-key-monotone) aggregation filter.
+functions, neither the merge order nor the hash partitioning may change
+a finalized aggregation view.  The hypothesis suites below drive
+randomized key/value streams and cluster shapes through every
+combination and compare against the seed's flat sequential merge; the
+app-level tests re-assert the same on real motifs/FSM workloads,
+including the update_fn (in-place combining) path and the early
+(streaming, per-key-monotone) aggregation filter.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro import ClusterConfig, FractalContext
 from repro.apps import fsm, motifs
 from repro.core.aggregation import (
     AggregationStorage,
-    BoundedCombinerStorage,
     merge_storages_streaming,
     ship_words,
     stable_partition,
@@ -89,42 +88,6 @@ def test_early_monotone_filter_matches_late_filter(streams, threshold):
     assert list(early) == list(late)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    streams=_core_streams,
-    budget=st.integers(min_value=1, max_value=16),
-)
-def test_spill_threshold_never_changes_views(streams, budget):
-    """Bounded combiners spill coldest entries; finalized views are equal."""
-    reduce_fn = lambda a, b: a + b
-
-    unbounded = [
-        _fill(AggregationStorage("s", reduce_fn), records) for records in streams
-    ]
-    bounded = [
-        _fill(BoundedCombinerStorage("s", reduce_fn, entry_budget=budget), records)
-        for records in streams
-    ]
-    expected = _flat_seed_merge(unbounded).finalize().to_dict()
-
-    # Worker-level combine re-reduces each core's spilled entries before
-    # its live map — exactly what the cluster's shuffle stage does.
-    combined = AggregationStorage("s", reduce_fn)
-    spilled = 0
-    for storage in bounded:
-        spill = storage.spill_pairs()
-        combined.merge_pairs(spill)
-        spilled += len(spill)
-        combined.merge(storage)
-    assert combined.finalize().to_dict() == expected
-    total = sum(len(records) for records in streams)
-    if total > budget:
-        # The budget is enforced: live maps never exceed it by more than
-        # the pre-spill overshoot of a single add.
-        for storage in bounded:
-            assert len(storage) <= budget
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     streams=_core_streams,
@@ -183,13 +146,6 @@ def test_stable_partition_is_process_independent_for_strings():
     assert stable_partition((1, "a", 2), 5) == stable_partition((1, "a", 2), 5)
 
 
-def test_bounded_combiner_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        BoundedCombinerStorage("s", lambda a, b: a + b, entry_budget=0)
-    with pytest.raises(ValueError):
-        ClusterConfig(workers=1, cores_per_worker=2, agg_entry_budget=0)
-
-
 # ----------------------------------------------------------------------
 # App-level equivalence on the simulated cluster
 # ----------------------------------------------------------------------
@@ -201,7 +157,6 @@ def small_graph():
 CLUSTER_SHAPES = [
     ClusterConfig(workers=1, cores_per_worker=4),
     ClusterConfig(workers=2, cores_per_worker=3),
-    ClusterConfig(workers=2, cores_per_worker=3, agg_entry_budget=3),
     ClusterConfig(workers=3, cores_per_worker=2),
 ]
 
@@ -263,14 +218,6 @@ def test_agg_messages_separate_from_steal_messages(small_graph):
     # aggregation traffic is counted on its own meter.
     assert metrics.steal_messages == 2 * metrics.steals_external
     assert metrics.agg_messages > 0
-
-
-def test_spilled_entries_metered(small_graph):
-    config = ClusterConfig(workers=2, cores_per_worker=2, agg_entry_budget=2)
-    context = FractalContext(engine=config)
-    census = motifs(context.from_graph(small_graph), 3)
-    assert census == motifs(FractalContext().from_graph(small_graph), 3)
-    assert context.last_report.metrics.agg_spilled_entries > 0
 
 
 def test_peak_aggregation_entries_populated_on_cluster(small_graph):

@@ -217,17 +217,11 @@ class TestDecomposedExecution:
         baseline, base_report = _count(graph, pattern, "indexed")
         assert count == baseline
         # The headline quantity this test pins: the inclusion–exclusion
-        # combine must beat *walking* the enumeration tree.  Since the
-        # symmetry PR the indexed kernel bulk-counts its orbit tail on
-        # counting steps (often cheaper still), so measure the walking
-        # baseline with orbit counting off.
-        from repro.core.enumerator import set_orbit_counting
-
-        previous = set_orbit_counting(False)
-        try:
-            _, walk_report = _count(graph, pattern, "indexed")
-        finally:
-            set_orbit_counting(previous)
+        # combine must beat *walking* the enumeration tree.  The indexed
+        # kernel bulk-counts its orbit tail on counting steps (often
+        # cheaper still), so the walking baseline is the legacy kernel.
+        walk_count, walk_report = _count(graph, pattern, "legacy")
+        assert walk_count == count
         assert (
             summary["candidate_units"]
             < walk_report.pattern_kernel_summary()["candidate_units"]

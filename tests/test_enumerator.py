@@ -161,10 +161,10 @@ class TestSubgraphEnumerator:
     def test_steal_takes_from_tail(self):
         enum = SubgraphEnumerator((), [10, 11, 12])
         assert enum.take() == 10
-        assert enum.steal_one() == 12
+        assert enum.steal_chunk(1) == [12]
         assert enum.remaining() == 1
         assert enum.take() == 11
-        assert enum.steal_one() is None
+        assert enum.steal_chunk(1) == []
 
     def test_stealable_flag(self):
         private = SubgraphEnumerator((), [1], stealable=False)

@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro import FractalContext
+from repro import ClusterConfig, FractalContext
 from repro.apps import (
     gdv_similarity,
     graphlet_degree_vectors,
+    motif_census_by_pattern,
+    motif_counts_ignoring_labels,
     motifs,
 )
 from repro.graph import complete_graph, erdos_renyi_graph, path_graph, star_graph
+from repro.runtime.mp_backend import MultiprocessConfig
 
 
 class TestGraphletDegreeVectors:
@@ -121,3 +124,20 @@ class TestGDVSimilarity:
             for b in vertices[:5]:
                 s = gdv_similarity(gdv[a], gdv[b])
                 assert 0.0 <= s <= 1.0
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        "sequential",
+        ClusterConfig(workers=2, cores_per_worker=2),
+        MultiprocessConfig(num_procs=2),
+    ],
+    ids=["sequential", "simulator", "multiprocess"],
+)
+@pytest.mark.parametrize("k", [3, 4])
+def test_census_by_pattern_equals_motifs_on_every_backend(engine, k):
+    """Per-pattern counting + Möbius transform == the aggregation census."""
+    fg = FractalContext().from_graph(erdos_renyi_graph(30, 130, n_labels=2, seed=9))
+    expected = motif_counts_ignoring_labels(motifs(fg, k))
+    assert motif_census_by_pattern(fg, k, engine=engine) == expected

@@ -57,6 +57,8 @@ class TestPatternIdentity:
         p2 = Pattern.from_edge_list([(3, 2), (2, 1), (1, 3), (0, 1)])
         assert p1 == p2
         assert hash(p1) == hash(p2)
+        # The code is computed once per instance, then handed out as is.
+        assert p1.canonical_code() is p1.canonical_code()
 
     def test_non_isomorphic_differ(self):
         triangle_tail = Pattern.from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)])

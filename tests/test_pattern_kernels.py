@@ -367,6 +367,7 @@ class TestConfiguration:
             lambda: ClusterConfig(batch_quantum=4),
             lambda: ClusterConfig(adaptive_max_chunk=8),
             lambda: ClusterConfig(meter_agg_shuffle=False),
+            lambda: ClusterConfig(agg_entry_budget=4),
             lambda: MultiprocessConfig(pattern_kernel="indexed"),
             lambda: MultiprocessConfig(order_policy="cost"),
             lambda: CostModel(gallop_crossover=4),

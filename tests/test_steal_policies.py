@@ -361,15 +361,18 @@ class TestChunkAccounting:
 
     def test_chunking_reduces_steals(self):
         graph = powerlaw_graph(90, attach=5, seed=2)
-        totals = {}
-        for policy in ("one", "half"):
-            report = _clique_fractoid(
-                graph, _config(True, True, policy)
-            ).execute(collect="count")
-            totals[policy] = (
-                report.metrics.steals_internal + report.metrics.steals_external
+        one, half = (
+            _clique_fractoid(graph, _config(True, True, policy)).execute(
+                collect="count"
             )
-        assert totals["half"] <= totals["one"]
+            for policy in ("one", "half")
+        )
+        assert (
+            half.metrics.steals_internal + half.metrics.steals_external
+            <= one.metrics.steals_internal + one.metrics.steals_external
+        )
+        assert half.metrics.steal_messages < one.metrics.steal_messages
+        assert half.simulated_seconds < one.simulated_seconds
 
     def test_per_core_reports_roll_up(self):
         graph = powerlaw_graph(90, attach=5, seed=2)

@@ -26,9 +26,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro import FractalContext, Pattern
-from repro.core import enumerator
+from repro.apps import QUERY_PATTERNS, query_fractoid
 from repro.graph import erdos_renyi_graph
+from repro.harness import bench_patents
 from repro.pattern import (
+    all_connected_patterns,
     automorphisms,
     conditions_by_position,
     count_pattern_matches,
@@ -39,6 +41,13 @@ from repro.pattern import (
     symmetry_plan,
 )
 from repro.runtime.metrics import Metrics
+
+
+def _with_query_examples(test):
+    """Pin q1-q8 as explicit inputs of a hypothesis pattern test."""
+    for name in sorted(QUERY_PATTERNS):
+        test = hypothesis.example(QUERY_PATTERNS[name])(test)
+    return test
 
 
 class TestConditions:
@@ -137,6 +146,7 @@ class TestMinimalRestrictionOracles:
 
     @given(random_pattern())
     @settings(max_examples=60, deadline=None)
+    @_with_query_examples
     def test_minimal_never_larger_than_heuristic(self, pattern):
         plan = minimal_restriction_set(pattern)
         heuristic = heuristic_symmetry_breaking_conditions(pattern)
@@ -203,21 +213,30 @@ class TestOrbitCounting:
         info = report.steps[-1].kernel_info
         assert info["orbit_count"]["executed"] is True
 
-    def test_orbit_knob_round_trips(self):
-        previous = enumerator.set_orbit_counting(False)
-        try:
-            assert enumerator.orbit_counting_enabled() is False
-            graph = erdos_renyi_graph(20, 60, seed=3)
-            star = Pattern.from_edge_list([(0, 1), (0, 2), (0, 3)])
-            fc = FractalContext(engine="sequential")
-            fr = fc.from_graph(graph).pfractoid(star, kernel="indexed").expand(4)
-            report = fr.execute(collect="count")
-            # Counting still exact, but walked one node per embedding.
-            assert report.result_count == count_pattern_matches(star, graph)
-            assert report.metrics.orbit_multiplied_embeddings == 0
-        finally:
-            enumerator.set_orbit_counting(previous)
-        assert enumerator.orbit_counting_enabled() is previous
+    def test_default_kernel_walks_fewer_nodes_than_legacy(self):
+        # Minimal restriction sets + orbit counting + the decomposed count
+        # against the walk-every-embedding baseline, over the k=3,4 motif
+        # census patterns: same counts, >= 2x fewer walked tree nodes
+        # (geomean; stars and paths carry it, cliques sit at ~1x).
+        graph = bench_patents(labeled=False)
+        log_ratios = []
+        for k in (3, 4):
+            for pattern in all_connected_patterns(k):
+                walked = {}
+                counts = {}
+                for kernel in ("legacy", None):
+                    report = query_fractoid(
+                        FractalContext().from_graph(graph), pattern, kernel=kernel
+                    ).execute(collect="count")
+                    metrics = report.metrics
+                    counts[kernel] = report.result_count
+                    walked[kernel] = (
+                        metrics.subgraphs_enumerated
+                        + metrics.decomp_core_embeddings
+                    )
+                assert counts[None] == counts["legacy"]
+                log_ratios.append(math.log(walked["legacy"] / walked[None]))
+        assert math.exp(sum(log_ratios) / len(log_ratios)) >= 2.0
 
 
 # ----------------------------------------------------------------------
