@@ -21,6 +21,14 @@ Extension strategies:
 
 Custom enumerators (paper Appendix B) subclass :class:`ExtensionStrategy`
 — see ``repro.apps.cliques.KClistStrategy``.
+
+A strategy is walked two ways.  The simulated cluster takes one extension
+at a time from explicit enumerator frames and calls ``push``/``pop``/
+``rebuild``.  The sequential executor visits all children of a prefix
+from one frame, :meth:`ExtensionStrategy.children`; the vertex- and
+pattern-induced strategies fuse push, yield and pop there and compute
+once per prefix what its extensions share — the point of Figure 7's
+enumerator.
 """
 
 from __future__ import annotations
@@ -28,7 +36,16 @@ from __future__ import annotations
 from functools import partial
 from itertools import permutations
 from math import comb
-from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..graph.graph import Graph
 from ..pattern.pattern import Pattern, PatternInterner
@@ -40,7 +57,7 @@ from .intersect import (
     level_reads,
     shares_candidates,
 )
-from .subgraph import Subgraph
+from .subgraph import Subgraph, level_tables, vertex_code
 
 __all__ = [
     "ExtensionStrategy",
@@ -125,6 +142,35 @@ class ExtensionStrategy:
     def pop(self, subgraph: Subgraph) -> None:
         """Undo the most recent :meth:`push`."""
         subgraph.pop()
+
+    def children(self, subgraph: Subgraph, words: Iterable[int]) -> Iterator[int]:
+        """Visit the children of ``subgraph``: push each word, yield it, pop.
+
+        The walk protocol of the sequential executor — the body of a
+        ``for`` over this generator runs with the child in place.  A
+        consumer that stops early (``break``, ``close()``, an exception
+        in the body) leaves the current child pushed, exactly as a
+        ``push`` without its ``pop`` would; :meth:`rebuild` recovers.
+
+        This spelling goes through :meth:`push`/:meth:`pop`, so a custom
+        strategy and :class:`EdgeInducedStrategy` inherit it unchanged.
+        :class:`VertexInducedStrategy` and :class:`PatternInducedStrategy`
+        override it with a fused body that inlines their own
+        ``push``/``pop`` and computes what only the prefix determines once
+        per call instead of once per word.  The rule that comes with a
+        fused body: it does not call ``push``/``pop``, so a subclass of
+        those two that overrides either must override ``children`` as
+        well (``children = ExtensionStrategy.children`` gets this
+        spelling back), and to observe the walk per child wrap
+        ``children``, as the multiprocess backend's fetch meter does —
+        a ``push`` shadowed on an instance is not seen.
+        """
+        push = self.push
+        pop = self.pop
+        for word in words:
+            push(subgraph, word)
+            yield word
+            pop(subgraph)
 
     def rebuild(self, subgraph: Subgraph, words: Sequence[int]) -> None:
         """Reset ``subgraph`` to the given word prefix (stolen work)."""
@@ -299,6 +345,121 @@ class VertexInducedStrategy(ExtensionStrategy):
         else:
             self._sub = None
             subgraph.pop()
+
+    def children(self, subgraph: Subgraph, words: Iterable[int]) -> Iterator[int]:
+        """:meth:`push`, yield, :meth:`pop` per word, fused into one frame.
+
+        Hoisted once per prefix: the sync check, the subgraph's lists
+        and the prefix vertices' ``neighbor_set`` rows, ascending by
+        vertex — a child's incident edges come out in :meth:`push`'s
+        order from one lookup per prefix vertex instead of a scan of the
+        word's adjacency.  When the prefix's level is resolved (an
+        earlier sibling was asked for its pattern) the child's is
+        appended right here, from the tables of
+        :func:`~repro.core.subgraph.level_tables` and one lookup in the
+        prefix node's transitions, and the request that follows finds it
+        in place; a transition never taken, or an edge label the prefix
+        does not have, appends nothing and resolves lazily as ever.
+
+        Counters, subgraph and strategy state at every ``yield`` and
+        after every pop are those of :meth:`push`/:meth:`pop`.  A
+        subgraph mutated behind the strategy's back while a child is out
+        is popped the slow way and the frame hoists again.
+
+        Inlined here, to be changed in step with their originals:
+        ``Subgraph.push_vertex``/``pop`` (as is
+        :meth:`PatternInducedStrategy.children`) and the vertex half of
+        the transition key of ``Subgraph._levels_to_depth``.
+        """
+        graph = self.graph
+        metrics = self.metrics
+        offsets = graph.csr()[0]
+        vertices = subgraph.vertices
+        edges = subgraph.edges
+        vertex_set = subgraph.vertex_set
+        edges_per_level = subgraph._edges_per_level
+        vertices_per_level = subgraph._vertices_per_level
+        levels = subgraph._levels
+        stale = True
+        for word in words:
+            if stale:
+                if self._sub is not subgraph or self._ver != subgraph.version:
+                    self._resync(subgraph)
+                depth = len(edges_per_level)
+                k = len(vertices)
+                n_edges = len(edges)
+                rows = [graph.neighbor_set(v) for v in sorted(vertices)]
+                parent = tables = None
+                stale = False
+            incident = []
+            for row in rows:
+                if word in row:
+                    incident.append(row[word])
+            metrics.adjacency_scans += offsets[word + 1] - offsets[word]
+            vertices.append(word)
+            vertex_set.add(word)
+            edges.extend(incident)
+            edges_per_level.append(len(incident))
+            vertices_per_level.append(1)
+            self._ver = subgraph.version = subgraph.version + 1
+            if len(levels) > depth > 0:
+                if levels[depth] is not parent:
+                    parent = levels[depth]
+                    tables = level_tables(parent, k, n_edges)
+                    if tables is not None:
+                        ecodes, child_of = tables
+                        vcodes = {}  # label -> vertex_code(vdistinct, label)
+                        vdistinct, edistinct, _ = parent[0]
+                        vlabels = graph.vertex_labels()
+                        src, dst, elabels = graph.edge_arrays()
+                        position = {v: i for i, v in enumerate(vertices[:k])}
+                if tables is not None:
+                    label = vlabels[word]
+                    entry = vcodes.get(label)
+                    if entry is None:
+                        entry = vcodes[label] = vertex_code(vdistinct, label)
+                    key = [entry[0]]
+                    for eid in incident:
+                        code = ecodes.get(elabels[eid])
+                        if code is None:
+                            break
+                        if src[eid] == word:
+                            key += (k, position[dst[eid]], code)
+                        else:
+                            key += (position[src[eid]], k, code)
+                    else:
+                        child = child_of(tuple(key))
+                        if child is not None:
+                            levels.append(
+                                (
+                                    (entry[1], edistinct, child),
+                                    k + 1,
+                                    n_edges + len(incident),
+                                )
+                            )
+            yield word
+            if self._sub is subgraph and self._ver == subgraph.version:
+                undo = self._undo
+                if undo and len(undo) == k + 1:
+                    added, displaced = undo.pop()
+                    first = self._first
+                    for u in added:
+                        del first[u]
+                    self._folded_set.discard(word)
+                    if displaced is not None:
+                        first[word] = displaced
+                    self._degsum.pop()
+                vertices_per_level.pop()
+                if edges_per_level.pop():
+                    del edges[n_edges:]
+                vertex_set.discard(vertices.pop())
+                self._ver = subgraph.version = subgraph.version + 1
+                if len(levels) > depth + 1:
+                    levels.pop()
+            else:
+                self._sub = None
+                subgraph.pop()
+                stale = True
 
 
 class EdgeInducedStrategy(ExtensionStrategy):
@@ -864,6 +1025,58 @@ class PatternInducedStrategy(ExtensionStrategy):
         if self._depth_patterns[depth] is None:
             self._depth_patterns[depth] = subgraph.pattern_memo()
         subgraph.pop()
+
+    def children(self, subgraph: Subgraph, words: Iterable[int]) -> Iterator[int]:
+        """:meth:`push`, yield, :meth:`pop` per word, fused into one frame.
+
+        The position, its depth's pattern memo and the ``neighbor_set``
+        rows of the matched back neighbours are the prefix's: a child's
+        incident edges are one lookup per back edge in rows its siblings
+        share, not one ``edge_between`` call building a row per word.
+        Nothing is resolved at push here — a matched prefix's pattern is
+        fixed by its depth and seeded from ``_depth_patterns``.
+        """
+        vertices = subgraph.vertices
+        edges = subgraph.edges
+        vertex_set = subgraph.vertex_set
+        edges_per_level = subgraph._edges_per_level
+        vertices_per_level = subgraph._vertices_per_level
+        levels = subgraph._levels
+        depth_patterns = self._depth_patterns
+        rows = None
+        for word in words:
+            if rows is None:
+                # Not before the first word: past the pattern's size
+                # there are no words and no back edges to look up.
+                pos = len(vertices)
+                n_edges = len(edges)
+                depth = len(edges_per_level)
+                neighbor_set = self.graph.neighbor_set
+                rows = [
+                    neighbor_set(vertices[back_pos])
+                    for back_pos, _ in self._back_edges[pos]
+                ]
+            for row in rows:
+                edges.append(row.get(word, -1))
+            vertices.append(word)
+            vertex_set.add(word)
+            edges_per_level.append(len(rows))
+            vertices_per_level.append(1)
+            subgraph.version = version = subgraph.version + 1
+            memo = depth_patterns[pos]
+            if memo is not None:
+                subgraph._pat_cache = memo
+                subgraph._pat_version = version
+            yield word
+            if memo is None:
+                depth_patterns[pos] = subgraph.pattern_memo()
+            edges_per_level.pop()
+            vertices_per_level.pop()
+            del edges[n_edges:]
+            vertex_set.discard(vertices.pop())
+            subgraph.version += 1
+            if len(levels) > depth + 1:
+                levels.pop()
 
 
 class SubgraphEnumerator:

@@ -21,6 +21,10 @@ resolved only when a pattern is asked for at or above them and dropped on
 transition lookup plus one lookup in the interner's table
 (``PatternInterner.intern`` with the level's rank-compressed part handed
 over) — the quotient is rebuilt only the first time a transition is taken.
+A strategy's child visitor (``ExtensionStrategy.children``) may append a
+child's level itself as it pushes, once the prefix's is resolved, from
+:func:`level_tables` and :func:`vertex_code`; the request then finds it
+in place.
 """
 
 from __future__ import annotations
@@ -110,7 +114,13 @@ class Subgraph:
         self._vertices_per_level.append(added)
 
     def pop(self) -> None:
-        """Undo the most recent push."""
+        """Undo the most recent push.
+
+        The fused child visitors (``VertexInducedStrategy.children``,
+        ``PatternInducedStrategy.children``) inline :meth:`push_vertex`
+        and this method, the level rule below included — keep them in
+        step.
+        """
         n_edges = self._edges_per_level.pop()
         n_vertices = self._vertices_per_level.pop()
         if n_edges:
@@ -232,6 +242,11 @@ class Subgraph:
         hence parent node and key determine the child's rank structure;
         vertex entries are the negative ones, so a key parses one way.
         A transition never taken before finds its child from scratch.
+
+        ``VertexInducedStrategy.children`` builds the same key for one
+        pushed vertex from :func:`level_tables` and :func:`vertex_code`
+        and appends the level at push when the transition is known; a
+        change to the key or the level format is a change there too.
         """
         levels = self._levels
         level = levels[-1]
@@ -250,13 +265,8 @@ class Subgraph:
             first = n_vertices
             n_vertices += self._vertices_per_level[d]
             for v in vertices[first:n_vertices]:
-                label = vlabels[v]
-                if label in vdistinct:
-                    key.append(~(vdistinct.index(label) << 1))
-                else:
-                    slot = bisect_left(vdistinct, label)
-                    key.append(~(slot << 1 | 1))
-                    vdistinct = vdistinct[:slot] + (label,) + vdistinct[slot:]
+                code, vdistinct = vertex_code(vdistinct, vlabels[v])
+                key.append(code)
             first = n_edges
             n_edges += self._edges_per_level[d]
             for eid in edges[first:n_edges]:
@@ -335,6 +345,38 @@ class Subgraph:
 
 # Level 0 of every subgraph: the empty structure.
 _ROOT_LEVEL = (((), (), dfscode.ROOT), 0, 0)
+
+
+def vertex_code(
+    vdistinct: Tuple[int, ...], label: int
+) -> Tuple[int, Tuple[int, ...]]:
+    """A new vertex's entry in a transition key, and the labels after it.
+
+    ``~(2 * slot + new)`` for ``label`` among the sorted distinct vertex
+    labels ``vdistinct`` (see :meth:`Subgraph._levels_to_depth`), with
+    ``vdistinct`` itself or the copy that has ``label`` inserted.
+    """
+    if label in vdistinct:
+        return ~(vdistinct.index(label) << 1), vdistinct
+    slot = bisect_left(vdistinct, label)
+    return ~(slot << 1 | 1), vdistinct[:slot] + (label,) + vdistinct[slot:]
+
+
+def level_tables(level: tuple, n_vertices: int, n_edges: int) -> Optional[tuple]:
+    """What a child visitor hoists from its prefix's resolved ``level``.
+
+    ``(ecodes, child_of)``: the transition-key entry of every edge label
+    the prefix has (a label it has not would shift ranks within one push
+    — left to :meth:`Subgraph._levels_to_depth`) and the prefix node's
+    ``children.get``.  ``None`` when the level does not describe a prefix
+    of ``n_vertices`` and ``n_edges``: the word lists were filled without
+    push and no transition says how.
+    """
+    (_, edistinct, node), level_vertices, level_edges = level
+    if level_vertices != n_vertices or level_edges != n_edges:
+        return None
+    ecodes = {label: slot << 1 for slot, label in enumerate(edistinct)}
+    return ecodes, node.children.get
 
 
 class SubgraphResult:

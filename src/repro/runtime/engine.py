@@ -1,8 +1,11 @@
 """Sequential DFS step executor (paper Algorithm 1).
 
 One fractal step = a pipelined primitive sequence.  The executor walks the
-primitive array recursively: an extension primitive loops over the
-canonical extensions of the current subgraph, reusing one
+primitive array recursively: an extension primitive visits the canonical
+extensions of the current subgraph through the strategy's child visitor
+(:meth:`~repro.core.enumerator.ExtensionStrategy.children` — one frame
+per prefix that pushes, yields and pops each word; the executor never
+calls ``push`` or ``pop`` itself), reusing one
 :class:`~repro.core.subgraph.Subgraph` instance across the whole traversal;
 filters prune; aggregations update their storage and *continue* to the next
 primitive (a strict generalization of the paper's terminal aggregation —
@@ -81,8 +84,7 @@ def run_step_sequential(
     views = computation.aggregation_views
     n = len(primitives)
     strategy_extensions = strategy.extensions
-    strategy_push = strategy.push
-    strategy_pop = strategy.pop
+    children = strategy.children
 
     def process(idx: int) -> None:
         while idx < n:
@@ -107,17 +109,15 @@ def run_step_sequential(
                     if type(tail) is Aggregate:
                         storage = storages.get(tail.uid)
                         if storage is None:
-                            for word in extensions:
-                                strategy_push(subgraph, word)
-                                strategy_pop(subgraph)
+                            for _ in children(subgraph, extensions):
+                                pass
                             return
                         key_fn = tail.key_fn
                         value_fn = tail.value_fn
                         update_fn = tail.update_fn
                         if update_fn is not None:
                             add_inplace = storage.add_inplace
-                            for word in extensions:
-                                strategy_push(subgraph, word)
+                            for _ in children(subgraph, extensions):
                                 add_inplace(
                                     key_fn(subgraph, computation),
                                     subgraph,
@@ -125,22 +125,17 @@ def run_step_sequential(
                                     value_fn,
                                     update_fn,
                                 )
-                                strategy_pop(subgraph)
                         else:
                             add = storage.add
-                            for word in extensions:
-                                strategy_push(subgraph, word)
+                            for _ in children(subgraph, extensions):
                                 add(
                                     key_fn(subgraph, computation),
                                     value_fn(subgraph, computation),
                                 )
-                                strategy_pop(subgraph)
                         metrics.aggregate_updates += len(extensions)
                         return
-                for word in extensions:
-                    strategy_push(subgraph, word)
+                for _ in children(subgraph, extensions):
                     process(next_idx)
-                    strategy_pop(subgraph)
                 return
             if kind is Filter:
                 metrics.filter_calls += 1

@@ -599,7 +599,7 @@ class MultiprocessBackend(ExecutionBackend):
             try:
                 executor = executor_on(shared.attach())
                 if word_owner is not None:
-                    _wrap_push_with_fetch_meter(
+                    _meter_fetches_per_child(
                         executor.strategy, word_owner, slot, executor.metrics
                     )
                 chunks_done = 0
@@ -975,28 +975,31 @@ def _kill_process(proc) -> None:
     proc.join(timeout=2.0)
 
 
-def _wrap_push_with_fetch_meter(
+def _meter_fetches_per_child(
     strategy,
     word_owner: Callable[[int], int],
     worker_id: int,
     metrics: Metrics,
 ) -> None:
-    """Count local/remote adjacency fetches on every word push.
+    """Count a local or remote adjacency fetch for every visited child.
 
-    Pushing a word reads its adjacency list to extend the subgraph; when
-    the word's partition owner is another worker, a distributed
-    deployment would fetch that list across the interconnect.  The
-    wrapper shadows the bound ``push`` with an instance attribute — the
+    Visiting a child reads its word's adjacency list to extend the
+    subgraph; when the word's partition owner is another worker, a
+    distributed deployment would fetch that list across the
+    interconnect.  The sequential executor visits children only through
+    ``strategy.children``, so that is the one name shadowed (by an
+    instance attribute, around whichever visitor the strategy has) — the
     strategy's behavior is unchanged, only the counters move (and with
     them the cost model's ``remote_fetch_units`` pricing).
     """
-    original_push = strategy.push
+    visit = strategy.children
 
-    def metered_push(subgraph, word):
-        if word_owner(word) == worker_id:
-            metrics.local_adjacency_fetches += 1
-        else:
-            metrics.remote_adjacency_fetches += 1
-        return original_push(subgraph, word)
+    def metered_children(subgraph, words):
+        for word in visit(subgraph, words):
+            if word_owner(word) == worker_id:
+                metrics.local_adjacency_fetches += 1
+            else:
+                metrics.remote_adjacency_fetches += 1
+            yield word
 
-    strategy.push = metered_push
+    strategy.children = metered_children

@@ -182,6 +182,11 @@ class TestRemoteFetchMetering:
         m = fc.last_report.metrics
         assert m.remote_adjacency_fetches > 0
         assert m.local_adjacency_fetches > 0
+        # One fetch per visited child, whichever visitor the strategy has.
+        assert (
+            m.local_adjacency_fetches + m.remote_adjacency_fetches
+            == m.subgraphs_enumerated
+        )
         summary = fc.last_report.partition_summary()
         assert summary["strategy"] == "hash"
         assert summary["remote_fetches"] == m.remote_adjacency_fetches

@@ -9,6 +9,13 @@ code and positions of ``minimum_dfs_code(*subgraph.quotient())``, checked
 against the raw branch-and-bound search so the node table never vouches
 for itself — and the *same* ``Pattern`` object however the class was
 reached.  ``tests/test_dfscode.py`` stays the reference for the search.
+
+The strategies' child visitor (``ExtensionStrategy.children``) resolves a
+child's level *at push* once its prefix's is resolved, so the same walks
+also run with siblings visited through ``children()``: every level found
+in place at a node must be the very level the lazy path resolves for that
+state.  The examples at the end pin when a level is resolved at push and
+when it must not be.
 """
 
 from __future__ import annotations
@@ -87,6 +94,17 @@ class _Checker:
         self.thief = STRATEGIES[mode](graph, Metrics(), interner)
         self.thief_subgraph = self.thief.make_subgraph()
         self.nodes = 0
+        self.resolved_at_push = 0
+
+    def at_push(self, subgraph):
+        """A level the child visitor appended is the one the lazy path —
+        ``push`` by ``push`` on another core, then one request — resolves."""
+        assert len(subgraph._levels) == subgraph.depth + 1
+        words = subgraph.vertices if self.mode == "vertex" else subgraph.edges
+        self.thief.rebuild(self.thief_subgraph, list(words))
+        assert len(self.thief_subgraph._levels) == 1
+        assert self.thief_subgraph._levels_to_depth() == subgraph._levels[-1]
+        self.resolved_at_push += 1
 
     def __call__(self, subgraph, seed_memo):
         graph, interner = self.graph, self.interner
@@ -135,15 +153,23 @@ class _Checker:
         self.nodes += 1
 
 
-def _walk(strategy, subgraph, depth, check, rng, check_inner):
+def _walk(strategy, subgraph, depth, check, rng, check_inner, via_children):
     """DFS over every canonical extension; siblings exercise pop-then-push
     of a different word on top of already-resolved levels."""
     extensions = strategy.extensions(subgraph) if depth < MAX_DEPTH else []
     if depth and (check_inner or not extensions):
         check(subgraph, seed_memo=rng.random() < 0.2)
+    if via_children:
+        for _ in strategy.children(subgraph, extensions):
+            # No resolved level outlives its push.
+            assert len(subgraph._levels) <= depth + 2
+            if len(subgraph._levels) == depth + 2:
+                check.at_push(subgraph)
+            _walk(strategy, subgraph, depth + 1, check, rng, check_inner, True)
+        return
     for word in extensions:
         strategy.push(subgraph, word)
-        _walk(strategy, subgraph, depth + 1, check, rng, check_inner)
+        _walk(strategy, subgraph, depth + 1, check, rng, check_inner, False)
         strategy.pop(subgraph)
 
 
@@ -160,11 +186,26 @@ _RANK_SHIFT = ((5, 6, 7, 1), ((0, 1, 4), (1, 2, 4), (2, 3, 2)))
     check_inner=st.booleans(),
     cold=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
+    via_children=st.booleans(),
 )
-@example(spec=_RANK_SHIFT, mode="vertex", check_inner=True, cold=True, seed=0)
-@example(spec=_RANK_SHIFT, mode="edge", check_inner=False, cold=True, seed=0)
+@example(
+    spec=_RANK_SHIFT, mode="vertex", check_inner=True, cold=True, seed=0,
+    via_children=False,
+)
+@example(
+    spec=_RANK_SHIFT, mode="edge", check_inner=False, cold=True, seed=0,
+    via_children=False,
+)
+@example(
+    spec=_RANK_SHIFT, mode="vertex", check_inner=True, cold=False, seed=0,
+    via_children=True,
+)
+@example(
+    spec=_RANK_SHIFT, mode="edge", check_inner=True, cold=False, seed=0,
+    via_children=True,
+)
 def test_transition_derived_equals_from_scratch(
-    spec, mode, check_inner, cold, seed
+    spec, mode, check_inner, cold, seed, via_children
 ):
     if cold:
         dfscode.clear_code_cache()
@@ -175,8 +216,10 @@ def test_transition_derived_equals_from_scratch(
     check = _Checker(graph, mode, interner, rng)
     # check_inner=False asks at the leaves only, so inner levels resolve
     # lazily, several at a time, from whatever a sibling left behind.
-    _walk(strategy, strategy.make_subgraph(), 0, check, rng, check_inner)
+    subgraph = strategy.make_subgraph()
+    _walk(strategy, subgraph, 0, check, rng, check_inner, via_children)
     assert check.nodes > 0
+    assert subgraph._levels == [subgraph._levels[0]]
     # One table: every request above found or created its class there.
     assert len(interner) == len(
         {pattern.canonical_code() for pattern in interner._patterns.values()}
@@ -287,3 +330,118 @@ def test_level_held_across_a_clear_still_resolves(triangle_graph):
     assert (pattern.canonical_code(), positions) == dfscode.minimum_dfs_code(
         *subgraph.quotient()
     )
+
+
+# ----------------------------------------------------------------------
+# Levels resolved at push by the child visitor
+# ----------------------------------------------------------------------
+
+
+def _visit_children(graph, prefix, between=None):
+    """Rebuild ``prefix`` and visit its children through ``children()``,
+    asking every child for its pattern.  Per child: its word, whether its
+    level was in place before the request, the level after it, and the
+    request checked against the raw search."""
+    interner = PatternInterner()
+    strategy = VertexInducedStrategy(graph, Metrics(), interner)
+    subgraph = strategy.make_subgraph()
+    strategy.rebuild(subgraph, prefix)
+    depth = subgraph.depth
+    seen = []
+    for word in strategy.children(subgraph, strategy.extensions(subgraph)):
+        at_push = len(subgraph._levels) == depth + 2
+        pattern, positions = subgraph.pattern_with_positions()
+        assert (
+            pattern.canonical_code(),
+            positions,
+        ) == dfscode._minimum_dfs_code_search(*subgraph.quotient())
+        assert len(subgraph._levels) == depth + 2
+        seen.append((word, at_push, subgraph._levels[-1]))
+        if between is not None:
+            between()
+    # No resolved level outlives its push: the prefix's own is the last.
+    assert len(subgraph._levels) == depth + 1
+    return seen, interner
+
+
+def test_new_smaller_vertex_label_arriving_last_is_resolved_at_push():
+    # Prefix 0-1 with labels (5, 6); its children 2 (label 7) and 3 (label
+    # 1: unseen and smaller, so every rank resolved so far shifts).
+    graph = _build(((5, 6, 7, 1), ((0, 1, 4), (1, 2, 4), (1, 3, 4))))
+    dfscode.clear_code_cache()
+    cold, _ = _visit_children(graph, [0, 1])
+    # Cold table: the first child resolves its prefix lazily; the second
+    # finds the prefix resolved but its transition was never taken.
+    assert [(word, at_push) for word, at_push, _ in cold] == [
+        (2, False),
+        (3, False),
+    ]
+    warm, _ = _visit_children(graph, [0, 1])
+    assert [(word, at_push) for word, at_push, _ in warm] == [
+        (2, False),  # nobody asked under this prefix yet
+        (3, True),
+    ]
+    # The level found in place is the one the lazy path had resolved.
+    assert warm[1][2] == cold[1][2]
+    assert warm[1][2][0][0] == (1, 5, 6)
+
+
+def test_new_edge_label_among_the_incident_edges_falls_back():
+    # Child 3 arrives over an edge label (2) its prefix does not have: a
+    # new edge label shifts ranks within the push, so even a warm table
+    # leaves it to the lazy path.
+    graph = _build(((5, 6, 7, 7), ((0, 1, 4), (1, 2, 4), (1, 3, 2))))
+    dfscode.clear_code_cache()
+    _visit_children(graph, [0, 1])
+    warm, _ = _visit_children(graph, [0, 1])
+    assert [(word, at_push) for word, at_push, _ in warm] == [
+        (2, False),
+        (3, False),
+    ]
+    assert warm[1][2][0][1] == (2, 4)
+    # The same child over a label the prefix has is resolved at push.
+    graph = _build(((5, 6, 7, 7), ((0, 1, 4), (1, 2, 4), (1, 3, 4))))
+    _visit_children(graph, [0, 1])
+    warm, _ = _visit_children(graph, [0, 1])
+    assert [at_push for _, at_push, _ in warm] == [False, True]
+
+
+def test_table_cleared_between_siblings():
+    # The subgraph keeps walking off the nodes it holds; every request
+    # after the clear is still checked against the raw search.
+    graph = _build(
+        ((5, 6, 7, 1, 7), ((0, 1, 4), (1, 2, 4), (1, 3, 4), (0, 4, 4), (2, 4, 4)))
+    )
+    dfscode.clear_code_cache()
+    _visit_children(graph, [0, 1])
+    seen, _ = _visit_children(graph, [0, 1], between=dfscode.clear_code_cache)
+    assert [word for word, _, _ in seen] == [2, 3, 4]
+
+
+def test_prefix_never_asked_resolves_nothing():
+    # A filter-only walk (the clique filter of Listing 2) never asks for a
+    # pattern: no level is resolved at push and nobody calls intern().
+    graph = _build(
+        (
+            (1, 2, 3, 1, 2),
+            ((0, 1, 0), (0, 2, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0), (3, 4, 0)),
+        )
+    )
+    interner = PatternInterner()
+    strategy = VertexInducedStrategy(graph, Metrics(), interner)
+    subgraph = strategy.make_subgraph()
+    cliques = []
+
+    def walk(depth):
+        for _ in strategy.children(subgraph, strategy.extensions(subgraph)):
+            assert len(subgraph._levels) == 1
+            if subgraph.edges_added_last() != subgraph.n_vertices - 1:
+                continue
+            if depth == 2:
+                cliques.append(tuple(subgraph.vertices))
+            else:
+                walk(depth + 1)
+
+    walk(0)
+    assert cliques == [(0, 1, 2), (1, 2, 3)]
+    assert interner.hits + interner.misses == 0
