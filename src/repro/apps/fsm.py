@@ -50,7 +50,7 @@ class FSMResult:
         """
         if self._patterns is None:
             self._patterns = sorted(
-                self.frequent, key=lambda p: (p.n_edges, p.canonical_code())
+                self.frequent, key=lambda p: (p.n_edges, p)
             )
         return self._patterns
 

@@ -312,6 +312,7 @@ def _print_backend(report) -> None:
             f"shipped {summary.get('entries_shipped', 0)} entries "
             f"({summary.get('shipped_bytes', 0)} bytes), "
             f"wall {summary.get('wall_seconds', 0.0):.3f}s"
+            f" (driver fold {summary.get('fold_seconds', 0.0):.3f}s)"
         )
     if (
         summary.get("workers_lost")
@@ -441,7 +442,7 @@ def _run_app(args) -> int:
                 # backend's merge order filled the census.
                 for p, c in sorted(
                     census.items(),
-                    key=lambda kv: (-kv[1], kv[0].canonical_code()),
+                    key=lambda kv: (-kv[1], kv[0]),
                 )[:20]
             ],
             title=f"{args.k}-vertex motifs on {graph.name} (top 20)",

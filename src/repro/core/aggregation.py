@@ -15,11 +15,11 @@ reduction before moving on, which lets a provably per-key-monotone
 instead of materializing the full unfiltered mapping first.
 
 :func:`encode_entries` / :func:`decode_entries` are the wire format of a
-storage's entries between processes: pattern keys travel as their
-canonical DFS codes packed into one flat integer array (DIMSpan's point:
-integer-array codes and cheap (de)serialization before the shuffle are
-what let pattern-keyed aggregation scale), and the receiver builds one
-``Pattern`` per distinct code.
+storage's entries between processes: pattern keys travel as the flat
+canonical codes they hold, laid end to end in one integer array
+(DIMSpan's point: integer-array codes and cheap (de)serialization before
+the shuffle are what let pattern-keyed aggregation scale), and the
+receiver slices one ``Pattern`` per distinct code back out.
 
 :class:`DomainSupport` implements the *minimum image-based support*
 [Bringmann & Nijssen 2008] adopted by the paper for FSM: for each canonical
@@ -46,6 +46,7 @@ from typing import (
     Tuple,
 )
 
+from ..pattern.dfscode import nested_code
 from ..pattern.pattern import Pattern
 
 __all__ = [
@@ -239,30 +240,30 @@ def _int_array(values: List[int]) -> array:
 def encode_entries(pairs: Iterable[Tuple[Any, Any]]) -> bytes:
     """Wire form of ``(key, value)`` entries crossing a process boundary.
 
-    A :class:`Pattern` key ships as its canonical DFS code and nothing
-    else: the codes of all keys are concatenated into one flat integer
-    array (five integers per code tuple) next to an array of code
-    lengths, so a labeled 4-vertex pattern costs ~20 bytes instead of
-    the ~140 its pickled slots took.  Keys of any other type (length 0
-    in the lengths array) and all values are pickled as they are.
+    A :class:`Pattern` key ships as its flat canonical code — the tuple
+    of ints it already holds, five per DFS-code tuple — and nothing else:
+    the codes of all keys are concatenated into one integer array next to
+    an array of their lengths in ints, each in the narrowest signed type
+    that fits, so a labeled 4-vertex pattern costs ~20 bytes instead of
+    the ~140 its pickled slots took.  Keys of any other type (length 0 in
+    the lengths array) and all values are pickled as they are.
     """
     pairs = list(pairs)
-    codes: List[Tuple] = []
+    codes: List[Tuple[int, ...]] = []
     lengths: List[int] = []
     others: List[Any] = []
     for key, _ in pairs:
         if type(key) is Pattern:
-            code = key.canonical_code()
+            code = key._flat
             codes.append(code)
             lengths.append(len(code))
         else:
             others.append(key)
             lengths.append(0)
-    flat = list(chain.from_iterable(chain.from_iterable(codes)))
     return pickle.dumps(
         (
             _int_array(lengths),
-            _int_array(flat),
+            _int_array(list(chain.from_iterable(codes))),
             others,
             [value for _, value in pairs],
         ),
@@ -271,19 +272,19 @@ def encode_entries(pairs: Iterable[Tuple[Any, Any]]) -> bytes:
 
 
 def decode_entries(
-    buffer: bytes, patterns: Dict[Tuple, Pattern]
+    buffer: bytes, patterns: Dict[Tuple[int, ...], Pattern]
 ) -> List[Tuple[Any, Any]]:
     """Inverse of :func:`encode_entries`; entry order is preserved.
 
-    ``patterns`` is the receiver's code -> ``Pattern`` table, shared
-    across payloads: a pattern is built (by
-    :meth:`Pattern.from_canonical_code`, never by re-running the minimum
-    DFS-code search) only the first time its code is seen, and every
-    later entry with that code gets the same object.  Only decode bytes
-    this program's own workers produced — the buffer is a pickle.
+    ``patterns`` is the receiver's flat code -> ``Pattern`` table, shared
+    across payloads: each entry's code is one slice of the integer array,
+    a pattern is built (by :meth:`Pattern.from_flat_code` — no structure,
+    no minimum DFS-code search) only the first time its code is seen, and
+    every later entry with that code gets the same object.  Only decode
+    bytes this program's own workers produced — the buffer is a pickle.
     """
     lengths, flat, others, values = pickle.loads(buffer)
-    rows = list(zip(*[iter(flat)] * 5))
+    ints = tuple(flat)  # so that a slice is the code itself, not a copy of one
     other_keys = iter(others)
     keys: List[Any] = []
     start = 0
@@ -291,11 +292,12 @@ def decode_entries(
         if not length:
             keys.append(next(other_keys))
             continue
-        code = tuple(rows[start : start + length])
-        start += length
+        end = start + length
+        code = ints[start:end]
+        start = end
         pattern = patterns.get(code)
         if pattern is None:
-            pattern = patterns[code] = Pattern.from_canonical_code(code)
+            pattern = patterns[code] = Pattern.from_flat_code(code)
         keys.append(pattern)
     return list(zip(keys, values))
 
@@ -328,10 +330,11 @@ def _stable_hash(obj: Any) -> int:
         return obj
     if isinstance(obj, Pattern):
         # Folding a canonical code recurses through every code tuple and
-        # a key is partitioned at every shuffle hop: fold once per pattern.
+        # a key is partitioned at every shuffle hop: fold once per pattern
+        # (over a throwaway nested view — the pattern need not keep one).
         folded = obj._shuffle_hash
         if folded is None:
-            folded = obj._shuffle_hash = _stable_hash(obj.canonical_code())
+            folded = obj._shuffle_hash = _stable_hash(nested_code(obj._flat))
         return folded
     if isinstance(obj, str):
         return zlib.crc32(obj.encode("utf-8"))

@@ -43,11 +43,15 @@ intermediate, possibly disconnected prefix — costs no search.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "minimum_dfs_code",
     "code_to_edges",
+    "flat_code",
+    "nested_code",
     "clear_code_cache",
     "RankNode",
     "Template",
@@ -57,6 +61,22 @@ __all__ = [
 ]
 
 Code = Tuple[Tuple[int, int, int, int, int], ...]
+# A code with its 5-tuples laid end to end: what a ``Pattern`` holds, what
+# crosses a process boundary and what orders, hashes and compares exactly
+# as the nested code does (every row has length 5, so the first differing
+# integer of two flat codes sits in the first differing row of the nested
+# ones, and a proper prefix is a prefix either way).
+FlatCode = Tuple[int, ...]
+
+
+def flat_code(code: Code) -> FlatCode:
+    """``code``'s rows laid end to end."""
+    return tuple(chain.from_iterable(code))
+
+
+def nested_code(flat: FlatCode) -> Code:
+    """Inverse of :func:`flat_code`: five integers per row."""
+    return tuple(zip(*[iter(flat)] * 5))
 
 
 class Template:
@@ -67,26 +87,41 @@ class Template:
     canonical-position orbits are the template's too — ``orbits`` is
     filled by the first pattern asked for them (``Pattern.vertex_orbits``)
     and read by every other pattern of this template.
+
+    Labels go in through one precomputed gather: every entry of the flat
+    code (:func:`flat_code`) is either a constant — a discovery index, or
+    the 1-vertex code's ``-1`` fillers — or the label some rank stands
+    for, so the flat code of a labeling is ``itemgetter(*indices)`` over
+    ``constants + vdistinct + edistinct``: one C call, no Python loop
+    over the rows.  A template has a fixed number of distinct vertex
+    ranks (rank compression leaves them dense), so the offsets of the
+    two label runs are fixed too.
     """
 
-    __slots__ = ("code", "orbits")
+    __slots__ = ("code", "orbits", "_constants", "_gather")
 
     def __init__(self, code: Code):
         self.code = code
         self.orbits: Optional[Tuple[int, ...]] = None
-
-    def substitute(
-        self, vdistinct: Sequence[int], edistinct: Sequence[int]
-    ) -> Code:
-        """The code with rank ``r`` replaced by the ``r``-th label."""
-        if not edistinct:  # (0, 0, label, -1, -1): the 1-vertex pattern
-            return ((0, 0, vdistinct[0], -1, -1),)
-        return tuple(
-            [
-                (i, j, vdistinct[li], edistinct[le], vdistinct[lj])
-                for i, j, li, le, lj in self.code
+        if code[0][1] == 0:  # (0, 0, rank 0, -1, -1): the 1-vertex pattern
+            self._constants: Tuple[int, ...] = (0, -1)
+            indices = [0, 0, 2, 1, 1]
+        else:
+            n = 1 + max(j for _, j, _, _, _ in code)
+            self._constants = tuple(range(n))
+            e0 = n + 1 + max(max(li, lj) for _, _, li, _, lj in code)
+            indices = [
+                index
+                for i, j, li, le, lj in code
+                for index in (i, j, n + li, e0 + le, n + lj)
             ]
-        )
+        self._gather = itemgetter(*indices)
+
+    def flat_code(
+        self, vdistinct: Tuple[int, ...], edistinct: Tuple[int, ...]
+    ) -> FlatCode:
+        """The flat code with rank ``r`` replaced by the ``r``-th label."""
+        return self._gather(self._constants + vdistinct + edistinct)
 
 
 class RankNode:
@@ -214,17 +249,17 @@ def minimum_dfs_code(
             enumerates connected subgraphs only).
 
     The from-scratch entry of the node table: rank-compress, find the
-    node, search its template if nobody has, and substitute the labels
-    back into it.  Distinct label values collapse onto few nodes (e.g.
-    all 29-label triangles share a handful), so almost every call is a
-    dict lookup plus the substitution.
+    node, search its template if nobody has, and gather the labels back
+    into it.  Distinct label values collapse onto few nodes (e.g. all
+    29-label triangles share a handful), so almost every call is a dict
+    lookup plus the gather.
     """
     vdistinct, edistinct, node = rank_node(vertex_labels, edges)
     template = node.template
     if template is None:
         code, node.mapping = _minimum_dfs_code_search(node.vranks, node.redges)
         template = node.template = _shared_template(code)
-    return template.substitute(vdistinct, edistinct), node.mapping
+    return nested_code(template.flat_code(vdistinct, edistinct)), node.mapping
 
 
 def _minimum_dfs_code_search(

@@ -29,14 +29,49 @@ __all__ = ["Pattern", "PatternInterner"]
 class Pattern:
     """An immutable labeled graph template identified by its canonical code.
 
-    Vertices are ``0..n-1``.  ``edges`` holds ``(a, b, edge_label)`` tuples
-    with ``a < b``.  Two patterns compare equal iff their canonical DFS
-    codes are equal, i.e. iff they are isomorphic as labeled graphs.
+    Vertices are ``0..n_vertices-1``.  ``edges`` holds the ``n_edges``
+    ``(a, b, edge_label)`` tuples, ``a < b``.  Two patterns compare equal
+    iff their canonical DFS codes are equal, i.e. iff they are isomorphic
+    as labeled graphs.
+
+    What a pattern *holds* depends on how it was made; everything else is
+    a view, filled on first read and kept:
+
+    * an **engine-made** pattern (:meth:`from_flat_code`: an interner
+      miss, the wire decoder, unpickling) holds its flat canonical code —
+      one tuple of ints, five per DFS-code tuple (``dfscode.FlatCode``) —
+      and its hash.  Vertex ``p`` *is* canonical position ``p``, so
+      ``vertex_labels`` / ``edges`` are ``dfscode.code_to_edges`` of the
+      code and ``canonical_vertex_map()`` is the identity, but none of
+      them exists until somebody reads it: a census of 50,000 patterns
+      that are only counted builds 50,000 flat tuples and nothing else.
+    * a **user-built** pattern (``Pattern(labels, edges)`` and the
+      helpers below) holds the structure it was given, in the caller's
+      vertex numbering; its flat code and canonical map come from one
+      minimum-DFS-code search, run on first hash / compare /
+      ``canonical_code()``.
+
+    Identity is the flat code's either way: ``==``, ``hash`` and ``<``
+    read it, and flat order *is* nested order (see ``dfscode.FlatCode``),
+    so a user-built pattern equals, hashes with and sorts like its
+    interned twin.  ``canonical_code()`` is the nested view, one more
+    thing built on first read; ``n_vertices`` / ``n_edges`` (hence
+    ``ship_words()``) are read off the code when there is no structure to
+    ask, and none is built for them.
+
+    The views are unset slots, not ``None``s: a read that finds its slot
+    filled is a slot read (28 ns on CPython 3.11 — a class that defines
+    ``__getattr__`` forgoes the interpreter's specialised 7 ns read, but
+    a property per view would cost 45 ns on every read, filled or not),
+    and one that does not lands in :meth:`__getattr__`, which fills it.
     """
 
     __slots__ = (
         "vertex_labels",
         "edges",
+        "n_vertices",
+        "n_edges",
+        "_flat",
         "_code",
         "_canonical_map",
         "_adj",
@@ -69,70 +104,52 @@ class Pattern:
             normalized.append((key[0], key[1], elabel))
         normalized.sort()
         self.edges: Tuple[Tuple[int, int, int], ...] = tuple(normalized)
-        self._code: Optional[Tuple] = None
-        self._canonical_map: Optional[Tuple[int, ...]] = None
-        self._orbits: Optional[Tuple[int, ...]] = None
-        self._pos_orbits: Optional[Tuple[int, ...]] = None
-        self._hash: Optional[int] = None
-        self._adj: Optional[List[List[Tuple[int, int]]]] = None
-        # Lazy cache of compiled symmetry-breaking plans, managed by
-        # ``repro.pattern.symmetry.symmetry_plan`` (keyed by construction
-        # flavor, matching order and graph identity).
-        self._symcache: Optional[dict] = None
-        # The shared template of an interned pattern (orbits are computed
-        # once on it); None for patterns constructed directly.
-        self._template: Optional[dfscode.Template] = None
-        # Shuffle-partition hash of the canonical code, managed by
-        # ``repro.core.aggregation._stable_hash``.
-        self._shuffle_hash: Optional[int] = None
+        self.n_vertices: int = n
+        self.n_edges: int = len(self.edges)
 
     @classmethod
-    def _from_normalized(
-        cls,
-        vertex_labels: Tuple[int, ...],
-        edges: Tuple[Tuple[int, int, int], ...],
-        code: Tuple,
-        canonical_map: Tuple[int, ...],
-    ) -> "Pattern":
-        """Internal fast constructor for pre-validated, pre-canonicalized
-        structures (``a < b``, sorted, no duplicates), skipping
-        re-validation and a redundant code search.
+    def from_flat_code(cls, flat: dfscode.FlatCode) -> "Pattern":
+        """The pattern a flat canonical DFS code denotes, numbered by position.
+
+        The one way the engine makes a pattern — on an interner miss, on
+        first sight of a code off the wire, on unpickling — and it keeps
+        ``flat`` (and its hash) and builds nothing: see the class
+        docstring for what the views will say.  The representative is the
+        same on every receiver and in every interner.  ``flat`` is
+        trusted to be a minimum DFS code; the search is not re-run.
         """
         pattern = cls.__new__(cls)
-        pattern.vertex_labels = vertex_labels
-        pattern.edges = edges
-        pattern._code = code
-        pattern._canonical_map = canonical_map
-        pattern._orbits = None
-        pattern._pos_orbits = None
-        pattern._hash = None
-        pattern._adj = None
-        pattern._symcache = None
-        pattern._template = None
-        pattern._shuffle_hash = None
+        pattern._flat = flat
+        pattern._hash = hash(flat)
         return pattern
 
-    @classmethod
-    def from_canonical_code(cls, code: Tuple) -> "Pattern":
-        """The pattern a canonical DFS code denotes, numbered by position.
-
-        This is how a pattern is rebuilt after crossing a process
-        boundary (only its code is shipped): vertex ``p`` *is* canonical
-        position ``p``, so ``canonical_vertex_map()`` is the identity and
-        the structure is ``dfscode.code_to_edges(code)`` — the same on
-        every receiver, and the one every interner holds for the class.
-        ``code`` is trusted to be a minimum DFS code (it came out of
-        ``canonical_code()``); the search is not re-run.
-        """
-        vertex_labels, edges = dfscode.code_to_edges(code)
-        return cls._from_normalized(
-            vertex_labels, edges, code, tuple(range(len(vertex_labels)))
-        )
-
-    @property
-    def adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Sorted ``(neighbor, edge_label)`` rows per vertex (lazy)."""
-        if self._adj is None:
+    def __getattr__(self, name: str):
+        """Fill the unset slot ``name`` (only a miss gets here) and read it."""
+        if name == "vertex_labels" or name == "edges":
+            # Only an engine-made pattern lacks structure.
+            self.vertex_labels, self.edges = dfscode.code_to_edges(
+                self.canonical_code()
+            )
+        elif name == "n_vertices" or name == "n_edges":
+            # Sizes of an engine-made pattern, read off its code (the shuffle
+            # and ``DomainSupport`` size keys they never look inside): the
+            # last vertex discovered is some row's ``j``, and there is one
+            # row per edge but for the 1-vertex code (0, 0, label, -1, -1).
+            flat = self._flat
+            self.n_vertices = 1 + max(flat[1::5])
+            self.n_edges = len(flat) // 5 if flat[1] else 0
+        elif name == "_flat" or name == "_hash" or name == "_canonical_map":
+            if _is_unset(self, "_flat"):  # user-built: one search fills all
+                code, self._canonical_map = dfscode.minimum_dfs_code(
+                    self.vertex_labels, self.edges
+                )
+                self._flat = dfscode.flat_code(code)
+                self._hash = hash(self._flat)
+            else:  # engine-made: the code and its hash came with it
+                self._canonical_map = tuple(range(self.n_vertices))
+        elif name == "_code":
+            self._code = dfscode.nested_code(self._flat)
+        elif name == "_adj":
             adj: List[List[Tuple[int, int]]] = [
                 [] for _ in range(len(self.vertex_labels))
             ]
@@ -142,6 +159,32 @@ class Pattern:
             for row in adj:
                 row.sort()
             self._adj = adj
+        elif name in _CACHE_SLOTS:
+            setattr(self, name, None)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return getattr(self, name)
+
+    def __reduce__(self):
+        """Ship what the pattern *is*, never the views it has filled.
+
+        A pattern numbered by canonical position is its flat code — the
+        receiver gets an engine-made pattern with no structure until
+        read.  Any other numbering is the caller's (``pfractoid(pattern)``
+        matches in it), so the constructor arguments go instead.
+        """
+        if not _is_unset(self, "_flat") and (
+            _is_unset(self, "_canonical_map")
+            or self._canonical_map == tuple(range(len(self._canonical_map)))
+        ):
+            return Pattern.from_flat_code, (self._flat,)
+        return Pattern, (self.vertex_labels, self.edges)
+
+    @property
+    def adjacency(self) -> List[List[Tuple[int, int]]]:
+        """Sorted ``(neighbor, edge_label)`` rows per vertex (lazy)."""
         return self._adj
 
     # ------------------------------------------------------------------
@@ -197,16 +240,6 @@ class Pattern:
     # ------------------------------------------------------------------
     # Structure accessors
     # ------------------------------------------------------------------
-    @property
-    def n_vertices(self) -> int:
-        """Number of pattern vertices."""
-        return len(self.vertex_labels)
-
-    @property
-    def n_edges(self) -> int:
-        """Number of pattern edges."""
-        return len(self.edges)
-
     def neighborhood(self, v: int) -> List[Tuple[int, int]]:
         """``(neighbor, edge_label)`` pairs of pattern vertex ``v``."""
         return self.adjacency[v]
@@ -250,15 +283,13 @@ class Pattern:
     # ------------------------------------------------------------------
     # Canonical identity (ρ)
     # ------------------------------------------------------------------
-    def canonical_code(self) -> Tuple:
+    def canonical_code(self) -> dfscode.Code:
         """The canonical (minimum) DFS code of this pattern.
 
-        Computed lazily and cached; equal codes <=> isomorphic patterns.
+        Equal codes <=> isomorphic patterns.  The nested view of the flat
+        code the pattern holds, built on first call and kept; to sort or
+        group patterns, use the patterns themselves and build nothing.
         """
-        if self._code is None:
-            self._code, self._canonical_map = dfscode.minimum_dfs_code(
-                self.vertex_labels, self.edges
-            )
         return self._code
 
     def canonical_vertex_map(self) -> Tuple[int, ...]:
@@ -268,9 +299,6 @@ class Pattern:
         vertices per *canonical position*, so equality of positions across
         isomorphic subgraphs matters; this mapping provides it.
         """
-        if self._canonical_map is None:
-            self.canonical_code()
-        assert self._canonical_map is not None
         return self._canonical_map
 
     def vertex_orbits(self) -> Tuple[int, ...]:
@@ -344,26 +372,43 @@ class Pattern:
         A pattern wire format is one word per vertex label plus an
         ``(a, b, elabel)`` triple per edge.
         """
-        return len(self.vertex_labels) + 3 * len(self.edges)
+        return self.n_vertices + 3 * self.n_edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pattern):
             return NotImplemented
-        return self.canonical_code() == other.canonical_code()
+        return self._flat == other._flat
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.canonical_code())
         return self._hash
 
     def __lt__(self, other: "Pattern") -> bool:
-        return self.canonical_code() < other.canonical_code()
+        return self._flat < other._flat
 
     def __repr__(self) -> str:
         return (
             f"Pattern(n_vertices={self.n_vertices}, n_edges={self.n_edges}, "
             f"labels={self.vertex_labels})"
         )
+
+
+# Slots that read as None until somebody caches something there: orbit ids
+# (by vertex, by canonical position); the compiled symmetry-breaking plans
+# of ``repro.pattern.symmetry.symmetry_plan``; the shared template of an
+# interned pattern (orbits are computed once on it); the shuffle-partition
+# hash of ``repro.core.aggregation._stable_hash``.
+_CACHE_SLOTS = frozenset(
+    ("_orbits", "_pos_orbits", "_symcache", "_template", "_shuffle_hash")
+)
+
+
+def _is_unset(pattern: Pattern, slot: str) -> bool:
+    """Whether ``slot`` is still empty, asked without filling it."""
+    try:
+        object.__getattribute__(pattern, slot)
+    except AttributeError:
+        return True
+    return False
 
 
 class PatternInterner:
@@ -407,10 +452,12 @@ class PatternInterner:
         A caller that holds the same structure rank-compressed already
         passes it as ``ranked`` — ``(vdistinct, edistinct, node)``, what
         ``dfscode.rank_node(vertex_labels, edges)`` returns — and the two
-        sequences are not read.  The shared ``Pattern`` is numbered by
-        canonical position, as :meth:`Pattern.from_canonical_code` builds
-        it, so every interner — in whichever process, from whichever
-        first-seen subgraph — holds the same representative.
+        sequences are not read.  A miss is the template's label gather
+        (``Template.flat_code``, one C call) wrapped by
+        :meth:`Pattern.from_flat_code`: the shared ``Pattern`` is numbered
+        by canonical position, so every interner — in whichever process,
+        from whichever first-seen subgraph — holds the same
+        representative, and it has no structure until somebody reads it.
         """
         if ranked is None:
             ranked = dfscode.rank_node(vertex_labels, edges)
@@ -422,8 +469,8 @@ class PatternInterner:
         pattern = self._patterns.get(key)
         if pattern is None:
             self.misses += 1
-            pattern = self._patterns[key] = Pattern.from_canonical_code(
-                template.substitute(vdistinct, edistinct)
+            pattern = self._patterns[key] = Pattern.from_flat_code(
+                template.flat_code(vdistinct, edistinct)
             )
             pattern._template = template
         else:

@@ -176,9 +176,14 @@ class ExecutionReport:
         aggregation entries and encoded payload bytes that crossed the
         process boundary, counted once per retired chunk (the real-core
         counterpart of the simulator's metered aggregation shuffle).
+        ``fold_seconds`` is the part of ``wall_seconds`` the driver spent
+        decoding and reducing chunk payloads while the workers ran — the
+        serial share of a step that ``worker_wall_seconds`` cannot show;
+        absent when no step forked workers.
         """
         info = None
         wall = 0.0
+        folds = []  # one per step that forked workers
         entries_shipped = shipped_bytes = 0
         degraded_to = None
         for step in self.steps:
@@ -187,6 +192,8 @@ class ExecutionReport:
                 wall += step.backend_info.get("wall_seconds", 0.0)
                 entries_shipped += step.backend_info.get("entries_shipped", 0)
                 shipped_bytes += step.backend_info.get("shipped_bytes", 0)
+                if "fold_seconds" in step.backend_info:
+                    folds.append(step.backend_info["fold_seconds"])
                 if step.backend_info.get("degraded_to"):
                     degraded_to = step.backend_info["degraded_to"]
         if info is None:
@@ -206,6 +213,8 @@ class ExecutionReport:
             summary["chunks_quarantined"] = m.chunks_quarantined
             summary["entries_shipped"] = entries_shipped
             summary["shipped_bytes"] = shipped_bytes
+            if folds:
+                summary["fold_seconds"] = sum(folds)
         if degraded_to is not None:
             summary["degraded_to"] = degraded_to
         return summary

@@ -241,6 +241,10 @@ class _ChunkFold:
     it.  Key order (first appearance in chunk order), per-key reduce
     order and counter merge order are therefore those of one sequential
     pass over the chunks, whichever process ran which chunk when.
+
+    ``seconds`` is the wall time spent inside ``fold_ready`` — unpickle,
+    decode, reduce, counter merge — which the driver spends while the
+    workers are still enumerating, so no worker-lifetime metric sees it.
     """
 
     def __init__(self, storages, metrics: Metrics, collect: Optional[str]):
@@ -251,8 +255,10 @@ class _ChunkFold:
         )
         self.acked: Set[int] = set()
         self.folded = 0  # chunks folded so far == next index to fold
+        self.seconds = 0.0
         self._waiting: Dict[int, bytes] = {}
-        self._patterns: Dict[Tuple, Pattern] = {}
+        # Flat canonical code -> the one Pattern this fold hands out for it.
+        self._patterns: Dict[Tuple[int, ...], Pattern] = {}
 
     def ack(self, cidx: int, payload: bytes) -> bool:
         """Accept chunk ``cidx`` exactly once; False for a duplicate."""
@@ -264,6 +270,7 @@ class _ChunkFold:
 
     def fold_ready(self) -> None:
         """Fold every acked payload that is next in chunk-index order."""
+        started = time.perf_counter()
         while self.folded in self._waiting:
             entries, delta, frozen = pickle.loads(
                 self._waiting.pop(self.folded)
@@ -276,6 +283,7 @@ class _ChunkFold:
             if frozen:
                 self.subgraphs.extend(frozen)
             self.folded += 1
+        self.seconds += time.perf_counter() - started
 
 
 @dataclass(frozen=True)
@@ -880,6 +888,7 @@ class MultiprocessBackend(ExecutionBackend):
             "worker_wall_seconds": [
                 worker_walls[key] for key in sorted(worker_walls)
             ],
+            "fold_seconds": fold.seconds,
             "chunks": n_chunks,
             "shared_graph_bytes": shared.nbytes,
             **recovery,

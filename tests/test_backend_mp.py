@@ -203,6 +203,22 @@ class TestRemoteFetchMetering:
         assert summary["start_method"] == "fork"
         assert summary["shared_graph_bytes"] > 0
 
+    def test_fold_seconds_is_the_drivers_share_of_the_wall(self):
+        """The decode-and-reduce the driver does while workers enumerate
+        is inside ``wall_seconds`` and invisible to every worker clock."""
+        labeled = erdos_renyi_graph(60, 200, n_labels=6, seed=5)
+        fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
+        census = motifs(fc.from_graph(labeled), 3)
+        assert len(census) > 20
+        summary = fc.last_report.backend_summary()
+        assert 0 < summary["fold_seconds"] <= summary["wall_seconds"]
+        info = fc.last_report.steps[-1].backend_info
+        assert summary["fold_seconds"] == info["fold_seconds"]
+        for engine in ("sequential", ClusterConfig(workers=2, cores_per_worker=2)):
+            other = FractalContext(engine=engine)
+            assert motifs(other.from_graph(labeled), 3) == census
+            assert "fold_seconds" not in other.last_report.backend_summary()
+
 
 class TestSimulatorUnchanged:
     """The simulator stays the default parallel engine, byte-identical."""
