@@ -15,7 +15,7 @@ from .cliques import (
     count_cliques,
     degeneracy_order,
 )
-from .fsm import FSMResult, fsm
+from .fsm import FSMResult, GraphReduction, fsm
 from .queries import (
     QUERY_PATTERNS,
     count_query_matches,
@@ -53,6 +53,7 @@ __all__ = [
     "count_cliques",
     "degeneracy_order",
     "FSMResult",
+    "GraphReduction",
     "fsm",
     "QUERY_PATTERNS",
     "count_query_matches",

@@ -463,6 +463,8 @@ def _run_app(args) -> int:
                 f"patterns (support >= {args.support}, top 20)"
             ),
         )
+        for reduction in result.reductions:
+            print(f"graph reduction {reduction}")
     elif args.app == "query":
         pattern = QUERY_PATTERNS.get(args.query)
         if pattern is None:

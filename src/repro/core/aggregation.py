@@ -466,6 +466,15 @@ class DomainSupport:
         """Per-position domain sizes."""
         return tuple(len(domain) for domain in self._domains)
 
+    def image_vertices(self) -> set:
+        """Every vertex in some position's domain.
+
+        Exact mode: the vertices of the aggregated embeddings, as ids of
+        the graph they were enumerated on.  Capped mode keeps only
+        ``min_support`` witnesses per position, so the set is partial.
+        """
+        return set().union(*self._domains)
+
     def ship_words(self) -> int:
         """Serialized size in words when shipped as an aggregation value.
 

@@ -1,10 +1,16 @@
 """Tests for the FSM application (minimum image-based support)."""
 
+import functools
+import multiprocessing
+from multiprocessing import shared_memory
+
 import pytest
 
-from repro import FractalContext, Pattern
+from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
 from repro.apps import fsm
-from repro.graph import erdos_renyi_graph, path_graph
+from repro.baselines import grami_fsm
+from repro.graph import erdos_renyi_graph, path_graph, powerlaw_graph
+from repro.runtime import mp_backend
 
 from conftest import (
     brute_true_mni,
@@ -94,21 +100,41 @@ class TestFSMCorrectness:
             fsm(FractalContext().from_graph(graph), min_support=0)
 
 
+def _supports(result):
+    return {p.canonical_code(): s.support for p, s in result.frequent.items()}
+
+
+def _extension_tests(result):
+    return sum(r.metrics.extension_tests for r in result.reports)
+
+
 class TestFSMOptions:
     def test_graph_reduction_preserves_results(self):
-        graph = erdos_renyi_graph(35, 75, n_labels=3, seed=14)
+        graph = erdos_renyi_graph(36, 80, n_labels=4, seed=5)
         plain = fsm(
-            FractalContext().from_graph(graph), min_support=4, max_edges=3
+            FractalContext().from_graph(graph),
+            min_support=6,
+            max_edges=4,
+            reduce_input=False,
         )
         reduced = fsm(
-            FractalContext().from_graph(graph),
-            min_support=4,
-            max_edges=3,
-            reduce_input=True,
+            FractalContext().from_graph(graph), min_support=6, max_edges=4
         )
-        assert {p.canonical_code() for p in plain.frequent} == {
-            p.canonical_code() for p in reduced.frequent
-        }
+        assert _supports(plain) == _supports(reduced)
+        assert plain.rounds == reduced.rounds == 4
+        # "Off" reads differently from "nothing to drop".
+        assert plain.reductions is None
+        # Infrequent edges go after the bootstrap (every vertex stays);
+        # then each round's MNI domains shrink the view the last
+        # reduction left.
+        first, second, third = reduced.reductions
+        assert [r.round for r in reduced.reductions] == [1, 2, 3]
+        assert first.vertices == (36, 36) and first.edges[1] < first.edges[0] == 80
+        assert second.vertices[1] < second.vertices[0] == 36
+        assert third.vertices[1] < third.vertices[0] == second.vertices[1]
+        assert second.edges[0] == first.edges[1]
+        assert third.edges[1] < third.edges[0] == second.edges[1] < second.edges[0]
+        assert _extension_tests(reduced) < _extension_tests(plain)
 
     def test_capped_mode_same_set(self):
         graph = erdos_renyi_graph(30, 60, n_labels=2, seed=9)
@@ -152,3 +178,92 @@ class TestFSMOptions:
         )
         assert result.total_simulated_seconds() > 0
         assert result.rounds >= 1
+
+
+# ----------------------------------------------------------------------
+# Graph reduction is transparent: default fsm() against the unreduced arm
+# and an independent pattern-growth miner, on every engine.
+# ----------------------------------------------------------------------
+_GRAPHS = {
+    "er5": lambda: erdos_renyi_graph(36, 80, n_labels=4, seed=5),
+    "er8": lambda: erdos_renyi_graph(36, 80, n_labels=4, seed=8),
+    "pl8": lambda: powerlaw_graph(n=40, attach=2, n_labels=3, seed=8),
+    "pl17": lambda: powerlaw_graph(n=40, attach=2, n_labels=3, seed=17),
+}
+
+_ENGINES = {
+    "sequential": "sequential",
+    "cluster": ClusterConfig(2, 2),
+    "multiprocess": MultiprocessConfig(num_procs=2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _grami_frequent(graph_name, min_support, max_edges):
+    graph = _GRAPHS[graph_name]()
+    return {
+        p.canonical_code()
+        for p in grami_fsm(graph, min_support, max_edges).result
+    }
+
+
+@pytest.fixture
+def shared_segments(monkeypatch):
+    """Names of the shared-memory graph segments the mp backend creates."""
+    names = []
+    real = mp_backend.SharedGraphBuffers
+
+    def recording(graph):
+        shared = real(graph)
+        names.append(shared.name)
+        return shared
+
+    monkeypatch.setattr(mp_backend, "SharedGraphBuffers", recording)
+    return names
+
+
+@pytest.mark.parametrize("engine_name", sorted(_ENGINES))
+@pytest.mark.parametrize("max_edges", [2, 3, 4])
+@pytest.mark.parametrize("min_support", [6, 8])
+@pytest.mark.parametrize("graph_name", sorted(_GRAPHS))
+def test_reduction_is_transparent(
+    graph_name, min_support, max_edges, engine_name, shared_segments
+):
+    if (
+        engine_name == "multiprocess"
+        and "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        pytest.skip("multiprocess backend requires fork start method")
+    graph = _GRAPHS[graph_name]()
+
+    def run(**options):
+        context = FractalContext(engine=_ENGINES[engine_name])
+        return fsm(context.from_graph(graph), min_support, max_edges, **options)
+
+    reduced = run()
+    plain = run(reduce_input=False)
+    capped = run(exact=False)
+
+    # Same patterns, every support value, same number of rounds.
+    assert _supports(reduced) == _supports(plain)
+    assert reduced.rounds == plain.rounds == capped.rounds
+    assert set(_supports(reduced)) == _grami_frequent(
+        graph_name, min_support, max_edges
+    )
+    assert set(_supports(capped)) == set(_supports(plain))
+
+    # One reduction between any two rounds; none when asked not to; capped
+    # domains are not the images, so capped mode only ever drops edges.
+    assert plain.reductions is None
+    assert [r.round for r in reduced.reductions] == list(range(1, reduced.rounds))
+    assert [r.round for r in capped.reductions] == [1][: capped.rounds - 1]
+    assert all(r.vertices[0] == r.vertices[1] for r in capped.reductions)
+    assert _extension_tests(reduced) <= _extension_tests(capped)
+    assert _extension_tests(capped) <= _extension_tests(plain)
+
+    if engine_name == "multiprocess":
+        # Every reduced view is a new segment; none outlives the call.
+        assert shared_segments
+        for name in shared_segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)

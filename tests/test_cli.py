@@ -69,7 +69,9 @@ class TestCommands:
                 "--support", "5", "--max-edges", "2",
             ]
         ) == 0
-        assert "FSM" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FSM" in out
+        assert "graph reduction after round 1: vertices " in out
 
     def test_run_query(self, capsys):
         assert main(
