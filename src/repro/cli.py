@@ -291,10 +291,9 @@ def _print_backend(report) -> None:
         return
     # A counting step the driver ran itself forked nothing: say so rather
     # than print a start method and a shared segment that never existed.
-    info = report.steps[-1].backend_info
     counted = (
-        "orbit" if info.get("orbit_counted_in_driver")
-        else "decomposed" if info.get("decomposed_in_driver")
+        "orbit" if summary.get("orbit_counted_in_driver")
+        else "decomposed" if summary.get("decomposed_in_driver")
         else None
     )
     if counted:
@@ -313,6 +312,7 @@ def _print_backend(report) -> None:
             f"({summary.get('shipped_bytes', 0)} bytes), "
             f"wall {summary.get('wall_seconds', 0.0):.3f}s"
             f" (driver fold {summary.get('fold_seconds', 0.0):.3f}s)"
+            + (", listed by level walk" if summary.get("listed_in_worker") else "")
         )
     if (
         summary.get("workers_lost")
@@ -425,6 +425,15 @@ def _print_pattern_kernel(report) -> None:
                 "decomposition: fell back to enumeration "
                 f"({decomp.get('reason')})"
             )
+    listing = summary.get("list_walk")
+    if listing is not None:
+        if listing["executed"]:
+            print(
+                f"listing: level walk, {report.result_count} matches "
+                "emitted without a Subgraph each"
+            )
+        else:
+            print(f"listing walk off ({listing['reason']})")
 
 
 def _run_app(args) -> int:
@@ -472,10 +481,12 @@ def _run_app(args) -> int:
                 f"unknown query {args.query!r}; choose from "
                 f"{sorted(QUERY_PATTERNS)}"
             )
-        from .apps import count_query_matches
+        from .apps import query_fractoid
 
-        count = count_query_matches(fg, pattern, kernel=args.pattern_kernel)
-        print(f"query {args.query} on {graph.name}: {count} matches")
+        fractoid = query_fractoid(fg, pattern, kernel=args.pattern_kernel)
+        count = len(fractoid.subgraphs()) if args.list else fractoid.count()
+        verb = "listed" if args.list else "matches"
+        print(f"query {args.query} on {graph.name}: {count} {verb}")
         _print_pattern_kernel(context.last_report)
     elif args.app == "keywords":
         if not args.words:
@@ -654,6 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(the same without the decomposed count) or 'legacy' "
         "(degree-greedy order with per-neighbor back-edge probing, the "
         "paper-faithful reference); counts are identical under all three",
+    )
+    p_run.add_argument(
+        "--list",
+        action="store_true",
+        help="'run query' lists the matches (collect='subgraphs') instead "
+        "of counting them",
     )
     p_run.add_argument(
         "--profile",

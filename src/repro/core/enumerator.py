@@ -34,7 +34,7 @@ enumerator.
 from __future__ import annotations
 
 from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 from math import comb
 from typing import (
     AbstractSet,
@@ -57,7 +57,7 @@ from .intersect import (
     level_reads,
     shares_candidates,
 )
-from .subgraph import Subgraph, level_tables, vertex_code
+from .subgraph import Subgraph, SubgraphResult, level_tables, vertex_code
 
 __all__ = [
     "ExtensionStrategy",
@@ -198,9 +198,10 @@ class ExtensionStrategy:
         """
         return False
 
-    def supports_orbit_count(self) -> bool:
-        """Whether counting-only steps may run as an orbit-multiplicity
-        bulk count (pattern-induced indexed-family kernels only)."""
+    def supports_level_walk(self) -> bool:
+        """Whether steps may skip the enumeration for the level walk — an
+        orbit-multiplicity count or a listing (pattern-induced
+        indexed-family kernels only)."""
         return False
 
     def kernel_info(self) -> Optional[dict]:
@@ -817,8 +818,9 @@ class PatternInducedStrategy(ExtensionStrategy):
             },
         }
 
-    def supports_orbit_count(self) -> bool:
-        """Whether counting-only steps may run via :meth:`count_matches`.
+    def supports_level_walk(self) -> bool:
+        """Whether steps may run via :meth:`count_matches` /
+        :meth:`list_matches`.
 
         Gated on the indexed-family kernels so ``"legacy"`` stays
         byte-identical to the original implementation.
@@ -888,39 +890,28 @@ class PatternInducedStrategy(ExtensionStrategy):
         self._orbit_tail = best
         return best
 
-    def count_matches(self, roots: Optional[Sequence[int]] = None) -> int:
-        """Exact match count via orbit-multiplicity bulk counting.
+    def _walk(
+        self,
+        matched: List[int],
+        roots: Optional[Sequence[int]],
+        leaf: Callable[[Sequence[int]], None],
+    ) -> None:
+        """The level walk of both shortcuts, keeping no :class:`Subgraph`.
 
-        Walks the enumeration tree only down to the orbit tail's cut
-        position; there, every ``tau``-subset of the shared candidate set
-        ``C`` contributes ``arrangements`` complete embeddings, so the
-        subtree collapses to ``C(|C|, tau) * arrangements`` without
-        pushing a single tail vertex.  Walked nodes are metered into
-        ``subgraphs_enumerated`` as usual; bulk-credited embeddings land
-        in ``orbit_multiplied_embeddings`` instead.  With ``roots`` the
-        level-0 candidates are replaced by the given (label-correct)
-        vertices and not re-metered — the caller accounts for producing
-        them (the step executor's root shares).
-
-        A count never reads an edge id, so the walk keeps no
-        :class:`Subgraph`: just the matched vertices, their membership
-        set, and the level programs called directly.  It only reads the
-        candidates it is handed, so a shared level's stored tuple is
-        used as it is, uncopied.
+        Matches positions ``0 .. cut - 1`` (``cut = len(matched) - 1``)
+        with the level programs called directly, metered as the
+        enumeration meters its pushes, and hands each prefix's
+        position-``cut`` candidates — read-only, a shared level's tuple
+        uncopied — to ``leaf``.  ``roots`` replace the level-0 candidates
+        and are not re-metered: the caller produced them.
         """
         metrics = self.metrics
-        tau, arrangements = self.orbit_tail()
-        cut = self.pattern.n_vertices - tau
         levels = self._levels
-        matched = [0] * (cut + 1)
+        cut = len(matched) - 1
         used: set = set()
-        total = 0
-
-        def bulk(survivors: int) -> int:
-            return comb(survivors, tau) * arrangements if survivors >= tau else 0
+        self.reset_state()
 
         def walk(pos: int, candidates: Sequence[int]) -> None:
-            nonlocal total
             metrics.subgraphs_enumerated += len(candidates)
             deeper = pos + 1
             level = levels[deeper]
@@ -928,18 +919,90 @@ class PatternInducedStrategy(ExtensionStrategy):
                 matched[pos] = v
                 used.add(v)
                 if deeper == cut:
-                    total += bulk(len(level(matched, used)))
+                    leaf(level(matched, used))
                 else:
                     walk(deeper, level(matched, used))
                 used.discard(v)
 
         first = list(roots) if roots is not None else levels[0](matched, used)
         if cut == 0:
-            total = bulk(len(first))
+            leaf(first)
         else:
             walk(0, first)
-        metrics.orbit_multiplied_embeddings += total
+
+    def count_matches(self, roots: Optional[Sequence[int]] = None) -> int:
+        """Exact match count via orbit-multiplicity bulk counting.
+
+        :meth:`_walk` to the orbit tail's cut position; there, every
+        ``tau``-subset of the shared candidate set ``C`` contributes
+        ``arrangements`` complete embeddings, so the subtree collapses to
+        ``C(|C|, tau) * arrangements`` without matching a tail vertex.
+        Bulk-credited embeddings land in ``orbit_multiplied_embeddings``.
+        A listing step takes the same walk: :meth:`list_matches`.
+        """
+        tau, arrangements = self.orbit_tail()
+        total = 0
+
+        def bulk(found: Sequence[int]) -> None:
+            nonlocal total
+            if len(found) >= tau:
+                total += comb(len(found), tau) * arrangements
+
+        self._walk([0] * (self.pattern.n_vertices - tau + 1), roots, bulk)
+        self.metrics.orbit_multiplied_embeddings += total
         return total
+
+    def list_matches(
+        self, roots: Optional[Sequence[int]] = None
+    ) -> List[SubgraphResult]:
+        """Every match, exactly as a listing step's enumeration emits it.
+
+        :meth:`_walk` to the last position: vertices in matching order;
+        per position one edge per back edge, in back-edge order, looked
+        up as :meth:`children` does; one pattern for all, a match's
+        quotient being fixed by the order — the first match's, frozen
+        through a :class:`Subgraph`.  Same order, and every
+        :class:`Metrics` counter (``results_emitted`` included) moves as
+        the enumeration's would.
+        """
+        metrics = self.metrics
+        neighbor_set = self.graph.neighbor_set
+        backs = self._back_edges
+        cut = self.pattern.n_vertices - 1
+        # (back position, position) of every edge matched before the cut.
+        inner = [(back, pos) for pos in range(1, cut) for back, _ in backs[pos]]
+        last = [back for back, _ in backs[cut]]
+        matched = [0] * (cut + 1)
+        out: List[SubgraphResult] = []
+        pattern = None
+
+        def emit(found: Sequence[int]) -> None:
+            nonlocal pattern
+            metrics.subgraphs_enumerated += len(found)
+            if not found:
+                return
+            metrics.results_emitted += len(found)
+            prefix = tuple(matched[:cut])
+            if pattern is None:
+                subgraph = self.make_subgraph()
+                for word in prefix + (found[0],):
+                    self.push(subgraph, word)
+                pattern = subgraph.freeze().pattern
+            prefix_edges = tuple(
+                [neighbor_set(matched[back]).get(matched[pos], -1)
+                 for back, pos in inner]
+            )
+            columns = [
+                map(neighbor_set(matched[back]).get, found, repeat(-1))
+                for back in last
+            ]
+            tails = zip(*columns) if columns else repeat(())
+            append = out.append
+            for v, tail in zip(found, tails):
+                append(SubgraphResult(prefix + (v,), prefix_edges + tail, pattern))
+
+        self._walk(matched, roots, emit)
+        return out
 
     def word_count_limit(self) -> Optional[int]:
         return self.pattern.n_vertices

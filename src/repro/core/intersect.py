@@ -11,7 +11,8 @@ worst-case-optimal join engines (EmptyHeaded, GraphZero — see PAPERS.md):
   advanced cursor;
 * **galloping** (exponential search + binary search) when the slice
   sizes are skewed by at least :data:`GALLOP_CROSSOVER` — the small side
-  drives, probing the big side in O(log gap) steps;
+  drives, probing the big side in O(log gap) steps, metered in closed
+  form around one C-level bisect per seek;
 * **leapfrog k-way join** for three or more slices — round-robin seeks
   with galloping, never materializing a pairwise intermediate.
 
@@ -183,10 +184,19 @@ def _gallop(
 ) -> List[int]:
     """Skewed intersection: the small slice ``a`` drives, galloping in ``b``.
 
-    For each element of ``a``, the cursor in ``b`` advances by exponential
-    probing (1, 2, 4, ... steps, each metered) to bracket the target, then
-    a binary search (metered as the bracket's ``bit_length``) lands on it.
-    Total work is O(|a| * log(|b|/|a|)), the textbook bound.
+    For each element ``x`` of ``a`` the cursor ``j`` in ``b`` seeks the
+    first element ``>= x``.  A galloping seek probes ``b[j + 1],
+    b[j + 2], b[j + 4], ...`` — ``d`` doublings, one step each — until a
+    probe reaches ``x`` or the end, then binary-searches the bracket
+    ``[j, end)``, metered as its ``bit_length``; total work is
+    O(|a| * log(|b|/|a|)), the textbook bound.  The seek runs as one
+    C-level bisect, and its answer ``j + g`` (``1 <= g <= bhi - j``)
+    fixes the loop's count: ``b[j + bound] < x`` exactly while
+    ``bound < g``, so the doubling stops at ``d = (g - 1).bit_length()``
+    and the bracket is ``2**d`` wide, ``d + 1`` halvings, unless it is
+    cut at ``bhi``; then it is ``bhi - j`` wide, which is in
+    ``[g, 2**d)`` and so has ``d`` bits.  :func:`_leapfrog` seeks the
+    same way.
     """
     out: List[int] = []
     steps = 0
@@ -196,15 +206,10 @@ def _gallop(
         if j >= bhi:
             break
         if b[j] < x:
-            bound = 1
-            while j + bound < bhi and b[j + bound] < x:
-                bound <<= 1
-                steps += 1
-            end = j + bound
-            if end > bhi:
-                end = bhi
-            steps += (end - j).bit_length()
-            j = bisect_left(b, x, j, end)
+            found = bisect_left(b, x, j, bhi)
+            d = (found - j - 1).bit_length()
+            steps += 2 * d + (bhi - j >= 1 << d)
+            j = found
             if j >= bhi:
                 break
         if b[j] == x:
@@ -218,9 +223,9 @@ def _leapfrog(slices: List[Slice], metrics: Metrics) -> List[int]:
     """Leapfrog k-way join over ``k >= 3`` sorted slices.
 
     Round-robin over the slices: the current candidate is the largest
-    head seen so far; each slice seeks (by galloping) to its first
-    element ``>= candidate``.  When all ``k`` heads agree the value is
-    emitted.  Any slice running out ends the join.
+    head seen so far; each slice seeks (by galloping, metered and run as
+    in :func:`_gallop`) to its first element ``>= candidate``.  When all
+    ``k`` heads agree the value is emitted.  Any slice running out ends the join.
     """
     k = len(slices)
     arrs = [s[0] for s in slices]
@@ -239,16 +244,10 @@ def _leapfrog(slices: List[Slice], metrics: Metrics) -> List[int]:
         hi = his[idx]
         j = pos[idx]
         if j < hi and arr[j] < x:
-            bound = 1
-            while j + bound < hi and arr[j + bound] < x:
-                bound <<= 1
-                steps += 1
-            end = j + bound
-            if end > hi:
-                end = hi
-            steps += (end - j).bit_length()
-            j = bisect_left(arr, x, j, end)
-            pos[idx] = j
+            found = bisect_left(arr, x, j, hi)
+            d = (found - j - 1).bit_length()
+            steps += 2 * d + (hi - j >= 1 << d)
+            j = pos[idx] = found
         if j >= hi:
             break
         y = arr[j]

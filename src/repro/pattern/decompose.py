@@ -79,6 +79,7 @@ from ..core.intersect import compile_levels, intersect_slices
 from ..graph.graph import Graph
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.metrics import Metrics
+from ..runtime.stepplan import walk_blockers
 from .isomorphism import automorphisms
 from .pattern import Pattern
 from .symmetry import conditions_by_position, restriction_conditions_for_group
@@ -90,7 +91,6 @@ __all__ = [
     "plan_decomposition",
     "estimate_enumeration_units",
     "choose_counting_kernel",
-    "counting_step_blockers",
     "plan_step_decomposition",
     "count_embeddings",
     "instance_count",
@@ -679,50 +679,6 @@ def choose_counting_kernel(
     return plan, estimates
 
 
-def counting_step_blockers(
-    pattern: Pattern,
-    primitives: Sequence[object],
-    collect: Optional[str],
-    root_words: Optional[Sequence[int]],
-) -> Optional[Tuple[str, str]]:
-    """Why a step is not a pure full-pattern count, or ``None`` if it is.
-
-    A pure full-pattern count — every primitive an extension, one per
-    pattern vertex, ``collect="count"``, no root restriction — is the
-    one shape where only the total is observable, so both counting
-    shortcuts need exactly it: the decomposed plan of this module and
-    the enumerator's orbit-multiplicity bulk count.  The shape is tested
-    once; the pair holds the reason as each shortcut's decision record
-    words it (``kernel_info["decomposition"]`` first,
-    ``kernel_info["orbit_count"]`` second).
-    """
-    from ..core.primitives import Expand
-
-    rooted = root_words is not None
-    extends_only = all(isinstance(p, Expand) for p in primitives)
-    full = len(primitives) == pattern.n_vertices
-    counted = collect == "count"
-    if counted and extends_only and full and not rooted:
-        return None
-    if rooted:
-        decomposition = "root-restricted step (resumed/partial work)"
-    elif not extends_only:
-        decomposition = (
-            "workflow needs embeddings (non-extension primitives present)"
-        )
-    elif not full:
-        decomposition = "partial-pattern step (multi-step exploration)"
-    else:
-        decomposition = f"collect={collect!r} needs embeddings, not counts"
-    if not counted:
-        orbit = "step is not a pure count"
-    elif rooted:
-        orbit = "step has explicit roots"
-    else:
-        orbit = "step is not a pure full-pattern expansion"
-    return decomposition, orbit
-
-
 def plan_step_decomposition(
     pattern: Pattern,
     graph: Graph,
@@ -735,18 +691,18 @@ def plan_step_decomposition(
 
     Returns ``(plan, info)``.  ``plan`` is non-``None`` only when the
     step is a pure full-pattern counting step
-    (:func:`counting_step_blockers`) *and* the cost-based chooser favors
-    decomposition.  ``info`` always describes the decision for
+    (:func:`~repro.runtime.stepplan.walk_blockers`) *and* the cost-based
+    chooser favors decomposition.  ``info`` always describes the decision for
     ``kernel_info`` reporting; on fallback it carries the reason, and
     the caller meters ``metrics.decomp_fallbacks``.
 
     The step planner only calls this for steps it has already found to
-    be pure counts (it words the orbit-count record from the same
-    test); the gate here is for direct callers.
+    be pure counts (the orbit-count record reads the same test); the
+    gate here is for direct callers.
     """
-    blockers = counting_step_blockers(pattern, primitives, collect, root_words)
-    if blockers is not None:
-        return None, fallback_info(blockers[0])
+    blocker, _ = walk_blockers(pattern, primitives, collect, root_words)
+    if blocker is not None:
+        return None, fallback_info(blocker)
     plan, estimates = choose_counting_kernel(pattern, graph, cost_model)
     info: Dict[str, object] = {"requested": True, **estimates}
     if plan is None:

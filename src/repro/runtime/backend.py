@@ -25,10 +25,11 @@ A backend decides *where* a step runs, never *what* it runs as: every
 ``run_step`` builds a probe strategy, asks
 :func:`~repro.runtime.stepplan.plan_step` for the step's plan, and
 either wraps the count :func:`~repro.runtime.stepplan.count_step`
-produced (:func:`counted_outcome`) or hands the step to its own
-enumeration executor — :func:`run_in_process` here and on every
-in-driver rung of the multiprocess backend, ``ClusterEngine.run_step``
-on the simulator.
+produced (:func:`shortcut_outcome`) or hands the step to its own
+executor — :func:`run_in_process` here and on every in-driver rung of
+the multiprocess backend (which lists a ``"list"`` step with
+``PatternInducedStrategy.list_matches`` and enumerates the rest),
+``ClusterEngine.run_step`` on the simulator.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ __all__ = [
     "SequentialBackend",
     "SimulatorBackend",
     "StepOutcome",
-    "counted_outcome",
     "resolve_backend",
     "run_in_process",
+    "shortcut_outcome",
 ]
 
 
@@ -116,25 +117,24 @@ class ExecutionBackend:
         """Release backend resources (processes, shared memory)."""
 
 
-# ``backend_info`` flag a counted step carries, by plan mode.
-_COUNTED_FLAG = {"decomposed": "decomposed", "orbit": "orbit_counted"}
+#: ``backend_info`` flag of a step run past the enumeration, by plan mode.
+SHORTCUT_FLAGS = {"decomposed": "decomposed", "orbit": "orbit_counted", "list": "listed"}
 
 
-def counted_outcome(
+def shortcut_outcome(
     step: StepPlan,
     metrics: Metrics,
     work_units: float,
     cost_model: CostModel,
     backend_info: Dict[str, object],
     where: str = "",
+    subgraphs: Optional[List[SubgraphResult]] = None,
 ) -> StepOutcome:
-    """Wrap a step :func:`~repro.runtime.stepplan.count_step` counted.
-
-    The count is in ``metrics.results_emitted``; ``backend_info`` gains
-    the mode's flag (suffixed with ``where``, e.g. ``"_in_driver"``) so
-    reports stay honest about how and where the step ran.
-    """
-    backend_info[_COUNTED_FLAG[step.mode] + where] = True
+    """Wrap a counted (``metrics.results_emitted``) or listed
+    (``subgraphs``) step; ``backend_info`` gains the mode's flag,
+    suffixed with ``where`` (e.g. ``"_in_driver"``), so reports stay
+    honest about how and where the step ran."""
+    backend_info[SHORTCUT_FLAGS[step.mode] + where] = True
     return StepOutcome(
         storages={},
         metrics=metrics,
@@ -142,6 +142,7 @@ def counted_outcome(
         simulated_seconds=cost_model.seconds(work_units),
         kernel_info=step.kernel_info,
         backend_info=backend_info,
+        subgraphs=subgraphs,
     )
 
 
@@ -153,16 +154,25 @@ def run_in_process(
     sink,
     root_words,
     cost_model: CostModel,
-    kernel_info,
+    step: StepPlan,
     backend_info: Dict[str, object],
+    where: str = "",
 ) -> StepOutcome:
-    """Enumerate one step on the calling thread (Algorithm 1, one core).
+    """Run a listing or an enumeration step on the calling thread.
 
     ``strategy`` is the backend's probe: it executes the step
     and its metrics bundle becomes the step's, so nothing is planned or
-    metered twice.  The driver-provided ``sink`` runs in this process.
+    metered twice.  A ``"list"`` step is its ``list_matches``, results
+    in :attr:`StepOutcome.subgraphs`; anything else is Algorithm 1 on
+    one core, the driver-provided ``sink`` running in this process.
     """
     metrics = strategy.metrics
+    if step.mode == "list":
+        subgraphs = strategy.list_matches(root_words)
+        return shortcut_outcome(
+            step, metrics, cost_model.step_units(metrics), cost_model,
+            backend_info, where, subgraphs,
+        )
     computation = Computation(
         strategy.graph, metrics, strategy.interner, aggregation_views
     )
@@ -180,7 +190,7 @@ def run_in_process(
         metrics=metrics,
         work_units=units,
         simulated_seconds=cost_model.seconds(units),
-        kernel_info=kernel_info,
+        kernel_info=step.kernel_info,
         backend_info=backend_info,
     )
 
@@ -224,7 +234,7 @@ class SequentialBackend(ExecutionBackend):
         if self._degraded_from is not None:
             info["degraded_to"] = self.name
         if units is not None:
-            return counted_outcome(step, metrics, units, cost, info)
+            return shortcut_outcome(step, metrics, units, cost, info)
         return run_in_process(
             strategy,
             primitives,
@@ -233,7 +243,7 @@ class SequentialBackend(ExecutionBackend):
             sink,
             root_words,
             cost,
-            step.kernel_info,
+            step,
             info,
         )
 
@@ -277,7 +287,11 @@ class SimulatorBackend(ExecutionBackend):
             )
         probe = core_strategy(Metrics())
         step = plan_step(
-            probe, graph, primitives, collect, root_words, cost, needs_enumerators
+            probe, graph, primitives, collect, root_words, cost,
+            needs_enumerators,
+            enumerates_listings=(
+                "simulated cluster enumerates listings on its per-core clocks"
+            ),
         )
         # Counting steps split their roots across the configured cores —
         # the same unit the engine distributes — one strategy per core.
@@ -297,7 +311,7 @@ class SimulatorBackend(ExecutionBackend):
             "cores_per_worker": config.cores_per_worker,
         }
         if units is not None:
-            return counted_outcome(step, metrics, units, cost, info)
+            return shortcut_outcome(step, metrics, units, cost, info)
         result = self._engine.run_step(
             graph,
             strategy_factory,

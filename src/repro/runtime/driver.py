@@ -22,7 +22,7 @@ from ..core.steps import plan_steps
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
 from ..pattern.pattern import PatternInterner
-from .backend import ExecutionBackend, resolve_backend
+from .backend import SHORTCUT_FLAGS, ExecutionBackend, resolve_backend
 from .cluster import ClusterConfig, ClusterStepResult
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .metrics import Metrics
@@ -179,7 +179,10 @@ class ExecutionReport:
         ``fold_seconds`` is the part of ``wall_seconds`` the driver spent
         decoding and reducing chunk payloads while the workers ran — the
         serial share of a step that ``worker_wall_seconds`` cannot show;
-        absent when no step forked workers.
+        absent when no step forked workers.  When the final step ran past
+        the enumeration its flag is here, as the backend set it:
+        ``decomposed`` / ``orbit_counted`` / ``listed``, suffixed
+        ``_in_driver`` / ``_in_worker`` by the multiprocess backend.
         """
         info = None
         wall = 0.0
@@ -202,6 +205,9 @@ class ExecutionReport:
         for key in ("workers", "cores_per_worker", "num_procs",
                     "start_method", "shared_graph_bytes"):
             if key in info:
+                summary[key] = info[key]
+        for key in info:
+            if key.partition("_in_")[0] in SHORTCUT_FLAGS.values():
                 summary[key] = info[key]
         if "wall_seconds" in info:
             summary["wall_seconds"] = wall
@@ -278,6 +284,8 @@ class ExecutionReport:
         (optimized size vs the classic heuristic, the automorphism group
         order, and the bulk-counted orbit tail); ``orbit_count`` records
         whether the counting-only fast path executed and why not
+        otherwise; ``list_walk`` records whether a listing step was
+        walked (``PatternInducedStrategy.list_matches``) and why not
         otherwise.  ``orbit_multiplied_embeddings`` are embeddings that
         were credited in bulk without being walked, and
         ``symmetry_cache_hits`` meters reuse of per-pattern restriction
@@ -295,6 +303,7 @@ class ExecutionReport:
             "decomposition": info.get("decomposition") if info else None,
             "symmetry": info.get("symmetry") if info else None,
             "orbit_count": info.get("orbit_count") if info else None,
+            "list_walk": info.get("list_walk") if info else None,
             "orbit_multiplied_embeddings": m.orbit_multiplied_embeddings,
             "symmetry_cache_hits": m.symmetry_cache_hits,
             "back_edge_probes": m.back_edge_probes,

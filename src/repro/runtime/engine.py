@@ -15,6 +15,11 @@ step are emitted to the sink (the output operators of Figure 5).
 
 Aggregations whose uid is in ``cached_uids`` were computed by an earlier
 step and are skipped — the reuse rule of Algorithm 2.
+
+Not every step comes here: a pure pattern count or listing (the step
+planner's ``"orbit"`` / ``"list"`` modes, :mod:`repro.runtime.stepplan`)
+runs as ``PatternInducedStrategy.count_matches`` / ``list_matches``, a
+level walk that keeps no ``Subgraph`` and emits what this executor would.
 """
 
 from __future__ import annotations

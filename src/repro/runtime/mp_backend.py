@@ -129,16 +129,17 @@ from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
 from ..pattern.pattern import Pattern, PatternInterner
 from .backend import (
+    SHORTCUT_FLAGS,
     ExecutionBackend,
     StepOutcome,
-    counted_outcome,
     run_in_process,
+    shortcut_outcome,
 )
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages, run_step_sequential
 from .faults import FaultPlan
 from .metrics import Metrics
-from .stepplan import count_step, plan_step
+from .stepplan import StepPlan, count_step, plan_step
 
 __all__ = ["MultiprocessConfig", "MultiprocessBackend"]
 
@@ -171,7 +172,7 @@ class _ChunkExecutor:
 
     def __init__(
         self, graph, strategy_factory, primitives, aggregation_views,
-        cached_uids, collect, chunk_lists,
+        cached_uids, collect, chunk_lists, listing=False,
     ):
         self.metrics = Metrics()
         interner = PatternInterner()
@@ -183,6 +184,7 @@ class _ChunkExecutor:
         self._cached_uids = cached_uids
         self._collect = collect
         self._chunk_lists = chunk_lists
+        self._listing = listing
         self._baseline: Dict[str, float] = {}
 
     def metrics_delta(self) -> Dict[str, float]:
@@ -197,8 +199,12 @@ class _ChunkExecutor:
 
         The payload is encoded here, on the calling thread, so its size
         is known before it is queued and the queue's feeder thread only
-        copies a flat buffer.
+        copies a flat buffer.  A listing step's chunk is the strategy's
+        ``list_matches`` over the chunk's roots.
         """
+        if self._listing:
+            results = self.strategy.list_matches(self._chunk_lists[cidx])
+            return 0, _encode_chunk({}, self.metrics_delta(), results)
         frozen: Optional[List[SubgraphResult]] = None
         sink = None
         if self._collect == "subgraphs":
@@ -436,7 +442,7 @@ class MultiprocessBackend(ExecutionBackend):
         )
         info: Dict[str, object] = {"backend": self.name, "num_procs": config.num_procs}
         if units is not None:
-            outcome = counted_outcome(
+            outcome = shortcut_outcome(
                 step, setup_metrics, units, cost, info, where="_in_driver"
             )
             info["wall_seconds"] = time.perf_counter() - started
@@ -448,7 +454,7 @@ class MultiprocessBackend(ExecutionBackend):
             info["inline"] = True
             outcome = run_in_process(
                 parent_strategy, primitives, aggregation_views, cached_uids,
-                sink, words, cost, step.kernel_info, info,
+                sink, words, cost, step, info, where="_in_driver",
             )
             info["wall_seconds"] = time.perf_counter() - started
             return outcome
@@ -523,7 +529,7 @@ class MultiprocessBackend(ExecutionBackend):
             chunk_owner,
             word_owner,
             setup_metrics,
-            step.kernel_info,
+            step,
             partition_info,
             started,
         )
@@ -542,7 +548,7 @@ class MultiprocessBackend(ExecutionBackend):
         chunk_owner: Optional[List[int]],
         word_owner,
         setup_metrics: Metrics,
-        kernel_info,
+        step: StepPlan,
         partition_info,
         started: float,
     ) -> StepOutcome:
@@ -568,7 +574,7 @@ class MultiprocessBackend(ExecutionBackend):
         def executor_on(graph_view) -> _ChunkExecutor:
             return _ChunkExecutor(
                 graph_view, strategy_factory, primitives, aggregation_views,
-                cached_uids, collect, chunk_lists,
+                cached_uids, collect, chunk_lists, step.mode == "list",
             )
 
         def worker_main(slot: int, gen: int, task_queue) -> None:
@@ -899,12 +905,14 @@ class MultiprocessBackend(ExecutionBackend):
             info["degraded_to"] = "sequential"
         if partition_info is not None:
             info["partition"] = partition_info
+        if step.mode == "list":
+            info[SHORTCUT_FLAGS["list"] + "_in_worker"] = True
         return StepOutcome(
             storages=fold.storages,
             metrics=total_metrics,
             work_units=units,
             simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
+            kernel_info=step.kernel_info,
             backend_info=info,
             subgraphs=fold.subgraphs,
         )

@@ -2,13 +2,13 @@
 
 The paper's driver plans fractal steps (Algorithm 2) and workers only
 execute them (Algorithm 1).  This module draws that line for the
-counting shortcuts: *what* a step runs as — a decomposed count, an
-orbit-multiplicity count or a plain enumeration — is decided by
-:func:`plan_step`, once, as one immutable :class:`StepPlan`; the
-backends (:mod:`repro.runtime.backend`, :mod:`repro.runtime.mp_backend`)
-only decide *where* it runs.  :func:`count_step` executes the two
-counting modes for all of them, quarantine included.  See
-``docs/internals.md`` ("Step planning").
+shortcuts past the enumeration: *what* a step runs as — a decomposed
+count, an orbit-multiplicity count, a listing walk or a plain
+enumeration — is decided by :func:`plan_step`, once, as one immutable
+:class:`StepPlan`; the backends (:mod:`repro.runtime.backend`,
+:mod:`repro.runtime.mp_backend`) only decide *where* it runs.
+:func:`count_step` executes the two counting modes for all of them,
+quarantine included.  See ``docs/internals.md`` ("Step planning").
 """
 
 from __future__ import annotations
@@ -36,42 +36,83 @@ class StepPlan:
     """How one fractal step runs, as decided by :func:`plan_step`."""
 
     #: ``"decomposed"`` and ``"orbit"`` are the counting modes
-    #: :func:`count_step` runs; ``"enumerate"`` goes to the backend's
-    #: enumeration executor.
+    #: :func:`count_step` runs; ``"list"`` is the listing walk
+    #: (``PatternInducedStrategy.list_matches``) and ``"enumerate"`` the
+    #: enumeration, both run by the backend's own executor.
     mode: str
     decomposition: Optional[DecompositionPlan]
     #: The probe's kernel description plus the ``decomposition`` /
-    #: ``orbit_count`` decision records (``None`` for strategies without
-    #: a selectable kernel).
+    #: ``orbit_count`` / ``list_walk`` decision records (``None`` for
+    #: strategies without a selectable kernel).
     kernel_info: Optional[Dict[str, object]]
     #: ``Metrics.decomp_fallbacks`` this plan owes: 1 when the decomposed
     #: kernel was requested and the step does not run as its count.
     fallbacks: int
 
 
+def walk_blockers(
+    pattern,
+    primitives: Sequence[object],
+    collect: Optional[str],
+    root_words: Optional[Sequence[int]],
+) -> Tuple[Optional[str], Optional[str]]:
+    """``(count, list)``: why the step is not a pure count / a listing.
+
+    ``None`` where it is.  The one shape test: every shortcut needs
+    every primitive an extension, one per pattern vertex.  A count
+    (decomposed or orbit) also needs ``collect="count"`` and no roots; a
+    listing needs ``collect="subgraphs"`` and walks from any roots.
+    """
+    from ..core.primitives import Expand
+
+    if not all(isinstance(p, Expand) for p in primitives):
+        shape = "workflow needs embeddings (non-extension primitives present)"
+    elif len(primitives) != pattern.n_vertices:
+        shape = "partial-pattern step (multi-step exploration)"
+    else:
+        shape = None
+    count = listing = shape
+    if shape is None:
+        if collect != "count":
+            count = f"collect={collect!r} needs embeddings, not counts"
+        elif root_words is not None:
+            count = "root-restricted step (resumed/partial work)"
+        if collect != "subgraphs":
+            listing = f"collect={collect!r} is not a listing"
+    return count, listing
+
+
 def _decide(
     probe,
     decomposition: Optional[DecompositionPlan],
     record: Optional[Dict[str, object]],
-    orbit_blocker: Optional[str],
+    count_blocker: Optional[str],
+    list_blocker: Optional[str],
     needs_enumerators: Optional[str],
 ) -> StepPlan:
     """Assemble the plan value; the one place decision records are set."""
     kernel_info = probe.kernel_info()
+    if kernel_info is None:
+        return StepPlan("enumerate", None, None, 0)
     if record is not None:
         kernel_info["decomposition"] = record
     mode = "enumerate"
     if decomposition is not None:
         mode = "decomposed"
-    elif needs_enumerators is None and probe.supports_orbit_count():
-        if orbit_blocker is None:
+    elif needs_enumerators is None and probe.supports_level_walk():
+        if count_blocker is None:
             tail, arrangements = probe.orbit_tail()
             kernel_info["orbit_count"] = {
                 "executed": True, "tail": tail, "arrangements": arrangements
             }
             mode = "orbit"
         else:
-            kernel_info["orbit_count"] = {"executed": False, "reason": orbit_blocker}
+            kernel_info["orbit_count"] = {"executed": False, "reason": count_blocker}
+    if list_blocker is None:
+        kernel_info["list_walk"] = {"executed": True}
+        mode = "list"
+    else:
+        kernel_info["list_walk"] = {"executed": False, "reason": list_blocker}
     fallbacks = int(record is not None and decomposition is None)
     return StepPlan(mode, decomposition, kernel_info, fallbacks)
 
@@ -84,6 +125,7 @@ def plan_step(
     root_words: Optional[Sequence[int]],
     cost_model: CostModel,
     needs_enumerators: Optional[str] = None,
+    enumerates_listings: Optional[str] = None,
 ) -> StepPlan:
     """Plan one fractal step for the backend that owns ``probe``.
 
@@ -91,28 +133,34 @@ def plan_step(
     nothing is enumerated.  ``needs_enumerators`` is the
     backend's reason why this run needs real enumerators (fault
     injection, partitioned storage), or ``None``: the backend states the
-    fact, the consequence — no counting shortcut, the reason in the
-    decision record — is drawn here.  Strategies without a shortcut
-    (vertex/edge induced, the legacy kernel) get no records at all.
+    fact, the consequence — no shortcut, the reason in the decision
+    records — is drawn here.  ``enumerates_listings`` is the same for
+    listing steps alone (the simulated cluster).  Strategies without a
+    kernel (vertex/edge induced) get no records, the legacy kernel only
+    the listing one.
     """
     wants_decomposed = probe.wants_decomposed_count()
-    decomposition = record = blockers = None
-    if wants_decomposed or probe.supports_orbit_count():
-        from ..pattern import decompose
-
-        blockers = decompose.counting_step_blockers(
+    decomposition = record = count_blocker = None
+    list_blocker = "kernel has no level walk"
+    if probe.supports_level_walk():
+        count_blocker, list_blocker = walk_blockers(
             probe.pattern, primitives, collect, root_words
         )
+        list_blocker = needs_enumerators or enumerates_listings or list_blocker
     if wants_decomposed:
-        reason = needs_enumerators or (blockers and blockers[0])
+        from ..pattern import decompose
+
+        reason = needs_enumerators or count_blocker
         if reason:
             record = decompose.fallback_info(reason)
         else:
             decomposition, record = decompose.plan_step_decomposition(
                 probe.pattern, graph, primitives, collect, root_words, cost_model
             )
-    orbit_blocker = blockers[1] if blockers else None
-    return _decide(probe, decomposition, record, orbit_blocker, needs_enumerators)
+    return _decide(
+        probe, decomposition, record, count_blocker, list_blocker,
+        needs_enumerators,
+    )
 
 
 def count_step(
@@ -144,12 +192,12 @@ def count_step(
     books the walked work as wasted, rewrites the decision record to
     ``quarantined: ...`` and re-plans the step to an orbit count or an
     enumeration; ``quarantine=False`` re-raises instead.  ``work_units``
-    is ``None`` when the caller must enumerate: with the *returned*
-    plan's ``kernel_info``, and with ``metrics`` (fallbacks and waste
-    metered here) merged into the enumeration's bundle.
+    is ``None`` when the caller must list or enumerate: with the
+    *returned* plan's ``kernel_info``, and with ``metrics`` (fallbacks
+    and waste metered here) merged into the executing bundle.
     """
     metrics.decomp_fallbacks += step.fallbacks
-    while step.mode != "enumerate":
+    while step.mode in ("decomposed", "orbit"):
         from ..pattern import decompose
 
         plan = step.decomposition
@@ -207,7 +255,8 @@ def count_step(
                 metrics.wasted_extension_tests += walked.extension_tests
                 metrics.wasted_work_units += cost_model.step_units(walked)
                 record = decompose.fallback_info(f"quarantined: {exc}")
-                step = _decide(probe, None, record, None, None)
+                listing = step.kernel_info["list_walk"]["reason"]
+                step = _decide(probe, None, record, None, listing, None)
                 metrics.decomp_fallbacks += step.fallbacks
                 continue
         metrics.merge(walked)

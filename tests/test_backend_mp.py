@@ -398,12 +398,13 @@ class TestMultiprocessConfigValidation:
 
 @needs_fork
 class TestInDriverRungs:
-    """Steps the multiprocess backend enumerates in the driver.
+    """Steps the multiprocess backend runs in the driver.
 
     They run on the planner's probe through the sequential backend's own
     helper, so they report what a sequential run reports: the planner's
     finished ``kernel_info`` (decision records included) and the same
-    counter totals, the level-0 listing metered once.
+    counter totals, the level-0 listing metered once.  The listing step
+    here is walked, not enumerated, and says where (``listed_in_driver``).
     """
 
     KERNEL = "decomposed"
@@ -425,8 +426,9 @@ class TestInDriverRungs:
         )
         assert step.kernel_info["orbit_count"] == {
             "executed": False,
-            "reason": "step is not a pure count",
+            "reason": "collect='subgraphs' needs embeddings, not counts",
         }
+        assert step.kernel_info["list_walk"] == {"executed": True}
         expected = sequential.metrics.snapshot()
         metered = report.metrics.snapshot()
         # Plan-cache hits depend on what ran earlier in the process.
@@ -456,6 +458,7 @@ class TestInDriverRungs:
                 "backend": "multiprocess",
                 "num_procs": 2,
                 "inline": True,
+                "listed_in_driver": True,
                 "degraded_to": "sequential",
             },
         )
@@ -487,5 +490,10 @@ class TestInDriverRungs:
         self._assert_reports_like_sequential(
             report,
             unmatched,
-            {"backend": "multiprocess", "num_procs": 2, "inline": True},
+            {
+                "backend": "multiprocess",
+                "num_procs": 2,
+                "inline": True,
+                "listed_in_driver": True,
+            },
         )

@@ -94,6 +94,18 @@ class TestCommands:
         # Same matches line under both kernels.
         assert legacy_out.splitlines()[0] == indexed_out.splitlines()[0]
 
+    def test_run_query_list(self, capsys):
+        base = ["run", "query", "--dataset", "orkut", "--scale", "0.3",
+                "--query", "q3"]
+        assert main(base) == 0
+        counted = capsys.readouterr().out
+        assert "listing walk off (collect='count' is not a listing)" in counted
+        assert main(base + ["--list"]) == 0
+        listed = capsys.readouterr().out
+        count = counted.splitlines()[0].split()[-2]
+        assert listed.splitlines()[0].endswith(f": {count} listed")
+        assert f"listing: level walk, {count} matches" in listed
+
     def test_run_query_indexed_on_cluster(self, capsys):
         assert main(
             ["run", "query", "--dataset", "orkut", "--scale", "0.2",

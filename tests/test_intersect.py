@@ -5,13 +5,15 @@ kernel it dispatches to (linear merge, galloping, leapfrog k-way), and
 ``range_bounds`` must narrow a sorted slice to exactly the requested
 ``[lower, upper)`` window.  Both must meter their work into
 ``Metrics.intersect_comparisons`` / ``Metrics.gallop_steps``.  The
-two-slice merge computes its comparison count in closed form; it is
-checked against a two-pointer loop kept in this file.
+two-slice merge computes its comparison count in closed form, and so do
+the galloping seeks of ``_gallop`` and ``_leapfrog``; each is checked
+against the loop it replaced, kept in this file.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 
 import pytest
 
@@ -20,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.intersect import (
     GALLOP_CROSSOVER,
+    _gallop,
+    _leapfrog,
     intersect_slices,
     range_bounds,
 )
@@ -147,6 +151,15 @@ def _as_memoryview(values):
     return memoryview(array("q", values))
 
 
+def _embedded(draw, members):
+    """``members`` as a slice of a longer array, so that lo > 0, hi < len."""
+    before = draw(st.integers(min_value=0, max_value=3))
+    after = draw(st.integers(min_value=0, max_value=3))
+    padded = list(range(-before, 0)) + members + [1000 + k for k in range(after)]
+    storage = draw(st.sampled_from([list, _as_array, _as_memoryview]))
+    return (storage(padded), before, before + len(members))
+
+
 @st.composite
 def slice_pairs(draw):
     """Two sorted slices ``(arr, lo, hi)`` in one of the tricky shapes."""
@@ -170,16 +183,29 @@ def slice_pairs(draw):
         a = a[:1] or [draw(values)]
     elif shape == "empty-side":
         a = []
-    # Embed each slice in a longer array so that lo > 0 and hi < len.
-    slices = []
-    for members in (a, b):
-        before = draw(st.integers(min_value=0, max_value=3))
-        after = draw(st.integers(min_value=0, max_value=3))
-        padded = list(range(-before, 0)) + members + [1000 + k for k in range(after)]
-        storage = draw(st.sampled_from([list, _as_array, _as_memoryview]))
-        slices.append((storage(padded), before, before + len(members)))
+    slices = [_embedded(draw, a), _embedded(draw, b)]
     if draw(st.booleans()):
         slices.reverse()
+    return slices
+
+
+@st.composite
+def slice_lists(draw):
+    """Three to five sorted slices, some short, empty or past the rest."""
+    slices = []
+    for _ in range(draw(st.integers(min_value=3, max_value=5))):
+        shape = draw(st.sampled_from(["random", "one-element", "empty", "high"]))
+        members = sorted(
+            draw(st.sets(st.integers(min_value=0, max_value=120), max_size=60))
+        )
+        if shape == "one-element":
+            members = members[:1]
+        elif shape == "empty":
+            members = []
+        elif shape == "high":
+            # Every seek in the others runs off their end (j reaches hi).
+            members = [x + 100 for x in members]
+        slices.append(_embedded(draw, members))
     return slices
 
 
@@ -215,6 +241,142 @@ class TestMergeMetering:
         else:
             assert metrics.intersect_comparisons == comparisons
             assert metrics.gallop_steps == 0
+
+
+def _reference_gallop(a, alo, ahi, b, blo, bhi):
+    """``_gallop`` with its doubling loop: ``(members, gallop steps)``."""
+    out = []
+    steps = 0
+    j = blo
+    for i in range(alo, ahi):
+        x = a[i]
+        if j >= bhi:
+            break
+        if b[j] < x:
+            bound = 1
+            while j + bound < bhi and b[j + bound] < x:
+                bound <<= 1
+                steps += 1
+            end = j + bound
+            if end > bhi:
+                end = bhi
+            steps += (end - j).bit_length()
+            j = bisect_left(b, x, j, end)
+            if j >= bhi:
+                break
+        if b[j] == x:
+            out.append(x)
+            j += 1
+    return out, steps
+
+
+def _reference_leapfrog(slices):
+    """``_leapfrog`` with its doubling loop: ``(members, gallop steps)``."""
+    k = len(slices)
+    arrs = [s[0] for s in slices]
+    pos = [s[1] for s in slices]
+    his = [s[2] for s in slices]
+    out = []
+    steps = 0
+    for i in range(k):
+        if pos[i] >= his[i]:
+            return out, steps
+    x = arrs[0][pos[0]]
+    agree = 1
+    idx = 1
+    while True:
+        arr = arrs[idx]
+        hi = his[idx]
+        j = pos[idx]
+        if j < hi and arr[j] < x:
+            bound = 1
+            while j + bound < hi and arr[j + bound] < x:
+                bound <<= 1
+                steps += 1
+            end = j + bound
+            if end > hi:
+                end = hi
+            steps += (end - j).bit_length()
+            j = bisect_left(arr, x, j, end)
+            pos[idx] = j
+        if j >= hi:
+            break
+        y = arr[j]
+        if y == x:
+            agree += 1
+            if agree == k:
+                out.append(x)
+                j += 1
+                pos[idx] = j
+                if j >= hi:
+                    break
+                x = arr[j]
+                agree = 1
+        else:
+            x = y
+            agree = 1
+        idx += 1
+        if idx == k:
+            idx = 0
+    return out, steps
+
+
+class TestGallopMetering:
+    """The closed-form seek equals the doubling loop it replaced."""
+
+    @given(slice_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_gallop_equals_doubling_loop(self, slices):
+        (a, alo, ahi), (b, blo, bhi) = slices
+        metrics = Metrics()
+        result = _gallop(a, alo, ahi, b, blo, bhi, metrics)
+        expected, steps = _reference_gallop(a, alo, ahi, b, blo, bhi)
+        assert result == expected
+        assert metrics.gallop_steps == steps
+
+    @given(slice_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_leapfrog_equals_doubling_loop(self, slices):
+        metrics = Metrics()
+        result = _leapfrog(list(slices), metrics)
+        expected, steps = _reference_leapfrog(slices)
+        assert result == expected
+        assert metrics.gallop_steps == steps
+
+    def test_every_gap_and_cut(self):
+        # One seek from j = 0 to answer g in a slice of n, for every
+        # 1 <= g <= n <= 70: every doubling count, bracket cut at hi or not.
+        for n in range(1, 71):
+            b = list(range(0, 2 * n, 2))
+            for g in range(1, n + 1):
+                metrics = Metrics()
+                x = 2 * g - 1  # b[g - 1] < x < b[g]
+                _gallop([x], 0, 1, b, 0, n, metrics)
+                assert metrics.gallop_steps == _reference_gallop(
+                    [x], 0, 1, b, 0, n
+                )[1], (n, g)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([], [1, 2, 3]),  # empty driver
+            ([5], []),  # empty target
+            ([5], [1]),  # one element, seek lands at hi
+            ([1], [1]),  # one element, no seek
+            ([7, 9], [1, 2, 3, 4, 5, 6, 7, 8]),  # a power-of-two gap
+            ([50, 60], [1, 2, 3]),  # j reaches hi, the rest is skipped
+        ],
+    )
+    def test_edges(self, a, b):
+        metrics = Metrics()
+        result = _gallop(a, 0, len(a), b, 0, len(b), metrics)
+        assert (result, metrics.gallop_steps) == _reference_gallop(
+            a, 0, len(a), b, 0, len(b)
+        )
+        three = [(a, 0, len(a)), (b, 0, len(b)), (b, 0, len(b))]
+        metrics = Metrics()
+        result = _leapfrog(three, metrics)
+        assert (result, metrics.gallop_steps) == _reference_leapfrog(three)
 
 
 class TestRangeBounds:
