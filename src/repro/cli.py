@@ -381,6 +381,12 @@ def _print_pattern_kernel(report) -> None:
                 else "no position is shared"
             )
         )
+        print(
+            "injectivity: candidates tested against positions "
+            f"{[level['injective'] for level in levels]}; "
+            "every other earlier position is proven distinct by its label, "
+            "a back edge or the symmetry order"
+        )
     print(
         "candidate work: "
         f"{summary['back_edge_probes']:.0f} back-edge probes, "

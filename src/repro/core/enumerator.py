@@ -34,8 +34,7 @@ enumerator.
 from __future__ import annotations
 
 from functools import partial
-from itertools import permutations, repeat
-from math import comb
+from itertools import permutations
 from typing import (
     AbstractSet,
     Callable,
@@ -51,12 +50,14 @@ from ..graph.graph import Graph
 from ..pattern.pattern import Pattern, PatternInterner
 from ..pattern.symmetry import symmetry_plan
 from ..runtime.metrics import Metrics
+from . import intersect
 from .intersect import (
     LevelProgram,
     compile_levels,
     level_reads,
     shares_candidates,
 )
+from .levelwalk import MAX_POSITIONS, injective_positions, level_executor
 from .subgraph import Subgraph, SubgraphResult, level_tables, vertex_code
 
 __all__ = [
@@ -746,12 +747,20 @@ class PatternInducedStrategy(ExtensionStrategy):
             backs.sort()
             self._back_edges.append(backs)
         self._labels = [pattern.vertex_labels[p] for p in self.order]
+        # The plan's part of a generated walk's cache key (levelwalk.Shape).
+        self._shape = (
+            tuple(self._labels),
+            tuple(tuple(backs) for backs in self._back_edges),
+            tuple(tuple(checks) for checks in self._checks),
+        )
         # The quotient of a matched prefix is fixed by the order (labels
         # and back-edge labels are enforced by the candidate filter):
         # one (Pattern, positions) per depth, learned from the first
         # embedding whose pattern is asked for (see push/pop).
         self._depth_patterns: List[Optional[tuple]] = [None] * len(self.order)
-        # The match plan: ``self._levels[pos](matched, used)`` returns the
+        # The enumeration's match plan (:meth:`extensions`; counts and
+        # listings run a generated walk instead, :meth:`_execute`):
+        # ``self._levels[pos](matched, used)`` returns the
         # extensions of the prefix ``matched`` (with membership set
         # ``used``) at matching-order position ``pos`` and meters them on
         # ``self.metrics``.  The indexed kernels take their programs from
@@ -795,6 +804,13 @@ class PatternInducedStrategy(ExtensionStrategy):
     def kernel_info(self) -> dict:
         tail, _ = self.orbit_tail()
         sharing = self._kernel != "legacy"
+        if sharing:
+            injective = injective_positions(
+                self._labels, self._back_edges, self._checks
+            )
+        else:
+            # The legacy scan tests every candidate against the whole prefix.
+            injective = [range(pos) for pos in range(len(self.order))]
         levels = []
         for pos in range(len(self.order)):
             reads = level_reads(self._back_edges[pos], self._checks[pos])
@@ -802,13 +818,16 @@ class PatternInducedStrategy(ExtensionStrategy):
                 {
                     "reads": list(reads),
                     "shared": sharing and shares_candidates(pos, reads),
+                    "injective": list(injective[pos]),
                 }
             )
         return {
             "kernel": self._kernel,
             "order": list(self.order),
             # Per matching-order position: the earlier positions its
-            # candidates depend on, and whether siblings share them.
+            # candidates depend on, whether siblings share them, and the
+            # earlier positions a candidate is still tested against for
+            # injectivity at run time (the rest are proven distinct).
             "levels": levels,
             "symmetry": {
                 "conditions": len(self._conditions),
@@ -823,9 +842,11 @@ class PatternInducedStrategy(ExtensionStrategy):
         :meth:`list_matches`.
 
         Gated on the indexed-family kernels so ``"legacy"`` stays
-        byte-identical to the original implementation.
+        byte-identical to the original implementation, and on the
+        pattern size a walk is generated for
+        (:data:`~repro.core.levelwalk.MAX_POSITIONS`).
         """
-        return self._kernel != "legacy"
+        return self._kernel != "legacy" and len(self.order) <= MAX_POSITIONS
 
     def orbit_tail(self) -> Tuple[int, int]:
         """``(tau, arrangements)``: the interchangeable matching-order tail.
@@ -890,65 +911,49 @@ class PatternInducedStrategy(ExtensionStrategy):
         self._orbit_tail = best
         return best
 
-    def _walk(
-        self,
-        matched: List[int],
-        roots: Optional[Sequence[int]],
-        leaf: Callable[[Sequence[int]], None],
-    ) -> None:
-        """The level walk of both shortcuts, keeping no :class:`Subgraph`.
+    def _execute(self, leaf: str, roots: Optional[Sequence[int]]):
+        """Run the plan's generated walk (:func:`level_executor`).
 
-        Matches positions ``0 .. cut - 1`` (``cut = len(matched) - 1``)
-        with the level programs called directly, metered as the
-        enumeration meters its pushes, and hands each prefix's
-        position-``cut`` candidates — read-only, a shared level's tuple
-        uncopied — to ``leaf``.  ``roots`` replace the level-0 candidates
-        and are not re-metered: the caller produced them.
+        ``roots`` replace the level-0 candidates — vertices with the first
+        position's label, as every backend hands them out — and are not
+        metered: the caller produced them.  Without them the walk starts
+        from the root level, metered as its level program meters it.
         """
         metrics = self.metrics
-        levels = self._levels
-        cut = len(matched) - 1
-        used: set = set()
-        self.reset_state()
-
-        def walk(pos: int, candidates: Sequence[int]) -> None:
-            metrics.subgraphs_enumerated += len(candidates)
-            deeper = pos + 1
-            level = levels[deeper]
-            for v in candidates:
-                matched[pos] = v
-                used.add(v)
-                if deeper == cut:
-                    leaf(level(matched, used))
-                else:
-                    walk(deeper, level(matched, used))
-                used.discard(v)
-
-        first = list(roots) if roots is not None else levels[0](matched, used)
-        if cut == 0:
-            leaf(first)
+        graph = self.graph
+        if roots is None:
+            roots = graph.vertices_with_label(self._labels[0])
+            metrics.index_slices += 1
+            metrics.extension_tests += len(roots)
+            metrics.extensions_generated += len(roots)
         else:
-            walk(0, first)
+            roots = list(roots)
+        tail = self.orbit_tail() if leaf == "count" else None
+        walk = level_executor(self._shape + (leaf, tail))
+        index, lnbr, _ = graph.labeled_adjacency()
+        return walk(
+            index, lnbr, graph.n_vertices, graph.neighbor_set, metrics,
+            intersect.GALLOP_CROSSOVER, roots, self._first_pattern,
+        )
+
+    def _first_pattern(self, words: Sequence[int]) -> Pattern:
+        """The pattern of the match ``words``, frozen through a :class:`Subgraph`."""
+        subgraph = self.make_subgraph()
+        for word in words:
+            self.push(subgraph, word)
+        return subgraph.freeze().pattern
 
     def count_matches(self, roots: Optional[Sequence[int]] = None) -> int:
         """Exact match count via orbit-multiplicity bulk counting.
 
-        :meth:`_walk` to the orbit tail's cut position; there, every
+        The generated walk to the orbit tail's cut position; there, every
         ``tau``-subset of the shared candidate set ``C`` contributes
         ``arrangements`` complete embeddings, so the subtree collapses to
         ``C(|C|, tau) * arrangements`` without matching a tail vertex.
         Bulk-credited embeddings land in ``orbit_multiplied_embeddings``.
         A listing step takes the same walk: :meth:`list_matches`.
         """
-        tau, arrangements = self.orbit_tail()
-        total = 0
-
-        def bulk(found: Sequence[int]) -> None:
-            nonlocal total
-            if len(found) >= tau:
-                total += comb(len(found), tau) * arrangements
-
-        self._walk([0] * (self.pattern.n_vertices - tau + 1), roots, bulk)
+        total = self._execute("count", roots)
         self.metrics.orbit_multiplied_embeddings += total
         return total
 
@@ -957,52 +962,15 @@ class PatternInducedStrategy(ExtensionStrategy):
     ) -> List[SubgraphResult]:
         """Every match, exactly as a listing step's enumeration emits it.
 
-        :meth:`_walk` to the last position: vertices in matching order;
-        per position one edge per back edge, in back-edge order, looked
-        up as :meth:`children` does; one pattern for all, a match's
-        quotient being fixed by the order — the first match's, frozen
-        through a :class:`Subgraph`.  Same order, and every
+        The generated walk to the last position: vertices in matching
+        order; per position one edge per back edge, in back-edge order,
+        looked up as :meth:`children` does; one pattern for all, a
+        match's quotient being fixed by the order — the first match's,
+        frozen through a :class:`Subgraph`.  Same order, and every
         :class:`Metrics` counter (``results_emitted`` included) moves as
         the enumeration's would.
         """
-        metrics = self.metrics
-        neighbor_set = self.graph.neighbor_set
-        backs = self._back_edges
-        cut = self.pattern.n_vertices - 1
-        # (back position, position) of every edge matched before the cut.
-        inner = [(back, pos) for pos in range(1, cut) for back, _ in backs[pos]]
-        last = [back for back, _ in backs[cut]]
-        matched = [0] * (cut + 1)
-        out: List[SubgraphResult] = []
-        pattern = None
-
-        def emit(found: Sequence[int]) -> None:
-            nonlocal pattern
-            metrics.subgraphs_enumerated += len(found)
-            if not found:
-                return
-            metrics.results_emitted += len(found)
-            prefix = tuple(matched[:cut])
-            if pattern is None:
-                subgraph = self.make_subgraph()
-                for word in prefix + (found[0],):
-                    self.push(subgraph, word)
-                pattern = subgraph.freeze().pattern
-            prefix_edges = tuple(
-                [neighbor_set(matched[back]).get(matched[pos], -1)
-                 for back, pos in inner]
-            )
-            columns = [
-                map(neighbor_set(matched[back]).get, found, repeat(-1))
-                for back in last
-            ]
-            tails = zip(*columns) if columns else repeat(())
-            append = out.append
-            for v, tail in zip(found, tails):
-                append(SubgraphResult(prefix + (v,), prefix_edges + tail, pattern))
-
-        self._walk(matched, roots, emit)
-        return out
+        return self._execute("list", roots)
 
     def word_count_limit(self) -> Optional[int]:
         return self.pattern.n_vertices

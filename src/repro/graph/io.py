@@ -11,12 +11,17 @@ Two on-disk formats are supported:
 
 Keyword annotations round-trip through a side-car ``.keywords`` file written
 by :func:`save_keywords` (one line per annotated element).
+
+A malformed line — a missing or extra field, a token that is not an
+integer, an edge to a missing vertex, a self-loop, a repeated labeled
+edge — raises :class:`~repro.graph.graph.GraphError` (a ``ValueError``)
+whose message starts with ``path:lineno``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .graph import Graph, GraphBuilder, GraphError
 
@@ -39,29 +44,36 @@ def load_adjacency_list(path: str, name: str = "") -> Graph:
     in one or both directions; duplicates are merged.
     """
     builder = GraphBuilder(name=name or os.path.basename(path))
-    pending_edges: List[tuple] = []
+    # (vertex, neighbor, line number): edges are added once every vertex is.
+    pending_edges: List[Tuple[int, int, int]] = []
     expected = 0
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphError(f"{path}:{lineno}: expected '<id> <label> ...'")
-            vid, label = int(parts[0]), int(parts[1])
-            if vid != expected:
-                raise GraphError(
-                    f"{path}:{lineno}: vertex ids must be sequential "
-                    f"(saw {vid}, expected {expected})"
-                )
+            try:
+                values = [int(token) for token in line.split()]
+                if len(values) < 2:
+                    raise GraphError("expected '<id> <label> ...'")
+                vid, label = values[0], values[1]
+                if vid != expected:
+                    raise GraphError(
+                        f"vertex ids must be sequential "
+                        f"(saw {vid}, expected {expected})"
+                    )
+            except ValueError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
             expected += 1
             builder.add_vertex(label=label)
-            for token in parts[2:]:
-                pending_edges.append((vid, int(token)))
-    for u, v in pending_edges:
-        if not builder.has_edge(u, v):
-            builder.add_edge(u, v)
+            for neighbor in values[2:]:
+                pending_edges.append((vid, neighbor, lineno))
+    for u, v, lineno in pending_edges:
+        try:
+            if not builder.has_edge(u, v):
+                builder.add_edge(u, v)
+        except GraphError as exc:
+            raise GraphError(f"{path}:{lineno}: {exc}") from None
     return builder.build()
 
 
@@ -90,21 +102,30 @@ def load_edge_list(path: str, name: str = "") -> Graph:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "v":
-                vid, label = int(parts[1]), int(parts[2])
-                if vid != builder.n_vertices:
-                    raise GraphError(f"{path}:{lineno}: non-sequential vertex id {vid}")
-                builder.add_vertex(label=label)
-            elif parts[0] == "e":
-                u, v = int(parts[1]), int(parts[2])
-                label = int(parts[3]) if len(parts) > 3 else 0
-                builder.add_edge(u, v, label=label)
-            else:
-                u, v = int(parts[0]), int(parts[1])
-                while builder.n_vertices <= max(u, v):
-                    builder.add_vertex()
-                if not builder.has_edge(u, v):
-                    builder.add_edge(u, v)
+            try:
+                if parts[0] == "v":
+                    if len(parts) != 3:
+                        raise GraphError("expected 'v <id> <label>'")
+                    vid, label = int(parts[1]), int(parts[2])
+                    if vid != builder.n_vertices:
+                        raise GraphError(f"non-sequential vertex id {vid}")
+                    builder.add_vertex(label=label)
+                elif parts[0] == "e":
+                    if not 3 <= len(parts) <= 4:
+                        raise GraphError("expected 'e <u> <v> [<label>]'")
+                    u, v = int(parts[1]), int(parts[2])
+                    label = int(parts[3]) if len(parts) > 3 else 0
+                    builder.add_edge(u, v, label=label)
+                else:
+                    if len(parts) != 2:
+                        raise GraphError("expected 'v', 'e' or '<u> <v>' line")
+                    u, v = int(parts[0]), int(parts[1])
+                    while builder.n_vertices <= max(u, v):
+                        builder.add_vertex()
+                    if not builder.has_edge(u, v):
+                        builder.add_edge(u, v)
+            except ValueError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
     return builder.build()
 
 

@@ -1,4 +1,6 @@
-"""Round-trip tests for graph serialization."""
+"""Round-trip tests for graph serialization, and its malformed input."""
+
+import re
 
 import pytest
 
@@ -90,6 +92,46 @@ class TestEdgeListFormat:
         path.write_text("v 0 1\nv 2 1\n")
         with pytest.raises(GraphError):
             load_edge_list(str(path))
+
+
+class TestMalformedLines:
+    """Every malformed line is a ``GraphError`` naming ``path:lineno``."""
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("v 0\n", 1),
+            ("v 0 1\ne 0\n", 2),
+            ("0 1\n7\n", 2),
+            ("a b\n", 1),
+            ("v 0 1 2\n", 1),
+            ("v 0 1\nv 1 1\ne 0 5 0\n", 3),  # missing vertex
+            ("v 0 1\n# c\ne 0 0\n", 3),  # self-loop
+            ("v 0 1\nv 1 1\ne 0 1\ne 1 0 2\n", 4),  # repeated edge
+            ("0 1 2\n", 1),
+        ],
+    )
+    def test_edge_list(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.el"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+            load_edge_list(str(path))
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("0 1 x\n", 1),
+            ("0 0\n1\n", 2),
+            ("0 0 1\n1 0 1\n", 2),  # self-loop
+            ("0 0 1\n\n1 0 7\n", 3),  # missing vertex
+            ("0 0 -1\n", 1),
+        ],
+    )
+    def test_adjacency_list(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.adj"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+            load_adjacency_list(str(path))
 
 
 class TestKeywordSidecar:

@@ -1,25 +1,31 @@
 """Differential test: shared level programs ≡ the bare programs.
 
 The indexed kernels compute a level's candidates once per root for all
-sibling prefixes that agree on the positions the level reads
-(``repro.core.intersect.share_level``).  This file replays *every* call
-on a shared level against the unshared ``compile_level`` program — equal
+sibling prefixes that agree on the positions the level reads: the
+enumeration's level programs through ``repro.core.intersect.share_level``,
+the generated count and list walks (``repro.core.levelwalk``) through a
+per-root memo at the same positions.  This file replays *every* call
+on a shared level program against the unshared ``compile_level`` program — equal
 candidates, equal full ``Metrics`` delta, and no entry older than the
 current root — while a walk drives the strategy through everything that
 can invalidate or damage an entry: root changes, ``rebuild()`` of stolen
 prefixes, ``reset_state()``, a ``set_vertex_label()`` between two calls
-on the same root, and callers editing the lists they were handed.  End to
-end, every backend must return the legacy kernel's matches and, with
-sharing patched out, the very same ``Metrics`` totals.
+on the same root, and callers editing the lists they were handed.  It
+observes the generated walk's memos hit, and end to end, every backend
+must return the legacy kernel's matches and, with sharing patched out,
+the very same ``Metrics`` totals.
 
-The replay is a test-local patch of ``share_level``; there is no switch
-in ``src/`` to turn sharing off.
+The replay and the unshared runs are test-local patches of
+``share_level``, ``shares_candidates`` and the emitter; there is no
+switch in ``src/`` to turn sharing off.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
+import re
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -30,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
 from repro.apps import QUERY_PATTERNS
 from repro.apps.queries import query_fractoid
-from repro.core import intersect
+from repro.core import intersect, levelwalk
 from repro.core.enumerator import PatternInducedStrategy
 from repro.graph import erdos_renyi_graph
 from repro.pattern.decompose import (
@@ -105,12 +111,57 @@ def replaying():
 
 @contextmanager
 def unshared():
-    """Every level runs its bare program."""
+    """Every level runs its bare program, and generated walks keep no memo."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             intersect, "share_level", lambda program, reads, graph, memo: program
         )
-        yield
+        patch.setattr(levelwalk, "shares_candidates", lambda pos, reads: False)
+        levelwalk.level_executor.cache_clear()
+        try:
+            yield
+        finally:
+            levelwalk.level_executor.cache_clear()
+
+
+class _Memo(dict):
+    """A generated walk's per-root memo that counts lookups and stores."""
+
+    calls: Counter = Counter()
+    computed: Counter = Counter()
+
+    def __init__(self, pos):
+        super().__init__()
+        self.pos = pos
+
+    def get(self, key):
+        _Memo.calls[self.pos] += 1
+        return super().get(key)
+
+    def __setitem__(self, key, value):
+        _Memo.computed[self.pos] += 1
+        super().__setitem__(key, value)
+
+
+@contextmanager
+def observed_memos():
+    """Generated walks whose memos are :class:`_Memo` (a test-local patch
+    of the emitter's output); yields ``(calls, computed)`` per position."""
+    real = levelwalk._generate
+
+    def observed(shape):
+        source, namespace = real(shape)
+        namespace["Memo"] = _Memo
+        return re.sub(r"memo(\d+) = \{\}", r"memo\1 = Memo(\1)", source), namespace
+
+    _Memo.calls, _Memo.computed = Counter(), Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(levelwalk, "_generate", observed)
+        levelwalk.level_executor.cache_clear()
+        try:
+            yield _Memo.calls, _Memo.computed
+        finally:
+            levelwalk.level_executor.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +298,6 @@ def test_every_level_call_replays_against_the_bare_program(case):
             assert level["reads"] == sorted(reads)
             # Entries are per root, so the root counts as read.
             assert level["shared"] == (reads | {0} < set(range(pos)))
-        # The count walk hands stored tuples around uncopied.
         assert strategy.count_matches() == expected
         plan = plan_decomposition(pattern, graph)
         if plan is not None:
@@ -258,22 +308,35 @@ def test_every_level_call_replays_against_the_bare_program(case):
 
 
 def test_sharing_is_exercised_and_explained():
-    """q6 and q8 repeat level inputs under one root; q3 never can."""
+    """q6 and q8 repeat level inputs under one root; q3 never can.
+
+    Observed on the generated walk's memos, which sit at exactly the
+    positions ``kernel_info`` calls shared."""
     graph = erdos_renyi_graph(40, 160, n_labels=1, seed=11)
     shared_positions = {}
     for name in ("q3", "q6", "q8"):
-        with replaying() as replay:
+        with observed_memos() as (calls, computed):
             strategy = _strategy(graph, QUERY_PATTERNS[name])
-            strategy.count_matches()
+            expected = _strategy(graph, QUERY_PATTERNS[name])
+            with unshared():
+                want = expected.count_matches()
+            assert strategy.count_matches() == want
+            totals = [s.metrics.snapshot() for s in (strategy, expected)]
+            for snapshot in totals:
+                # Plan-cache hits depend on what was built before.
+                del snapshot["symmetry_cache_hits"]
+            assert totals[0] == totals[1]
         shared_positions[name] = [
             pos
             for pos, level in enumerate(strategy.kernel_info()["levels"])
             if level["shared"]
         ]
-        if shared_positions[name]:
-            assert replay.computed < replay.calls, name
-        else:
-            assert replay.calls == 0, name
+        tail, _ = strategy.orbit_tail()
+        cut = strategy.pattern.n_vertices - tail
+        walked = [pos for pos in shared_positions[name] if pos <= cut]
+        assert sorted(calls) == walked, name
+        for pos in walked:
+            assert 0 < computed[pos] < calls[pos], (name, pos)
     assert shared_positions["q3"] == []
     assert shared_positions["q6"] and shared_positions["q8"]
     legacy = _strategy(graph, QUERY_PATTERNS["q6"], kernel="legacy")

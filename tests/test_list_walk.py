@@ -1,22 +1,31 @@
-"""Differential test: the listing walk ≡ the enumeration it replaces.
+"""Differential test: the level walk ≡ the enumeration it replaces.
 
-A pure listing step — every primitive an expansion, one per pattern
-vertex, ``collect="subgraphs"`` — is planned as ``"list"`` and runs as
-``PatternInducedStrategy.list_matches``: the level walk ``count_matches``
-also takes, emitting a ``SubgraphResult`` per match instead of pushing a
-``Subgraph``.  It must hand out what the enumeration's freezing sink
-would — same vertices, edges and pattern, in the same order — and move
-every ``Metrics`` counter by the same amount, on random labeled graphs
-and connected patterns of one to five vertices, under both indexed-family
-kernels, on the sequential and the multiprocess backend, with and
-without root words (label-correct, as the executors hand them out).  Everything else keeps enumerating and says why in
-``kernel_info["list_walk"]``.
+``PatternInducedStrategy.count_matches`` and ``list_matches`` run one
+generated nested-loop executor per plan shape
+(``repro.core.levelwalk.level_executor``).  A pure listing step — every
+primitive an expansion, one per pattern vertex, ``collect="subgraphs"``
+— is planned as ``"list"`` and runs the list leaf, emitting a
+``SubgraphResult`` per match instead of pushing a ``Subgraph``.  It must
+hand out what the enumeration's freezing sink would — same vertices,
+edges and pattern, in the same order — and move every ``Metrics``
+counter by the same amount, on random labeled graphs and connected
+patterns of one to five vertices, under both indexed-family kernels, on
+the sequential and the multiprocess backend, with and without root
+words (label-correct, as the executors hand them out).  The count leaf
+must return the enumeration's count and meter what the orbit walk over
+the enumeration's own level programs (``extensions()``, full
+injectivity test) meters, kept here as the reference.  Everything else
+keeps enumerating and says why in ``kernel_info["list_walk"]``.
+
+Also here: the injectivity rule the generator applies, the executor
+cache, and the gallop crossover read on every call.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
+from math import comb
 from multiprocessing import shared_memory
 
 import pytest
@@ -25,10 +34,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
+from repro.apps import QUERY_PATTERNS
+from repro.apps.queries import query_fractoid
+from repro.core import intersect, levelwalk
 from repro.core.computation import Computation
 from repro.core.enumerator import PatternInducedStrategy
 from repro.core.primitives import Expand
-from repro.graph import erdos_renyi_graph
+from repro.graph import erdos_renyi_graph, orkut_like
+from repro.pattern.isomorphism import match_pattern
 from repro.pattern.pattern import PatternInterner
 from repro.runtime import mp_backend
 from repro.runtime.driver import execute_plan
@@ -44,10 +57,10 @@ KERNELS = ("indexed", "decomposed")
 # Random inputs
 # ----------------------------------------------------------------------
 @st.composite
-def cases(draw):
+def cases(draw, max_k=5):
     """``(graph, pattern, kernel, roots)``: a random labeled graph, a
-    random connected pattern on 1..5 vertices over its labels, a kernel
-    and ``None`` or some root words."""
+    random connected pattern on 1..``max_k`` vertices over its labels, a
+    kernel and ``None`` or some root words."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
     n = draw(st.integers(min_value=4, max_value=14))
@@ -57,7 +70,7 @@ def cases(draw):
     graph = erdos_renyi_graph(
         n, m, n_labels=n_labels, n_edge_labels=n_elabels, seed=seed % 10_000
     )
-    k = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=max_k))
     pairs = {(rng.randrange(v), v) for v in range(1, k)}
     for u in range(k):
         for v in range(u + 1, k):
@@ -144,6 +157,226 @@ def test_list_matches_equals_the_enumeration(case):
     assert _rows(listed) == _rows(expected)
     assert _delta(before, strategy.metrics.snapshot()) == expected_delta
     assert expected_delta["results_emitted"] == len(expected)
+
+
+def _reference_count(strategy, roots):
+    """The orbit count walk over the enumeration's level programs.
+
+    Each position's candidates come from ``strategy._levels`` — what
+    ``extensions()`` returns, the full ``used`` test included — down to
+    the orbit cut, where every prefix is credited ``C(|C|, tau) *
+    arrangements``; metered as the enumeration meters its pushes.
+    """
+    metrics = strategy.metrics
+    levels = strategy._levels
+    tau, arrangements = strategy.orbit_tail()
+    cut = strategy.pattern.n_vertices - tau
+    matched = [0] * (cut + 1)
+    used = set()
+    strategy.reset_state()
+    total = 0
+
+    def walk(pos, candidates):
+        nonlocal total
+        metrics.subgraphs_enumerated += len(candidates)
+        for v in candidates:
+            matched[pos] = v
+            used.add(v)
+            found = levels[pos + 1](matched, used)
+            if pos + 1 == cut:
+                total += comb(len(found), tau) * arrangements
+            else:
+                walk(pos + 1, found)
+            used.discard(v)
+
+    first = list(roots) if roots is not None else levels[0](matched, used)
+    if cut == 0:
+        total = comb(len(first), tau) * arrangements
+    else:
+        walk(0, first)
+    metrics.orbit_multiplied_embeddings += total
+    return total
+
+
+@given(cases(max_k=6))
+@settings(max_examples=200, deadline=None)
+def test_count_matches_equals_the_enumeration(case):
+    graph, pattern, kernel, roots = case
+    expected, _ = _enumerated(graph, pattern, kernel, roots)
+    reference = _strategy(graph, pattern, kernel)
+    before = reference.metrics.snapshot()
+    assert _reference_count(reference, roots) == len(expected)
+    expected_delta = _delta(before, reference.metrics.snapshot())
+    strategy = _strategy(graph, pattern, kernel)
+    before = strategy.metrics.snapshot()
+    assert strategy.count_matches(roots) == len(expected)
+    assert _delta(before, strategy.metrics.snapshot()) == expected_delta
+
+
+# ----------------------------------------------------------------------
+# Injectivity decided at generation time
+# ----------------------------------------------------------------------
+def _injective(graph, pattern):
+    strategy = _strategy(graph, pattern, "indexed")
+    return strategy, [level["injective"] for level in strategy.kernel_info()["levels"]]
+
+
+def _oracle_count(graph, pattern):
+    return sum(1 for _ in match_pattern(pattern, graph, distinct=True))
+
+
+def _assert_counts_and_lists(graph, pattern):
+    """Both leaves against the enumeration on ``graph``."""
+    expected, delta = _enumerated(graph, pattern, "indexed", None)
+    assert len(expected) == _oracle_count(graph, pattern)
+    strategy = _strategy(graph, pattern, "indexed")
+    before = strategy.metrics.snapshot()
+    assert _rows(strategy.list_matches()) == _rows(expected)
+    assert _delta(before, strategy.metrics.snapshot()) == delta
+    assert _strategy(graph, pattern, "indexed").count_matches() == len(expected)
+
+
+UNLABELED = erdos_renyi_graph(30, 150, n_labels=1, seed=3)
+
+
+def test_clique_collisions_are_ruled_out_by_the_transitive_order():
+    clique = QUERY_PATTERNS["q5"]
+    strategy, injective = _injective(UNLABELED, clique)
+    assert injective == [[]] * 5
+    # Every earlier position is also a back neighbour here; without the
+    # back edges the symmetry order alone must still rule out every test,
+    # which takes the chain's transitive closure: some position is not
+    # checked directly against every earlier one.
+    n = len(strategy.order)
+    no_backs = [()] * n
+    assert levelwalk.injective_positions(
+        strategy._labels, no_backs, strategy._checks
+    ) == [()] * n
+    direct = [{q for q, _ in strategy._checks[p]} for p in range(n)]
+    assert any(direct[p] != set(range(p)) for p in range(n))
+    _assert_counts_and_lists(UNLABELED, clique)
+
+
+def test_star_leaves_ordered_by_the_symmetry_checks():
+    star = Pattern([0] * 5, [(0, leaf, 0) for leaf in range(1, 5)])
+    strategy, injective = _injective(UNLABELED, star)
+    assert strategy.order[0] == 0  # the centre; the leaves are siblings
+    assert injective == [[]] * 5
+    _assert_counts_and_lists(UNLABELED, star)
+
+
+def test_all_distinct_labels_need_no_test():
+    graph = erdos_renyi_graph(40, 160, n_labels=4, seed=5)
+    path = Pattern([0, 1, 2, 3], [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+    _, injective = _injective(graph, path)
+    assert injective == [[]] * 4
+    _assert_counts_and_lists(graph, path)
+
+
+def test_cycles_keep_exactly_the_collision_tests_they_need(monkeypatch):
+    # The 4-cycle's checks order every non-adjacent pair; the 5-cycle's
+    # leave position 3 (two hops from 0 the long way round) untested
+    # against 0, so that test must stay.
+    four = Pattern([0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0)])
+    five = QUERY_PATTERNS["q8"]
+    assert _injective(UNLABELED, four)[1] == [[]] * 4
+    assert _injective(UNLABELED, five)[1] == [[], [], [], [0], [2]]
+    for cycle in (four, five):
+        _assert_counts_and_lists(UNLABELED, cycle)
+    # Without it the walk would count closed walks that revisit a vertex.
+    expected = _oracle_count(UNLABELED, five)
+    monkeypatch.setattr(
+        levelwalk, "injective_positions",
+        lambda labels, backs, checks: [()] * len(labels),
+    )
+    levelwalk.level_executor.cache_clear()
+    try:
+        assert _strategy(UNLABELED, five, "indexed").count_matches() > expected
+    finally:
+        levelwalk.level_executor.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [Pattern([0], []), Pattern([0, 0], [(0, 1, 0)])],
+    ids=["one-vertex", "one-edge"],
+)
+def test_one_and_two_vertex_patterns(pattern):
+    _, injective = _injective(UNLABELED, pattern)
+    assert injective == [[]] * pattern.n_vertices
+    _assert_counts_and_lists(UNLABELED, pattern)
+
+
+def test_legacy_levels_report_the_whole_prefix():
+    legacy = _strategy(UNLABELED, QUERY_PATTERNS["q6"], "legacy")
+    levels = legacy.kernel_info()["levels"]
+    assert [level["injective"] for level in levels] == [
+        list(range(pos)) for pos in range(5)
+    ]
+
+
+# ----------------------------------------------------------------------
+# One compile per plan shape
+# ----------------------------------------------------------------------
+def _compiles():
+    return levelwalk.level_executor.cache_info().misses
+
+
+def test_one_shape_on_two_graphs_compiles_once():
+    triangle = QUERY_PATTERNS["q1"]
+    graphs = [
+        erdos_renyi_graph(30, 120, n_labels=1, seed=1),
+        erdos_renyi_graph(50, 200, n_labels=1, seed=2),
+    ]
+    strategies = [_strategy(g, triangle, "indexed") for g in graphs]
+    assert strategies[0]._shape == strategies[1]._shape
+    levelwalk.level_executor.cache_clear()
+    counts = [s.count_matches() for s in strategies]
+    assert _compiles() == 1
+    assert counts == [_oracle_count(g, triangle) for g in graphs]
+    assert counts[0] != counts[1]
+
+
+def test_cluster_count_shares_compile_once_per_step():
+    graph = erdos_renyi_graph(40, 160, n_labels=1, seed=11)
+    context = FractalContext(engine=ClusterConfig(workers=2, cores_per_worker=4))
+    fractoid = query_fractoid(
+        context.from_graph(graph), QUERY_PATTERNS["q6"], kernel="indexed"
+    )
+    levelwalk.level_executor.cache_clear()
+    report = fractoid.execute(collect="count")
+    assert report.steps[-1].kernel_info["orbit_count"]["executed"]
+    assert _compiles() == 1
+    assert report.result_count == _oracle_count(graph, QUERY_PATTERNS["q6"])
+
+
+def test_a_pattern_too_long_to_generate_enumerates():
+    path = Pattern([0] * 17, [(v, v + 1, 0) for v in range(16)])
+    strategy = _strategy(UNLABELED, path, "indexed")
+    assert not strategy.supports_level_walk()
+    with pytest.raises(ValueError, match="at most 16 positions"):
+        strategy.count_matches()
+
+
+# ----------------------------------------------------------------------
+# The gallop crossover is read on every call
+# ----------------------------------------------------------------------
+def test_the_gallop_crossover_stays_live(monkeypatch):
+    graph = orkut_like(scale=0.1)
+    triangle = QUERY_PATTERNS["q1"]
+
+    def counted():
+        strategy = _strategy(graph, triangle, "indexed")
+        count = strategy.count_matches()
+        return count, strategy.metrics.gallop_steps, strategy.metrics.intersect_comparisons
+
+    default = counted()
+    monkeypatch.setattr(intersect, "GALLOP_CROSSOVER", 10**9)
+    merged = counted()
+    assert merged[0] == default[0]
+    assert merged[1] < default[1] and merged[2] > default[2]
+    monkeypatch.undo()
+    assert counted() == default
 
 
 # ----------------------------------------------------------------------
