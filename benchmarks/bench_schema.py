@@ -6,7 +6,7 @@ trajectory of performance numbers across PRs is machine-readable:
 ``schema_version``
     Integer, bumped on incompatible header changes.
 ``bench``
-    Short benchmark name (``mp_backend``, ``adaptive_steal``, ...).
+    Short benchmark name (``mp_backend``, ``fault_recovery``, ...).
 ``commit``
     The git commit the numbers were measured at (``HEAD`` at write
     time; ``unknown`` outside a git checkout).

@@ -9,8 +9,7 @@ optional heterogeneous-link map, from which `config(policy)` builds the
 
 ``bestdegree``
     Moderate persistent skew where the optimal *fixed* steal degree is
-    some mid-sized chunk — the scenario the static ``chunk:N`` knob was
-    tuned by hand for.
+    some mid-sized chunk: a degree the adaptive controller has to find.
 ``offloadlatency``
     Heterogeneous interconnect: some worker pairs pay a large extra
     round-trip latency.  Work sits on several workers, so a thief has a
@@ -28,8 +27,8 @@ optional heterogeneous-link map, from which `config(policy)` builds the
     (big chunks pay off), then the imbalance disappears and oversized
     chunks would just bounce fragments between idle cores.
 
-The knobs ``bench_fig16_worksteal.py`` and ``bench_adaptive_steal.py``
-share — :func:`straggler_plan` and :func:`clique_fractoid` — live here.
+The two Figure-16 benches in ``bench_fig16_worksteal.py`` share
+:func:`straggler_plan` and :func:`clique_fractoid` from here.
 
 All quantities are simulated and deterministic: a scenario run twice
 produces byte-identical clocks, metrics and results.
@@ -40,7 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -125,14 +124,13 @@ class Scenario:
             self.graph_vertices, attach=self.graph_attach, seed=self.graph_seed
         )
 
-    def config(self, policy: str, scheduler: str = "event") -> ClusterConfig:
+    def config(self, policy: str) -> ClusterConfig:
         return ClusterConfig(
             workers=self.workers,
             cores_per_worker=self.cores_per_worker,
             ws_internal=self.ws_internal,
             ws_external=self.ws_external,
             steal_policy=policy,
-            scheduler=scheduler,
             fault_plan=self.fault_plan,
             link_latency=self.link_latency,
         )
@@ -157,7 +155,7 @@ def bestdegree(mode: str = "quick") -> Scenario:
     workers, cores = _size(mode, (2, 4), (4, 8), (4, 8))
     return Scenario(
         name="bestdegree",
-        description="moderate persistent skew; some fixed chunk:N is optimal",
+        description="moderate persistent skew; a mid-sized fixed degree is optimal",
         graph_vertices=vertices,
         graph_attach=6,
         graph_seed=3,
@@ -272,23 +270,3 @@ def all_scenarios(mode: str = "quick") -> List[Scenario]:
     }
     return [makers[name](mode) for name in SCENARIO_NAMES]
 
-
-def scenario_summary(scenario: Scenario) -> Dict[str, object]:
-    """JSON-ready description of a scenario (for BENCH payload headers)."""
-    plan = scenario.fault_plan
-    return {
-        "description": scenario.description,
-        "graph": {
-            "vertices": scenario.graph_vertices,
-            "attach": scenario.graph_attach,
-            "seed": scenario.graph_seed,
-        },
-        "cluster": {
-            "workers": scenario.workers,
-            "cores_per_worker": scenario.cores_per_worker,
-            "ws_internal": scenario.ws_internal,
-            "ws_external": scenario.ws_external,
-        },
-        "stragglers": len(plan.stragglers) if plan else 0,
-        "link_latency": [list(link) for link in scenario.link_latency or ()],
-    }

@@ -654,11 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="one",
         metavar="POLICY",
         help="work transferred per successful steal: 'one' (single "
-        "extension, the paper-faithful default), 'half' (Cilk-style "
-        "steal-half), 'chunk:N' (at most N extensions) or 'adaptive' "
-        "(AIMD steal-degree controller with latency-aware victim "
-        "selection); results are identical under every policy, clocks "
-        "and steal traffic differ",
+        "extension, the paper-faithful default) or 'adaptive' (AIMD "
+        "steal-degree controller with latency-aware victim selection); "
+        "results are identical under both, clocks and steal traffic "
+        "differ",
     )
     p_run.add_argument(
         "--pattern-kernel",

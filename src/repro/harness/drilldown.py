@@ -199,10 +199,10 @@ def run_fig16_worksteal(
 
     ``steal_policies`` adds a chunking dimension to the sweep: each of
     the four Figure-16 configurations runs once per policy (``"one"``
-    reproduces the paper's single-extension protocol; ``"half"`` /
-    ``"chunk:N"`` / ``"adaptive"`` show how chunked transfers trade
-    steal round-trips for shipped extensions).  Results are identical
-    across policies; only clocks, steal counts and message traffic move.
+    reproduces the paper's single-extension protocol; ``"adaptive"``
+    shows how controller-sized chunks trade steal round-trips for
+    shipped extensions).  Results are identical across policies; only
+    clocks, steal counts and message traffic move.
 
     ``fault_plan`` optionally injects a straggler shape (e.g. one of the
     DLB scenario plans from ``benchmarks/dlb_scenarios.py``) so the

@@ -276,7 +276,7 @@ class SimulatorBackend(ExecutionBackend):
             return strategy_factory(graph, core_metrics, interner)
 
         needs_enumerators = None
-        if config.fault_plan is not None or config.fail_at:
+        if config.fault_plan is not None:
             needs_enumerators = (
                 "fault injection configured (recovery needs enumerators)"
             )

@@ -24,10 +24,10 @@ operates on (§4.2):
 Both stealing levels can be disabled independently, reproducing the four
 configurations of Figure 16.
 
-Faults (see :mod:`~repro.runtime.faults`): a ``fault_plan`` (or the
-legacy ``fail_at`` map) kills cores and workers on the simulated clock,
-slows stragglers, and injects message faults into the external-steal
-protocol (loss → retry with exponential backoff, duplication →
+Faults (see :mod:`~repro.runtime.faults`): a ``fault_plan`` kills cores
+and workers on the simulated clock, slows stragglers, and injects
+message faults into the external-steal protocol (loss → retry with
+exponential backoff, duplication →
 idempotent discard, delay → added latency).  A dead core's enumerators
 become visible to survivors only once the heartbeat detector declares it
 dead; they are then recovered by stealing, and whatever stealing cannot
@@ -71,52 +71,16 @@ __all__ = ["ClusterConfig", "ClusterEngine", "ClusterStepResult", "CoreReport"]
 _WAIT_EPSILON = 1.0  # units an idle core waits before re-checking for work
 
 
-# Sentinel _parse_steal_policy returns for the adaptive policy: chunk
-# sizing is owned by the engine's online steal-degree controller.
-_ADAPTIVE = -1
-
-
-def _parse_steal_policy(policy: str) -> int:
-    """Validate a steal policy string; return the fixed chunk size.
-
-    Returns 1 for ``"one"``, 0 for ``"half"`` (chunk size is computed per
-    steal as half the victim frame's remaining extensions), N for
-    ``"chunk:N"`` and :data:`_ADAPTIVE` for ``"adaptive"`` (chunk size is
-    tuned online by the steal-degree controller).  Raises ``ValueError``
-    on anything else.  This is the single source of truth for accepted
-    policies: :class:`ClusterConfig` and the CLI both surface its
-    message.
-    """
-    if policy == "one":
-        return 1
-    if policy == "half":
-        return 0
-    if policy == "adaptive":
-        return _ADAPTIVE
-    if policy.startswith("chunk:"):
-        try:
-            n = int(policy[len("chunk:") :])
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    raise ValueError(
-        f"steal_policy must be 'one', 'half', 'chunk:N' (N >= 1) or "
-        f"'adaptive', got {policy!r}"
-    )
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Simulated cluster shape, work-stealing policy and fault schedule.
 
-    ``fail_at`` injects simple core failures: ``{core_id: clock_units}``
-    kills a core once its clock passes the given simulated time.
-    ``fault_plan`` is the general mechanism (worker failures, stragglers,
-    message faults, detector tuning); both may be combined, the earliest
-    deadline per core wins.  A dead core's remaining enumerators are
-    recovered by survivors — through stealing once the failure detector
-    fires, or by driver-level resubmission and from-scratch
+    ``fault_plan`` kills cores and workers, slows stragglers, injects
+    message faults and tunes the failure detector; a plain core kill is
+    ``FaultPlan(core_failures=(CoreFailure(core_id, clock_units),))``.
+    A dead core's remaining enumerators are recovered by survivors —
+    through stealing once the failure detector fires, or by driver-level
+    resubmission and from-scratch
     re-enumeration when stealing cannot reach them (any work-stealing
     configuration is allowed) — so results are identical with and
     without failures.  At least one core must be free of kill deadlines.
@@ -129,22 +93,18 @@ class ClusterConfig:
     cost_model: CostModel = DEFAULT_COST_MODEL
     include_setup_overhead: bool = True
     record_timeline: bool = False
-    fail_at: Optional[Dict[int, float]] = None
     fault_plan: Optional[FaultPlan] = None
     # How much work one successful steal moves (docs/internals.md §10).
-    # ``"one"`` — a single extension per steal, bit-identical to the
-    # original engine (clocks, metrics and results unchanged).
-    # ``"half"`` — Cilk-style steal-half: the thief takes the upper half
-    # of the victim frame's remaining extensions in one transfer.
-    # ``"chunk:N"`` — at most N extensions per transfer.
+    # ``"one"`` — a single extension per steal, the paper's protocol and
+    # the seed's clocks.
     # ``"adaptive"`` — the chunk size is tuned online by a deterministic
     # AIMD steal-degree controller driven by the scheduler's own signals
     # (steal comeback intervals, victim frame occupancy, parked-core
     # counts, per-core clock imbalance); victim selection additionally
     # prefers cheap channels from observed steal round-trip costs
     # (docs/internals.md §16).
-    # Results and aggregation views are identical under every policy;
-    # chunked policies change clocks, steal counts and message traffic.
+    # Results and aggregation views are identical under both policies;
+    # ``"adaptive"`` changes clocks, steal counts and message traffic.
     steal_policy: str = "one"
     # Optional heterogeneous interconnect: ``((src_worker, dst_worker,
     # units), ...)`` adds ``units`` to every external steal crossing that
@@ -152,12 +112,6 @@ class ClusterConfig:
     # ``None`` (the default) keeps the uniform network of prior releases
     # — every clock bit-identical.
     link_latency: Optional[Tuple[Tuple[int, int, float], ...]] = None
-    # ``"event"`` (default) parks idle cores and wakes them on published
-    # work — same simulated behaviour as the legacy polling loop, orders
-    # of magnitude fewer host-side scheduler events on wide clusters.
-    # ``"poll"`` keeps the original busy-poll loop as a reference
-    # implementation for equivalence testing.
-    scheduler: str = "event"
     # Partitioned graph storage (docs/internals.md §12).  ``None`` (the
     # default) keeps the replicated-graph model of the original engine —
     # every clock and counter bit-identical to prior releases.  A
@@ -170,7 +124,15 @@ class ClusterConfig:
     partition: Optional[str] = None
 
     def __post_init__(self):
-        _parse_steal_policy(self.steal_policy)
+        for name in ("workers", "cores_per_worker"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if self.steal_policy not in ("one", "adaptive"):
+            raise ValueError(
+                f"steal_policy must be 'one' or 'adaptive', "
+                f"got {self.steal_policy!r}"
+            )
         if self.link_latency is not None:
             links = tuple(tuple(entry) for entry in self.link_latency)
             object.__setattr__(self, "link_latency", links)
@@ -203,41 +165,13 @@ class ClusterConfig:
                     )
                 seen.add(pair)
                 _check_clock(units, f"link latency for workers {src}<->{dst}")
-        if self.scheduler not in ("event", "poll"):
-            raise ValueError(
-                f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
-            )
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
                 f"got {self.partition!r}"
             )
-        total = self.workers * self.cores_per_worker
-        if self.fail_at:
-            for core_id, deadline in self.fail_at.items():
-                if (
-                    not isinstance(core_id, int)
-                    or isinstance(core_id, bool)
-                    or not 0 <= core_id < total
-                ):
-                    raise ValueError(
-                        f"fail_at names core {core_id!r}, but the cluster "
-                        f"has cores 0..{total - 1} ({self.workers} workers "
-                        f"x {self.cores_per_worker} cores)"
-                    )
-                _check_clock(deadline, f"fail_at clock for core {core_id}")
         if self.fault_plan is not None:
             self.fault_plan.validate(self.workers, self.cores_per_worker)
-        doomed = set(self.fail_at or ())
-        if self.fault_plan is not None:
-            doomed.update(
-                self.fault_plan.deadlines(self.workers, self.cores_per_worker)
-            )
-        if doomed and len(doomed) >= total:
-            raise ValueError(
-                "failure injection kills every core; at least one core "
-                "must survive to recover the orphaned work"
-            )
 
     @property
     def total_cores(self) -> int:
@@ -255,27 +189,6 @@ class ClusterConfig:
             links[(src, dst)] = units
             links[(dst, src)] = units
         return links
-
-    def steal_chunk_size(self, remaining: int) -> int:
-        """Extensions one steal moves from a frame with ``remaining`` left.
-
-        Chunked policies never empty a multi-extension victim frame: the
-        victim always keeps at least one extension, so two idle cores can
-        never bounce a whole chunk back and forth without anybody
-        consuming it (single-extension transfers are already protected by
-        the claimed frame being non-stealable).
-        """
-        if remaining <= 1:
-            return remaining
-        fixed = _parse_steal_policy(self.steal_policy)
-        if fixed == 1 or fixed == _ADAPTIVE:
-            # "adaptive" sizing is owned by the engine's steal-degree
-            # controller; outside an engine run this static helper falls
-            # back to single-extension transfers.
-            return 1
-        if fixed:
-            return min(fixed, remaining - 1)
-        return (remaining + 1) // 2  # "half": thief takes the larger half
 
 
 @dataclass
@@ -297,14 +210,13 @@ class CoreReport:
     agg_entries_shipped: int = 0
     # Scheduler-efficiency view of this core: simulated units spent parked
     # (idle, waiting for stealable work to be published), wake
-    # notifications received, and extensions moved by its steals.  Under
-    # the legacy poll scheduler the first two stay zero.
+    # notifications received, and extensions moved by its steals.
     parked_units: float = 0.0
     wake_events: int = 0
     steal_chunk_extensions: int = 0
     # Adaptive-policy view of this core: AIMD degree adjustments its
     # steals triggered and victims it passed over for a cheaper channel.
-    # Zero under every fixed policy.
+    # Zero under ``"one"``.
     steal_degree_adjustments: int = 0
     victim_cost_skips: int = 0
     failed: bool = False
@@ -428,10 +340,6 @@ class _Core:
         self.park_start = 0.0
         self.deadline: Optional[float] = None
 
-    def has_work(self) -> bool:
-        """Whether any frame still has unconsumed extensions."""
-        return any(frame.has_next() for frame in self.stack)
-
     def stealable_frame(self) -> Optional[SubgraphEnumerator]:
         """Shallowest stealable frame with available extensions, if any."""
         for frame in self.stack:
@@ -481,16 +389,11 @@ class _FaultRuntime:
 
     def __init__(self, config: ClusterConfig, cost: CostModel):
         plan = config.fault_plan
-        deadlines: Dict[int, float] = {}
-        if plan is not None:
-            deadlines.update(
-                plan.deadlines(config.workers, config.cores_per_worker)
-            )
-        for core_id, at in (config.fail_at or {}).items():
-            previous = deadlines.get(core_id)
-            if previous is None or at < previous:
-                deadlines[core_id] = at
-        self.deadlines = deadlines
+        self.deadlines: Dict[int, float] = (
+            plan.deadlines(config.workers, config.cores_per_worker)
+            if plan is not None
+            else {}
+        )
         self.detector = plan.detector if plan is not None else FailureDetector()
         self.channel: Optional[MessageChannel] = None
         if (
@@ -628,10 +531,6 @@ class _StealController:
             return 1
         return min(degree, remaining - 1)
 
-    def observed_cost(self, src_worker: int, dst_worker: int) -> float:
-        """Current round-trip estimate for a worker-pair channel."""
-        return self.channel_cost.get((src_worker, dst_worker), self.prior)
-
     def victim_cost(
         self,
         src_worker: int,
@@ -718,25 +617,26 @@ class _SchedState:
     empty, or orphaned by a death, so victim selection inspects only real
     candidates instead of rescanning every core's whole stack.
 
-    **Parking** (event scheduler only) — an idle core that finds nothing
-    stealable leaves the event heap instead of re-entering it every
-    ``_WAIT_EPSILON``.  ``pend`` records when its *next* poll would have
-    run; at every heap pop ``(c, i)`` the virtual polls that precede the
-    event are replayed in O(parked) arithmetic (``collapse``): the failed
-    poll re-schedules to ``min(busy_min, dead_detect) + _WAIT_EPSILON``
-    exactly as ``_next_work_clock`` would have, kill deadlines fire at the
-    poll clock, and a poll at or past a reachable detection point becomes
-    a real heap event again.  Publishing a stealable frame wakes every
-    reachable parked core at its current ``pend``.  The replay reproduces
-    the legacy polling loop's clock arithmetic bit-for-bit — equivalence
-    is property-tested against ``scheduler="poll"``.
+    **Parking** — an idle core that finds nothing stealable leaves the
+    event heap instead of re-entering it every ``_WAIT_EPSILON``.
+    ``pend`` records when its *next* poll would have run; at every heap
+    pop ``(c, i)`` the virtual polls that precede the event are replayed
+    in O(parked) arithmetic (``collapse``): the failed poll re-schedules
+    to ``min(busy_min, dead_detect) + _WAIT_EPSILON`` exactly as
+    ``_next_work_clock`` would have, kill deadlines fire at the poll
+    clock, and a poll at or past a reachable detection point becomes a
+    real heap event again.  Publishing a stealable frame wakes every
+    reachable parked core at its current ``pend``.  This replay is what
+    keeps the seed's clocks: an idle core still *advances* as if it
+    re-polled every ``_WAIT_EPSILON``, so every simulated makespan and
+    paper figure is bit-for-bit the seed's.
+    ``tests/data/cluster_fingerprint.json`` pins those clocks.
     """
 
     __slots__ = (
         "config",
         "cores",
         "runtime",
-        "event",
         "reg_workers",
         "dead_avail",
         "parked",
@@ -753,7 +653,6 @@ class _SchedState:
         self.config = config
         self.cores = cores
         self.runtime = runtime
-        self.event = config.scheduler == "event"
         self.reg_workers: List[set] = [set() for _ in range(config.workers)]
         self.dead_avail: set = set()  # failed core ids with stealable frames
         self.parked: Dict[int, _Core] = {}
@@ -780,7 +679,7 @@ class _SchedState:
         if core.stealable_count != 1:
             return
         self.reg_workers[core.worker_id].add(core.core_id)
-        if not self.event or not self.parked or core.failed:
+        if not self.parked or core.failed:
             # A dead core's orphans are only visible once the detector
             # fires; parked thieves reach them via ``_dead_wake_at``.
             return
@@ -941,7 +840,7 @@ class ClusterEngine:
         # Owner lookup for the active partition (None = replicated graph);
         # set per run_step, consulted by _advance's fetch metering.
         self._word_owner: Optional[Callable[[int], int]] = None
-        # Adaptive steal-degree controller (None under fixed policies)
+        # Adaptive steal-degree controller (None under ``"one"``)
         # and the heterogeneous-link lookup; both set per run_step.
         self._controller: Optional[_StealController] = None
         self._links: Optional[Dict[Tuple[int, int], float]] = None
@@ -1060,99 +959,17 @@ class ClusterEngine:
         cost: CostModel,
         runtime: _FaultRuntime,
     ) -> int:
-        """Run the scheduler until no schedulable core has work left."""
+        """Run the scheduler until no schedulable core has work left.
+
+        Always advances the globally earliest core.  An idle core that
+        finds nothing to steal parks instead of re-polling; the parked
+        cores' virtual polls are replayed between events (see
+        ``_SchedState``), so clocks are those of a loop in which idle
+        cores re-poll every ``_WAIT_EPSILON`` units, while the host-side
+        event count is proportional to useful work instead of
+        ``idle_cores × events``.
+        """
         sched = _SchedState(self.config, cores, runtime, heap)
-        if sched.event:
-            return self._drain_event(
-                heap, cores, storages_per_core, primitives, sink, cost, runtime, sched
-            )
-        return self._drain_poll(
-            heap, cores, storages_per_core, primitives, sink, cost, runtime, sched
-        )
-
-    def _drain_poll(
-        self,
-        heap: List[Tuple[float, int]],
-        cores: List[_Core],
-        storages_per_core: List[Dict[int, AggregationStorage]],
-        primitives: Sequence[Primitive],
-        sink,
-        cost: CostModel,
-        runtime: _FaultRuntime,
-        sched: _SchedState,
-    ) -> int:
-        """The legacy polling event loop, kept as the reference scheduler.
-
-        Idle cores re-enter the heap every ``_WAIT_EPSILON`` units; the
-        event scheduler (``_drain_event``) is property-tested to produce
-        bit-identical clocks, metrics and results against this loop.
-        """
-        config = self.config
-        deadlines = runtime.deadlines
-        sched_metrics = runtime.metrics
-        steal_messages = 0
-        while heap:
-            clock, core_id = heapq.heappop(heap)
-            core = cores[core_id]
-            sched_metrics.scheduler_events += 1
-            if core.done:
-                continue
-            if clock < core.clock:
-                # Stale heap entry; re-queue at the true clock.
-                sched_metrics.scheduler_requeues += 1
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            deadline = deadlines.get(core_id)
-            if deadline is not None and core.clock >= deadline and not core.failed:
-                # The core dies between quanta; the detector will notice
-                # at ``detect_at`` and survivors recover its enumerators.
-                runtime.on_death(core)
-                sched.on_death(core)
-                continue
-            if core.stack:
-                # One quantum, then back to the global scheduler.
-                storages = storages_per_core[core_id]
-                self._advance(core, primitives, storages, sink, cost, sched)
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            # Idle: the stack is empty. Try to steal.
-            stolen, messages, _found = self._try_steal(
-                core, cores, cost, runtime, sched
-            )
-            steal_messages += messages
-            if stolen:
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            # Nothing stealable now.  Work may appear when a busy core
-            # spawns frames, or when the detector declares a dead core
-            # and publishes its orphans to a reachable thief.
-            wake = self._next_work_clock(cores, core, config)
-            if wake is None:
-                core.done = True
-                continue
-            core.clock = max(core.clock, wake) + _WAIT_EPSILON
-            heapq.heappush(heap, (core.clock, core_id))
-        return steal_messages
-
-    def _drain_event(
-        self,
-        heap: List[Tuple[float, int]],
-        cores: List[_Core],
-        storages_per_core: List[Dict[int, AggregationStorage]],
-        primitives: Sequence[Primitive],
-        sink,
-        cost: CostModel,
-        runtime: _FaultRuntime,
-        sched: _SchedState,
-    ) -> int:
-        """Event-driven scheduler: parked idle cores, no polling.
-
-        Identical simulated behaviour to ``_drain_poll`` — every clock,
-        metric and result matches bit-for-bit (see ``_SchedState``) — but
-        idle cores leave the heap until stealable work is published, so
-        the host-side event count is proportional to useful work instead
-        of ``idle_cores × events``.
-        """
         config = self.config
         sched_metrics = runtime.metrics
         steal_messages = 0
@@ -1454,26 +1271,11 @@ class ClusterEngine:
         thief must stay live and retry with fresh channel randomness).
         """
         config = self.config
-        controller = self._controller
         if config.ws_internal:
             frame, victim = self._pick_victim(thief, cores, True, sched)
             if frame is not None:
-                remaining = frame.remaining()
-                if controller is not None:
-                    chunk = controller.chunk_size(remaining, thief)
-                else:
-                    chunk = config.steal_chunk_size(remaining)
-                units = cost.steal_internal_cost()
-                if chunk > 1:
-                    units += cost.steal_chunk_cost(chunk - 1)
-                if controller is not None:
-                    controller.on_steal(
-                        thief, victim, remaining, units, len(sched.parked)
-                    )
-                    thief.metrics.adaptive_steals += 1
-                    thief.metrics.adaptive_chunk_extensions += chunk
                 self._transfer(
-                    thief, frame, units, runtime, victim, sched, chunk
+                    thief, frame, cost.steal_internal_cost(), runtime, victim, sched
                 )
                 thief.steals_internal += 1
                 thief.metrics.steals_internal += 1
@@ -1497,11 +1299,6 @@ class ClusterEngine:
                     thief.metrics.steal_work_units += penalty
                     runtime.metrics.wasted_work_units += penalty
                     return False, messages, True
-                remaining = frame.remaining()
-                if controller is not None:
-                    chunk = controller.chunk_size(remaining, thief)
-                else:
-                    chunk = config.steal_chunk_size(remaining)
                 roundtrip = cost.steal_external_cost(len(frame.prefix_words))
                 roundtrip += penalty + delay
                 if self._links is not None:
@@ -1510,22 +1307,12 @@ class ClusterEngine:
                     roundtrip += self._links.get(
                         (thief.worker_id, victim.worker_id), 0.0
                     )
-                units = roundtrip
-                if chunk > 1:
-                    units += cost.steal_chunk_cost(chunk - 1)
                 runtime.metrics.wasted_work_units += penalty
-                if controller is not None:
-                    controller.record_roundtrip(
+                if self._controller is not None:
+                    self._controller.record_roundtrip(
                         thief.worker_id, victim.worker_id, roundtrip
                     )
-                    controller.on_steal(
-                        thief, victim, remaining, units, len(sched.parked)
-                    )
-                    thief.metrics.adaptive_steals += 1
-                    thief.metrics.adaptive_chunk_extensions += chunk
-                self._transfer(
-                    thief, frame, units, runtime, victim, sched, chunk
-                )
+                self._transfer(thief, frame, roundtrip, runtime, victim, sched)
                 thief.steals_external += 1
                 thief.metrics.steals_external += 1
                 return True, messages, True
@@ -1576,11 +1363,8 @@ class ClusterEngine:
 
         A dead victim's frames are only visible once the thief's clock
         passes the failure detector's detection point for that core.
-        The event scheduler consults the stealable-work registry (only
-        cores that actually hold work are inspected — O(1) amortized);
-        the poll scheduler keeps the legacy full scan as the reference.
-        Both return the same victim: the registry is an index over
-        exactly the cores the scan would accept.
+        Only cores in the stealable-work registry — those that actually
+        hold work — are inspected (O(1) amortized).
         """
         n = len(cores)
         metrics = thief.metrics
@@ -1588,111 +1372,47 @@ class ClusterEngine:
         # the adaptive policy: channels are worker pairs, so intra-worker
         # victims all cost the same and keep the round-robin order.
         controller = self._controller if not same_worker else None
-        if sched.event:
-            if same_worker:
-                candidates = sched.reg_workers[thief.worker_id]
-            else:
-                candidates = [
-                    core_id
-                    for w, members in enumerate(sched.reg_workers)
-                    if w != thief.worker_id
-                    for core_id in members
-                ]
-            if controller is not None:
-                best = None
-                best_key = None
-                best_distance = n
-                near_distance = n
-                for core_id in candidates:
-                    metrics.victim_scan_steps += 1
-                    if core_id == thief.core_id:
-                        continue
-                    candidate = cores[core_id]
-                    if candidate.failed and thief.clock < candidate.detect_at:
-                        continue
-                    distance = (core_id - thief.core_id) % n
-                    if distance < near_distance:
-                        near_distance = distance
-                    # (cost, round-robin distance) is a unique key per
-                    # candidate, so the choice is deterministic no matter
-                    # how the registry orders its members.
-                    key = (
-                        controller.victim_cost(
-                            thief.worker_id, candidate.worker_id, self._links
-                        ),
-                        distance,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = candidate
-                        best_distance = distance
-                if best is None:
-                    return None, None
-                if best_distance > near_distance:
-                    metrics.victim_cost_skips += 1
-                return best.stealable_frame(), best
-            best = None
-            best_distance = n
-            for core_id in candidates:
-                metrics.victim_scan_steps += 1
-                if core_id == thief.core_id:
-                    continue
-                candidate = cores[core_id]
-                if candidate.failed and thief.clock < candidate.detect_at:
-                    continue
-                distance = (core_id - thief.core_id) % n
-                if distance < best_distance:
-                    best_distance = distance
-                    best = candidate
-            if best is None:
-                return None, None
-            return best.stealable_frame(), best
-        if controller is not None:
-            best = None
-            best_frame = None
-            best_key = None
-            best_distance = n
-            near_distance = n
-            for offset in range(1, n):
-                candidate = cores[(thief.core_id + offset) % n]
-                if candidate.worker_id == thief.worker_id:
-                    continue
-                metrics.victim_scan_steps += 1
-                if candidate.failed and thief.clock < candidate.detect_at:
-                    continue
-                frame = candidate.stealable_frame()
-                if frame is None:
-                    continue
-                if offset < near_distance:
-                    near_distance = offset
-                key = (
-                    controller.victim_cost(
-                        thief.worker_id, candidate.worker_id, self._links
-                    ),
-                    offset,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = candidate
-                    best_frame = frame
-                    best_distance = offset
-            if best is None:
-                return None, None
-            if best_distance > near_distance:
-                metrics.victim_cost_skips += 1
-            return best_frame, best
-        for offset in range(1, n):
-            candidate = cores[(thief.core_id + offset) % n]
-            is_local = candidate.worker_id == thief.worker_id
-            if is_local != same_worker:
-                continue
+        if same_worker:
+            candidates = sched.reg_workers[thief.worker_id]
+        else:
+            candidates = [
+                core_id
+                for w, members in enumerate(sched.reg_workers)
+                if w != thief.worker_id
+                for core_id in members
+            ]
+        best = None
+        best_key = None
+        near_distance = n
+        for core_id in candidates:
             metrics.victim_scan_steps += 1
+            if core_id == thief.core_id:
+                continue
+            candidate = cores[core_id]
             if candidate.failed and thief.clock < candidate.detect_at:
                 continue
-            frame = candidate.stealable_frame()
-            if frame is not None:
-                return frame, candidate
-        return None, None
+            distance = (core_id - thief.core_id) % n
+            if distance < near_distance:
+                near_distance = distance
+            # (cost, round-robin distance) is a unique key per candidate,
+            # so the choice is deterministic no matter how the registry
+            # orders its members; without a controller every cost is 0.
+            price = (
+                controller.victim_cost(
+                    thief.worker_id, candidate.worker_id, self._links
+                )
+                if controller is not None
+                else 0.0
+            )
+            key = (price, distance)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = candidate
+        if best is None:
+            return None, None
+        if best_key[1] > near_distance:
+            metrics.victim_cost_skips += 1
+        return best.stealable_frame(), best
 
     def _transfer(
         self,
@@ -1702,17 +1422,30 @@ class ClusterEngine:
         runtime: _FaultRuntime,
         victim: _Core,
         sched: _SchedState,
-        chunk: int,
     ) -> None:
-        """Move ``chunk`` extensions of ``frame`` onto the thief as new work.
+        """Move extensions of ``frame`` onto the thief as new work.
 
-        ``chunk == 1`` (policy ``"one"``) reproduces the original single-
-        extension transfer exactly, including the claimed frame staying
-        non-stealable.  Chunked transfers hand the thief a multi-extension
-        frame that is immediately stealable again — that recursive
-        splitting is what spreads a skewed frame across the cluster in
-        O(log n) transfers instead of one round-trip per extension.
+        ``steal_units`` is the steal's price before any chunk payload.
+        Under ``"one"`` the thief takes a single extension and its claimed
+        frame stays non-stealable.  Under ``"adaptive"`` the controller
+        sizes the chunk and every extension past the first is priced as
+        payload; a multi-extension frame is immediately stealable again —
+        that recursive splitting is what spreads a skewed frame across the
+        cluster in O(log n) transfers instead of one round-trip per
+        extension.
         """
+        chunk = 1
+        controller = self._controller
+        if controller is not None:
+            remaining = frame.remaining()
+            chunk = controller.chunk_size(remaining, thief)
+            if chunk > 1:
+                steal_units += self.config.cost_model.steal_chunk_cost(chunk - 1)
+            controller.on_steal(
+                thief, victim, remaining, steal_units, len(sched.parked)
+            )
+            thief.metrics.adaptive_steals += 1
+            thief.metrics.adaptive_chunk_extensions += chunk
         words = frame.steal_chunk(chunk)
         assert words
         if frame.stealable and not frame.has_next():
@@ -1763,11 +1496,10 @@ class ClusterEngine:
             # Waiting for detection is idle time, not busy work.
             target.clock = victim.detect_at
         units = cost.recovery_cost(len(frame.prefix_words))
-        if len(words) > 1 and self.config.steal_policy != "one":
-            # Chunked policies price the extra extension words shipped in
-            # the resubmission message; "one" keeps the legacy arithmetic
-            # (the extensions ride free, as they always did) so its clocks
-            # stay bit-identical.
+        if len(words) > 1 and self._controller is not None:
+            # The adaptive policy prices the extra extension words shipped
+            # in the resubmission message; "one" keeps the seed's
+            # arithmetic (the extensions ride free) and so its clocks.
             units += cost.steal_chunk_cost(len(words) - 1)
         ec_before = target.metrics.extension_tests
         scans_before = target.metrics.adjacency_scans

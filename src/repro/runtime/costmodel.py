@@ -87,13 +87,13 @@ class CostModel:
     steal_internal_units: float = 25.0
     steal_request_units: float = 400.0  # WS_ext request/response messages
     steal_ship_units_per_word: float = 60.0  # prefix serialization
-    # Chunked steals ("half" / "chunk:N" policies) ship extra extension
-    # words alongside the prefix in the same reply message.  An extension
-    # word is a bare integer, far cheaper than a prefix word (which drags
-    # strategy-state rebuild with it) and it amortizes the per-steal
-    # round-trip — that amortization is the whole point of steal-half.
-    # Zero extra extensions (policy "one") charges exactly zero, keeping
-    # the legacy cost arithmetic bit-identical.
+    # Chunks the adaptive policy sizes above one extension (and its
+    # driver resubmissions) ship the extra extension words alongside the
+    # prefix in the same reply message.  An extension word is a bare
+    # integer, far cheaper than a prefix word (which drags strategy-state
+    # rebuild with it) and it amortizes the per-steal round-trip — that
+    # amortization is the whole point of chunking.  Policy "one" never
+    # moves an extra extension, so it never pays this.
     steal_chunk_units_per_extension: float = 6.0
 
     # Two-level aggregation shuffle (paper §4.1; DESIGN §5).  The
@@ -199,9 +199,9 @@ class CostModel:
     def steal_chunk_cost(self, extra_extensions: int) -> float:
         """Units to serialize ``extra_extensions`` extension words.
 
-        Charged on top of the steal transfer cost when a chunked policy
-        moves more than one extension; the first extension rides free (it
-        is what the legacy one-extension steal already priced in).
+        Charged on top of the steal transfer cost when the adaptive
+        policy moves more than one extension; the first extension rides
+        free (it is what the one-extension steal already priced in).
         """
         return self.steal_chunk_units_per_extension * extra_extensions
 

@@ -107,10 +107,10 @@ class ExecutionReport:
         and chunked-steal volume (``steal_chunk_extensions`` over
         ``steals`` gives the mean extensions moved per successful
         steal).  Parking/wake counters stay zero on the sequential
-        engine and under ``scheduler="poll"``; the adaptive counters
-        (steal-degree adjustments, cost-preferred victim picks, and
-        ``adaptive_chunk_mean`` — extensions per controller-sized
-        steal) stay zero under the fixed steal policies.
+        engine; the adaptive counters (steal-degree adjustments,
+        cost-preferred victim picks, and ``adaptive_chunk_mean`` —
+        extensions per controller-sized steal) stay zero under
+        ``steal_policy="one"``.
         """
         m = self.metrics
         steals = m.steals_internal + m.steals_external

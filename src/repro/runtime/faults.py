@@ -293,9 +293,14 @@ class FaultPlan:
         """Check the plan against a cluster shape; raise ``ValueError``."""
         total = workers * cores_per_worker
         for failure in self.core_failures:
-            if not 0 <= failure.core_id < total:
+            core_id = failure.core_id
+            if (
+                not isinstance(core_id, int)
+                or isinstance(core_id, bool)
+                or not 0 <= core_id < total
+            ):
                 raise ValueError(
-                    f"fault plan kills core {failure.core_id}, but the "
+                    f"fault plan kills core {core_id!r}, but the "
                     f"cluster has cores 0..{total - 1} "
                     f"({workers} workers x {cores_per_worker} cores)"
                 )

@@ -21,11 +21,10 @@ The paper's evaluation is expressed in a handful of measurable quantities:
 * scheduler efficiency — event-loop pops and lazily-invalidated stale
   heap entries, idle-core parking (park events, wake notifications,
   parked simulated time), victim-scan work of the stealable registry,
-  and the extensions moved per steal under chunked steal policies.
-  These meter the *scheduler*, not the mined workload: results and
-  legacy counters are identical whichever scheduler/policy runs.
+  and the extensions moved per steal.  These meter the *scheduler*,
+  not the mined workload: results are identical whichever policy runs.
   Under ``steal_policy="adaptive"`` four more counters track the
-  controller (all zero under fixed policies): steal-degree AIMD
+  controller (all zero under ``"one"``): steal-degree AIMD
   adjustments (``steal_degree_adjustments``), victims chosen over a
   nearer round-robin candidate because their channel was cheaper
   (``victim_cost_skips``), and controller-sized steals plus the

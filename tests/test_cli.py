@@ -214,11 +214,15 @@ class TestStealPolicy:
         args = build_parser().parse_args(["run", "cliques"])
         assert args.steal_policy == "one"
 
-    def test_parser_accepts_policy(self):
-        args = build_parser().parse_args(
-            ["run", "cliques", "--steal-policy", "chunk:8"]
-        )
-        assert args.steal_policy == "chunk:8"
+    def test_retired_policy_exits(self):
+        with pytest.raises(SystemExit, match="'one' or 'adaptive'"):
+            main(
+                [
+                    "run", "cliques", "--dataset", "mico", "--scale", "0.3",
+                    "--workers", "2", "--cores", "2",
+                    "--steal-policy", "chunk:8",
+                ]
+            )
 
     def test_parser_accepts_adaptive(self):
         args = build_parser().parse_args(
@@ -266,7 +270,7 @@ class TestStealPolicy:
             [
                 "run", "cliques", "--dataset", "mico", "--scale", "0.3",
                 "--k", "3", "--workers", "2", "--cores", "4",
-                "--steal-policy", "half",
+                "--steal-policy", "adaptive",
             ]
         ) == 0
         out = capsys.readouterr().out

@@ -43,6 +43,7 @@ from repro.pattern.decompose import (
 from repro.pattern.isomorphism import count_pattern_matches
 from repro.pattern.pattern import PatternInterner
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
+from repro.runtime.faults import CoreFailure, FaultPlan
 from repro.runtime.metrics import Metrics
 from repro.runtime.mp_backend import MultiprocessConfig
 
@@ -316,7 +317,8 @@ class TestFallbacks:
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         baseline, _ = _count(graph, pattern, "indexed")
-        for extra in ({"fail_at": {0: 5000.0}}, {"partition": "hash"}):
+        kill = FaultPlan(core_failures=(CoreFailure(0, 5000.0),))
+        for extra in ({"fault_plan": kill}, {"partition": "hash"}):
             config = ClusterConfig(workers=2, cores_per_worker=2, **extra)
             count, report = _count(graph, pattern, "decomposed", config)
             assert count == baseline, extra

@@ -49,45 +49,34 @@ def _census(graph, config):
     return {k.canonical_code(): v for k, v in view.items()}
 
 
+def _kill(*failures, workers=1, cores_per_worker=4):
+    plan = FaultPlan(core_failures=tuple(CoreFailure(*f) for f in failures))
+    return ClusterConfig(
+        workers=workers, cores_per_worker=cores_per_worker, fault_plan=plan
+    )
+
+
 class TestValidation:
-    def test_fail_at_core_out_of_bounds(self):
-        with pytest.raises(ValueError, match="cores 0..7"):
-            ClusterConfig(workers=2, cores_per_worker=4, fail_at={8: 10.0})
+    @pytest.mark.parametrize("core_id", [-1, True, 1.0])
+    def test_plan_core_id_must_be_an_index(self, core_id):
+        with pytest.raises(ValueError, match=f"kills core {core_id!r}"):
+            _kill((core_id, 10.0), workers=2)
 
-    def test_fail_at_negative_core(self):
-        with pytest.raises(ValueError, match="fail_at names core"):
-            ClusterConfig(workers=2, cores_per_worker=4, fail_at={-1: 10.0})
-
-    def test_fail_at_negative_clock(self):
+    def test_plan_negative_clock(self):
         with pytest.raises(ValueError, match="non-negative"):
-            ClusterConfig(workers=1, cores_per_worker=4, fail_at={0: -5.0})
+            _kill((0, -5.0))
 
-    def test_fail_at_nan_clock(self):
+    def test_plan_nan_clock(self):
         with pytest.raises(ValueError, match="NaN"):
-            ClusterConfig(
-                workers=1, cores_per_worker=4, fail_at={0: float("nan")}
-            )
+            _kill((0, float("nan")))
 
-    def test_fail_at_infinite_clock(self):
+    def test_plan_infinite_clock(self):
         with pytest.raises(ValueError, match="finite"):
-            ClusterConfig(
-                workers=1, cores_per_worker=4, fail_at={0: float("inf")}
-            )
+            _kill((0, float("inf")))
 
     def test_killing_every_core_rejected(self):
         with pytest.raises(ValueError, match="at least one core"):
-            ClusterConfig(
-                workers=1,
-                cores_per_worker=2,
-                fail_at={0: 1.0, 1: 1.0},
-            )
-
-    def test_killing_every_core_via_plan_and_fail_at(self):
-        plan = FaultPlan(core_failures=(CoreFailure(0, 5.0),))
-        with pytest.raises(ValueError, match="at least one core"):
-            ClusterConfig(
-                workers=1, cores_per_worker=2, fail_at={1: 1.0}, fault_plan=plan
-            )
+            _kill((0, 1.0), (1, 1.0), cores_per_worker=2)
 
     def test_plan_core_out_of_bounds(self):
         plan = FaultPlan(core_failures=(CoreFailure(9, 5.0),))
@@ -123,7 +112,7 @@ class TestValidation:
                     cores_per_worker=2,
                     ws_internal=ws_int,
                     ws_external=ws_ext,
-                    fail_at={0: 1.0},
+                    fault_plan=FaultPlan(core_failures=(CoreFailure(0, 1.0),)),
                 )
 
 
@@ -139,9 +128,7 @@ class TestDetector:
 
     def test_detection_metrics_recorded(self):
         graph = powerlaw_graph(80, attach=4, seed=2)
-        config = ClusterConfig(
-            workers=2, cores_per_worker=4, fail_at={0: 50.0, 5: 120.0}
-        )
+        config = _kill((0, 50.0), (5, 120.0), workers=2)
         report = _clique_fractoid(FractalContext(engine=config), graph).execute(
             collect="count"
         )
@@ -189,7 +176,12 @@ class TestRecoveryEquivalence:
         ).execute(collect="count")
         injected = _clique_fractoid(
             FractalContext(
-                engine=ClusterConfig(**base, fail_at={0: 40.0, 4: 90.0})
+                engine=ClusterConfig(
+                    **base,
+                    fault_plan=FaultPlan(
+                        core_failures=(CoreFailure(0, 40.0), CoreFailure(4, 90.0))
+                    ),
+                )
             ),
             graph,
         ).execute(collect="count")

@@ -368,6 +368,8 @@ class TestConfiguration:
             lambda: ClusterConfig(adaptive_max_chunk=8),
             lambda: ClusterConfig(meter_agg_shuffle=False),
             lambda: ClusterConfig(agg_entry_budget=4),
+            lambda: ClusterConfig(scheduler="event"),
+            lambda: ClusterConfig(fail_at={0: 1.0}),
             lambda: MultiprocessConfig(pattern_kernel="indexed"),
             lambda: MultiprocessConfig(order_policy="cost"),
             lambda: CostModel(gallop_crossover=4),

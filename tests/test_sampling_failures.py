@@ -5,6 +5,12 @@ import pytest
 from repro import ClusterConfig, FractalContext
 from repro.apps import approximate_motifs, motifs, sampled_vfractoid
 from repro.graph import erdos_renyi_graph, powerlaw_graph
+from repro.runtime.faults import CoreFailure, FaultPlan
+
+
+def _kills(*failures):
+    """A plan that kills each ``(core_id, at)`` core."""
+    return FaultPlan(core_failures=tuple(CoreFailure(*f) for f in failures))
 
 
 class TestSampling:
@@ -109,7 +115,7 @@ class TestFailureInjection:
             ClusterConfig(
                 workers=2,
                 cores_per_worker=4,
-                fail_at={0: 50.0, 5: 120.0},
+                fault_plan=_kills((0, 50.0), (5, 120.0)),
             ),
         )
         assert injected.result_count == healthy.result_count
@@ -123,7 +129,7 @@ class TestFailureInjection:
         report = self._clique_count(
             graph,
             ClusterConfig(
-                workers=2, cores_per_worker=4, fail_at={0: 50.0}
+                workers=2, cores_per_worker=4, fault_plan=_kills((0, 50.0))
             ),
         )
         cores = report.steps[-1].cluster.cores
@@ -135,7 +141,7 @@ class TestFailureInjection:
         report = self._clique_count(
             graph,
             ClusterConfig(
-                workers=2, cores_per_worker=4, fail_at={0: 10.0}
+                workers=2, cores_per_worker=4, fault_plan=_kills((0, 10.0))
             ),
         )
         # The dead core stops early; someone must steal from it.
@@ -158,7 +164,7 @@ class TestFailureInjection:
                 cores_per_worker=4,
                 ws_internal=False,
                 ws_external=False,
-                fail_at={0: 10.0},
+                fault_plan=_kills((0, 10.0)),
             ),
         )
         assert injected.result_count == healthy.result_count
@@ -175,7 +181,7 @@ class TestFailureInjection:
         config = ClusterConfig(
             workers=1,
             cores_per_worker=4,
-            fail_at={0: 5.0, 1: 5.0, 2: 5.0},
+            fault_plan=_kills((0, 5.0), (1, 5.0), (2, 5.0)),
         )
         report = self._clique_count(graph, config)
         assert report.result_count == healthy.result_count
