@@ -12,7 +12,10 @@ The payload records ``host_cpus`` next to every number and computes
 inventing numbers.
 
 Correctness gate in every mode: counts from the multiprocess backend
-must equal the deterministic simulator's counts exactly.
+must equal the deterministic simulator's counts exactly.  The smoke run
+also calls the census twice from cold canonicalization tables: the
+first call's workers hand their automaton back to the driver, so the
+second call's must add nothing to it.
 
 Usage::
 
@@ -40,6 +43,7 @@ from repro import ClusterConfig, FractalContext, MultiprocessConfig  # noqa: E40
 from repro.apps import motifs  # noqa: E402
 from repro.graph import community_graph  # noqa: E402
 from repro.graph.datasets import mico_like  # noqa: E402
+from repro.pattern import dfscode  # noqa: E402
 
 from bench_schema import make_header  # noqa: E402
 
@@ -76,6 +80,18 @@ def run_smoke() -> int:
             f"smoke partition={partition}: {sum(mp.values())} subgraphs "
             f"match simulator ({wall:.2f}s wall)"
         )
+    dfscode.clear_code_cache()
+    first, _, first_report = _census(MultiprocessConfig(num_procs=2), graph)
+    second, _, second_report = _census(MultiprocessConfig(num_procs=2), graph)
+    absorbed = first_report.backend_summary()["automaton"]
+    again = second_report.backend_summary()["automaton"]
+    print(f"smoke automaton: first call absorbed {absorbed}, second {again}")
+    if not absorbed["templates"] or any(again.values()):
+        print("FAIL: workers did not hand their automaton back to the driver")
+        return 1
+    if not _canonical(first) == _canonical(second) == _canonical(sim):
+        print("FAIL: counts differ between the first and second call")
+        return 1
     print("smoke OK: multiprocess counts identical to simulator")
     return 0
 

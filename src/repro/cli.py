@@ -311,9 +311,18 @@ def _print_backend(report) -> None:
             f"shipped {summary.get('entries_shipped', 0)} entries "
             f"({summary.get('shipped_bytes', 0)} bytes), "
             f"wall {summary.get('wall_seconds', 0.0):.3f}s"
-            f" (driver fold {summary.get('fold_seconds', 0.0):.3f}s)"
+            f" (driver fold {summary.get('fold_seconds', 0.0):.3f}s,"
+            f" {summary.get('fold_cpu_seconds', 0.0):.3f}s cpu)"
             + (", listed by level walk" if summary.get("listed_in_worker") else "")
         )
+        automaton = summary.get("automaton")
+        if automaton is not None:
+            print(
+                f"worker automaton: {automaton['nodes']} nodes, "
+                f"{automaton['transitions']} transitions, "
+                f"{automaton['templates']} templates absorbed "
+                f"({automaton['bytes']} bytes)"
+            )
     if (
         summary.get("workers_lost")
         or summary.get("chunks_reexecuted")

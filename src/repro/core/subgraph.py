@@ -282,9 +282,9 @@ class Subgraph:
             key = tuple(key)
             child = node.children.get(key)
             if child is None:
-                child = node.children[key] = dfscode.rank_node(
-                    *self._quotient(n_vertices, n_edges)
-                )[2]
+                child = dfscode.take_transition(
+                    node, key, *self._quotient(n_vertices, n_edges)
+                )
             node = child
             level = ((vdistinct, edistinct, node), n_vertices, n_edges)
             levels.append(level)

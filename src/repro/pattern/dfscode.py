@@ -39,6 +39,13 @@ mapping.  Nodes live in one module-wide table entered two ways:
 A node's template is searched the first time it is asked for
 (:func:`template_of`), so a node that is only walked through — an
 intermediate, possibly disconnected prefix — costs no search.
+
+The tables are process-wide, so a process that forks inherits them and
+what a child adds dies with it unless it is handed back: a multiprocess
+worker calls :func:`start_journal` after fork, ships
+:func:`export_journal` — its new nodes, transitions and template
+searches as plain int tuples — and the driver folds that into its own
+tables with :func:`absorb`, so the next fork starts warm.
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ __all__ = [
     "ROOT",
     "rank_node",
     "template_of",
+    "take_transition",
+    "start_journal",
+    "export_journal",
+    "absorb",
 ]
 
 Code = Tuple[Tuple[int, int, int, int, int], ...]
@@ -158,6 +169,12 @@ _TEMPLATES: Dict[Code, Template] = {}
 # the empty graph has no canonical form.
 ROOT = RankNode((), ())
 
+# What this process added to the tables since :func:`start_journal`: the
+# new nodes, the new ``(parent, key, child)`` transitions and the nodes
+# whose template was searched, each in the order they were added.
+# ``None`` (the default) journals nothing.
+_journal: Optional[Tuple[List[RankNode], List[tuple], List[RankNode]]] = None
+
 
 def clear_code_cache() -> None:
     """Drop every memoized node, transition and template (tests/benchmarks).
@@ -207,7 +224,27 @@ def rank_node(
     node = _NODES.get(key)
     if node is None:
         node = _NODES[key] = RankNode(*key)
+        if _journal is not None:
+            _journal[0].append(node)
     return vdistinct, edistinct, node
+
+
+def take_transition(
+    node: RankNode,
+    key: Tuple[int, ...],
+    vertex_labels: Sequence[int],
+    edges: Sequence[Tuple[int, int, int]],
+) -> RankNode:
+    """Enter transition ``key`` out of ``node``, taken for the first time.
+
+    ``vertex_labels`` / ``edges`` are the child's quotient (see
+    :func:`rank_node`); its node is found from scratch and becomes
+    ``node.children[key]``.  The one place a transition is written.
+    """
+    child = node.children[key] = rank_node(vertex_labels, edges)[2]
+    if _journal is not None:
+        _journal[1].append((node, key, child))
+    return child
 
 
 def template_of(node: RankNode) -> Template:
@@ -259,7 +296,110 @@ def minimum_dfs_code(
     if template is None:
         code, node.mapping = _minimum_dfs_code_search(node.vranks, node.redges)
         template = node.template = _shared_template(code)
+        if _journal is not None:
+            _journal[2].append(node)
     return nested_code(template.flat_code(vdistinct, edistinct)), node.mapping
+
+
+# ----------------------------------------------------------------------
+# Handing the tables across a fork
+# ----------------------------------------------------------------------
+
+
+def start_journal() -> None:
+    """Journal every node, transition and template search from now on.
+
+    For a forked worker, whose tables start as the parent's: what it
+    adds afterwards is exactly what :func:`export_journal` reports.
+    """
+    global _journal
+    _journal = ([], [], [])
+
+
+def export_journal() -> Optional[tuple]:
+    """The journal as plain int tuples; ``None`` when nothing was added.
+
+    ``(keys, transitions, templates)``: ``keys`` are the rank keys
+    ``(vranks, redges)`` of every node the records name — the new ones
+    first, in creation order; ``ROOT`` is ``((), ())`` — ``transitions``
+    are ``(parent index, key, child index)`` triples and ``templates``
+    ``(node index, flat code, mapping)`` triples, the code over ranks.
+    """
+    if _journal is None or not any(_journal):
+        return None
+    new_nodes, transitions, searched = _journal
+    index: Dict[int, int] = {}
+    keys: List[Tuple] = []
+
+    def ref(node: RankNode) -> int:
+        i = index.get(id(node))
+        if i is None:
+            i = index[id(node)] = len(keys)
+            keys.append((node.vranks, node.redges))
+        return i
+
+    for node in new_nodes:
+        ref(node)
+    transitions = tuple(
+        (ref(parent), key, ref(child)) for parent, key, child in transitions
+    )
+    templates = tuple(
+        (ref(node), flat_code(node.template.code), node.mapping)
+        for node in searched
+    )
+    return tuple(keys), transitions, templates
+
+
+def absorb(journal: tuple) -> Tuple[int, int, int]:
+    """Fold another process's :func:`export_journal` into these tables.
+
+    Nodes are matched by rank key and whatever the tables hold already
+    stays (first writer wins); nothing is searched.  A record that
+    disagrees with the tables — a transition to another child, another
+    template or mapping for a searched node — is a corrupt journal.
+    Returns how many nodes, transitions and templates were new here.
+
+    Raises:
+        ValueError: on a record that contradicts the tables.
+    """
+    keys, transitions, templates = journal
+    nodes: List[RankNode] = []
+    new_nodes = new_transitions = new_templates = 0
+    for key in keys:
+        if not key[0]:  # no vertices: ROOT, the one node outside the table
+            node = ROOT
+        else:
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = RankNode(*key)
+                new_nodes += 1
+        nodes.append(node)
+    for parent, key, child in transitions:
+        parent, child = nodes[parent], nodes[child]
+        known = parent.children.get(key)
+        if known is None:
+            parent.children[key] = child
+            new_transitions += 1
+        elif (known.vranks, known.redges) != (child.vranks, child.redges):
+            raise ValueError(
+                f"journal transition {key} out of {parent.vranks, parent.redges} "
+                f"leads to {child.vranks, child.redges}, the table to "
+                f"{known.vranks, known.redges}"
+            )
+    for index, flat, mapping in templates:
+        node = nodes[index]
+        code = nested_code(flat)
+        if node.template is None:
+            node.template = _shared_template(code)
+            node.mapping = mapping
+            new_templates += 1
+        elif node.template.code != code or node.mapping != mapping:
+            raise ValueError(
+                f"journal template of {node.vranks, node.redges} is "
+                f"{code} / {mapping}, the table's "
+                f"{node.template.code} / {node.mapping}"
+            )
+    return new_nodes, new_transitions, new_templates
 
 
 def _minimum_dfs_code_search(

@@ -329,6 +329,26 @@ def _score_conditions(
     return total
 
 
+def _best_candidate(
+    candidates: Sequence[List[Tuple[int, int]]],
+    order: Sequence[int],
+    level_nodes: Sequence[float],
+) -> List[Tuple[int, int]]:
+    """The best (score, size, lexicographic) candidate no larger than #0.
+
+    Candidate #0 is the reduced min-anchor construction, so capping the
+    size at its length keeps the promise that the optimizer never emits
+    more conditions than the heuristic: a bigger set that binds an early
+    position sooner would otherwise outscore it (two 4-cycles sharing an
+    edge have a 3-condition star that beats their 2-condition heuristic).
+    """
+    cap = len(candidates[0])
+    return min(
+        (c for c in candidates if len(c) <= cap),
+        key=lambda c: (_score_conditions(c, order, level_nodes), len(c), tuple(c)),
+    )
+
+
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
@@ -353,19 +373,7 @@ def restriction_conditions_for_group(
         order = list(range(n))
     nodes = _level_nodes(None, order, None)
     candidates = _candidate_condition_sets(perms, n)
-    best: Optional[List[Tuple[int, int]]] = None
-    best_rank: Optional[tuple] = None
-    for conditions in candidates:
-        rank = (
-            _score_conditions(conditions, order, nodes),
-            len(conditions),
-            tuple(conditions),
-        )
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = conditions
-    assert best is not None
-    return best
+    return _best_candidate(candidates, order, nodes)
 
 
 def minimal_restriction_set(
@@ -396,18 +404,7 @@ def minimal_restriction_set(
         )
     nodes = _level_nodes(pattern, order, graph)
     candidates = _candidate_condition_sets(auts, n)
-    best: Optional[List[Tuple[int, int]]] = None
-    best_rank: Optional[tuple] = None
-    for conditions in candidates:
-        rank = (
-            _score_conditions(conditions, order, nodes),
-            len(conditions),
-            tuple(conditions),
-        )
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = conditions
-    assert best is not None
+    best = _best_candidate(candidates, order, nodes)
     return SymmetryPlan(
         conditions=tuple(best),
         checks=_freeze_checks(conditions_by_position(best, order)),

@@ -178,7 +178,12 @@ class ExecutionReport:
         counterpart of the simulator's metered aggregation shuffle).
         ``fold_seconds`` is the part of ``wall_seconds`` the driver spent
         decoding and reducing chunk payloads while the workers ran — the
-        serial share of a step that ``worker_wall_seconds`` cannot show;
+        serial share of a step that ``worker_wall_seconds`` cannot show,
+        and ``fold_cpu_seconds`` the driver thread's CPU time over the
+        same stretch.  ``automaton`` sums what the workers' journals
+        added to the driver's canonicalization tables — ``nodes``,
+        ``transitions``, ``templates`` — and the ``bytes`` they took on
+        the wire; all zero once the tables are warm.  These three are
         absent when no step forked workers.  When the final step ran past
         the enumeration its flag is here, as the backend set it:
         ``decomposed`` / ``orbit_counted`` / ``listed``, suffixed
@@ -186,7 +191,7 @@ class ExecutionReport:
         """
         info = None
         wall = 0.0
-        folds = []  # one per step that forked workers
+        forked = []  # backend_info of every step that forked workers
         entries_shipped = shipped_bytes = 0
         degraded_to = None
         for step in self.steps:
@@ -196,7 +201,7 @@ class ExecutionReport:
                 entries_shipped += step.backend_info.get("entries_shipped", 0)
                 shipped_bytes += step.backend_info.get("shipped_bytes", 0)
                 if "fold_seconds" in step.backend_info:
-                    folds.append(step.backend_info["fold_seconds"])
+                    forked.append(step.backend_info)
                 if step.backend_info.get("degraded_to"):
                     degraded_to = step.backend_info["degraded_to"]
         if info is None:
@@ -219,8 +224,13 @@ class ExecutionReport:
             summary["chunks_quarantined"] = m.chunks_quarantined
             summary["entries_shipped"] = entries_shipped
             summary["shipped_bytes"] = shipped_bytes
-            if folds:
-                summary["fold_seconds"] = sum(folds)
+            if forked:
+                for key in ("fold_seconds", "fold_cpu_seconds"):
+                    summary[key] = sum(step_info[key] for step_info in forked)
+                summary["automaton"] = {
+                    name: sum(step_info["automaton"][name] for step_info in forked)
+                    for name in forked[0]["automaton"]
+                }
         if degraded_to is not None:
             summary["degraded_to"] = degraded_to
         return summary

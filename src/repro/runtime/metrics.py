@@ -91,7 +91,6 @@ class Metrics:
         "filter_passed",
         "aggregate_updates",
         "adjacency_scans",
-        "pattern_canonicalizations",
         "steals_internal",
         "steals_external",
         "steal_messages",
@@ -154,7 +153,6 @@ class Metrics:
         self.filter_passed = 0
         self.aggregate_updates = 0
         self.adjacency_scans = 0
-        self.pattern_canonicalizations = 0
         self.steals_internal = 0
         self.steals_external = 0
         self.steal_messages = 0
@@ -217,7 +215,6 @@ class Metrics:
         self.filter_passed += other.filter_passed
         self.aggregate_updates += other.aggregate_updates
         self.adjacency_scans += other.adjacency_scans
-        self.pattern_canonicalizations += other.pattern_canonicalizations
         self.steals_internal += other.steals_internal
         self.steals_external += other.steals_external
         self.steal_messages += other.steal_messages

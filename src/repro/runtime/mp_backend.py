@@ -96,6 +96,16 @@ has been acked, and drops each payload once folded — deterministic
 regardless of which worker ran which chunk, and immune to
 double-counting when a chunk is executed twice.
 
+**Warm workers.**  Workers are forked per step and exit with it, so
+what they memoize would die with them.  The canonicalization automaton
+of :mod:`repro.pattern.dfscode` does not: each worker journals what it
+adds to it after fork and ships the journal, as plain int tuples, on
+its ``done`` message; once the workers are reaped the driver absorbs
+every journal into its own tables (``backend_info["automaton"]`` says
+how much), so the next step's and the next call's workers fork warm.
+Interners stay per executor — their key space grows with the graph's
+labels, and each context hands out its own patterns.
+
 **Known limit.**  A worker SIGKILLed in the middle of a result-queue
 ``put`` can leave the queue's cross-process lock held; survivors then
 stall, trip their lease timeouts and the step walks down the
@@ -127,6 +137,7 @@ from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
 from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
+from ..pattern import dfscode
 from ..pattern.pattern import Pattern, PatternInterner
 from .backend import (
     SHORTCUT_FLAGS,
@@ -250,7 +261,8 @@ class _ChunkFold:
 
     ``seconds`` is the wall time spent inside ``fold_ready`` — unpickle,
     decode, reduce, counter merge — which the driver spends while the
-    workers are still enumerating, so no worker-lifetime metric sees it.
+    workers are still enumerating, so no worker-lifetime metric sees it;
+    ``cpu_seconds`` is the driver thread's CPU time over the same calls.
     """
 
     def __init__(self, storages, metrics: Metrics, collect: Optional[str]):
@@ -262,6 +274,7 @@ class _ChunkFold:
         self.acked: Set[int] = set()
         self.folded = 0  # chunks folded so far == next index to fold
         self.seconds = 0.0
+        self.cpu_seconds = 0.0
         self._waiting: Dict[int, bytes] = {}
         # Flat canonical code -> the one Pattern this fold hands out for it.
         self._patterns: Dict[Tuple[int, ...], Pattern] = {}
@@ -277,6 +290,7 @@ class _ChunkFold:
     def fold_ready(self) -> None:
         """Fold every acked payload that is next in chunk-index order."""
         started = time.perf_counter()
+        cpu_started = time.thread_time()
         while self.folded in self._waiting:
             entries, delta, frozen = pickle.loads(
                 self._waiting.pop(self.folded)
@@ -290,6 +304,7 @@ class _ChunkFold:
                 self.subgraphs.extend(frozen)
             self.folded += 1
         self.seconds += time.perf_counter() - started
+        self.cpu_seconds += time.thread_time() - cpu_started
 
 
 @dataclass(frozen=True)
@@ -579,6 +594,7 @@ class MultiprocessBackend(ExecutionBackend):
 
         def worker_main(slot: int, gen: int, task_queue) -> None:
             worker_started = time.perf_counter()
+            dfscode.start_journal()
             key = (slot, gen)
             stop_beats = threading.Event()
 
@@ -620,12 +636,17 @@ class MultiprocessBackend(ExecutionBackend):
                 while True:
                     cidx = task_queue.get()
                     if cidx is None:
+                        journal = dfscode.export_journal()
+                        automaton = b"" if journal is None else pickle.dumps(
+                            journal, protocol=pickle.HIGHEST_PROTOCOL
+                        )
                         result_queue.put(
                             (
                                 "done",
                                 key,
                                 {
                                     "metrics": executor.metrics_delta(),
+                                    "automaton": automaton,
                                     "wall": time.perf_counter() - worker_started,
                                 },
                             )
@@ -696,6 +717,8 @@ class MultiprocessBackend(ExecutionBackend):
         }
         worker_walls: Dict[Tuple[int, int], float] = {}
         extra_metrics: List[Dict[str, float]] = []
+        # Each finished worker's automaton journal, absorbed after shutdown.
+        journals: Dict[Tuple[int, int], bytes] = {}
         last_error: Optional[str] = None
         degraded = False
 
@@ -781,6 +804,13 @@ class MultiprocessBackend(ExecutionBackend):
                 shipped["entries_shipped"] += n_entries
                 shipped["shipped_bytes"] += len(payload)
 
+        def finish(key, info) -> None:
+            worker_walls[key] = info["wall"]
+            extra_metrics.append(info["metrics"])
+            journals[key] = info["automaton"]
+            if key in handles:
+                handles[key].done = True
+
         def resolved() -> int:
             return len(fold.acked) + len(quarantine)
 
@@ -814,11 +844,7 @@ class MultiprocessBackend(ExecutionBackend):
                         dispatch()
                         fold.fold_ready()
                     elif kind == "done":
-                        info = message[2]
-                        worker_walls[key] = info["wall"]
-                        extra_metrics.append(info["metrics"])
-                        if handle is not None:
-                            handle.done = True
+                        finish(key, message[2])
                     elif kind == "error":
                         last_error = message[2]
                         if handle is not None and not handle.dead:
@@ -842,9 +868,17 @@ class MultiprocessBackend(ExecutionBackend):
                         lose_worker(handle, "hang" if stale else "straggler")
                 dispatch()
         finally:
-            self._shutdown_workers(
-                handles, result_queue, worker_walls, extra_metrics, retire
-            )
+            self._shutdown_workers(handles, result_queue, finish, retire)
+        # What the workers added to the canonicalization automaton joins
+        # the driver's tables, so the next fork starts warm.
+        automaton = {"nodes": 0, "transitions": 0, "templates": 0, "bytes": 0}
+        for key in sorted(journals):
+            blob = journals[key]
+            if blob:
+                counts = dfscode.absorb(pickle.loads(blob))
+                for name, n in zip(("nodes", "transitions", "templates"), counts):
+                    automaton[name] += n
+                automaton["bytes"] += len(blob)
 
         remaining = sorted(
             set(range(n_chunks)) - fold.acked - set(quarantine)
@@ -895,6 +929,8 @@ class MultiprocessBackend(ExecutionBackend):
                 worker_walls[key] for key in sorted(worker_walls)
             ],
             "fold_seconds": fold.seconds,
+            "fold_cpu_seconds": fold.cpu_seconds,
+            "automaton": automaton,
             "chunks": n_chunks,
             "shared_graph_bytes": shared.nbytes,
             **recovery,
@@ -918,9 +954,7 @@ class MultiprocessBackend(ExecutionBackend):
         )
 
     # ------------------------------------------------------------------
-    def _shutdown_workers(
-        self, handles, result_queue, worker_walls, extra_metrics, retire
-    ) -> bool:
+    def _shutdown_workers(self, handles, result_queue, finish, retire) -> bool:
         """Clean shutdown: signal, join with timeout, terminate-and-reap.
 
         Never blocks indefinitely — a wedged worker is terminated and,
@@ -950,10 +984,7 @@ class MultiprocessBackend(ExecutionBackend):
                 continue
             kind, key = message[0], message[1]
             if kind == "done":
-                worker_walls[key] = message[2]["wall"]
-                extra_metrics.append(message[2]["metrics"])
-                if key in handles:
-                    handles[key].done = True
+                finish(key, message[2])
                 pending.discard(key)
             elif kind == "chunk":
                 retire(message)

@@ -17,12 +17,14 @@ from repro import ClusterConfig, FractalContext, MultiprocessConfig
 from repro.apps import QUERY_PATTERNS, count_cliques, fsm, motifs
 from repro.apps.queries import query_fractoid
 from repro.graph import GraphBuilder, community_graph, erdos_renyi_graph
+from repro.pattern import dfscode
 from repro.runtime.backend import (
     SequentialBackend,
     SimulatorBackend,
     resolve_backend,
 )
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
+from repro.runtime.faults import FaultPlan, MpWorkerKill
 from repro.runtime.mp_backend import MultiprocessBackend
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -212,12 +214,120 @@ class TestRemoteFetchMetering:
         assert len(census) > 20
         summary = fc.last_report.backend_summary()
         assert 0 < summary["fold_seconds"] <= summary["wall_seconds"]
+        assert summary["fold_cpu_seconds"] > 0
         info = fc.last_report.steps[-1].backend_info
         assert summary["fold_seconds"] == info["fold_seconds"]
+        assert summary["fold_cpu_seconds"] == info["fold_cpu_seconds"]
+        assert summary["automaton"] == info["automaton"]
         for engine in ("sequential", ClusterConfig(workers=2, cores_per_worker=2)):
             other = FractalContext(engine=engine)
             assert motifs(other.from_graph(labeled), 3) == census
-            assert "fold_seconds" not in other.last_report.backend_summary()
+            summary = other.last_report.backend_summary()
+            for key in ("fold_seconds", "fold_cpu_seconds", "automaton"):
+                assert key not in summary
+
+
+def _automaton_tables():
+    """The driver's canonicalization tables, keyed by rank structure."""
+
+    def key(node):
+        return (node.vranks, node.redges)
+
+    nodes = dfscode._NODES
+    return {
+        "nodes": set(nodes),
+        "transitions": {
+            (key(parent), transition): key(child)
+            for parent in (dfscode.ROOT, *nodes.values())
+            for transition, child in parent.children.items()
+        },
+        "templates": {
+            k: (node.template.code, node.mapping)
+            for k, node in nodes.items()
+            if node.template is not None
+        },
+    }
+
+
+@needs_fork
+class TestWorkersHandBackTheAutomaton:
+    """What forked workers add to the rank automaton of
+    ``repro.pattern.dfscode`` joins the driver's tables, so the next
+    fork starts warm; results never depend on it."""
+
+    @pytest.fixture(scope="class")
+    def labeled(self):
+        return erdos_renyi_graph(50, 160, n_labels=4, seed=9)
+
+    def test_driver_tables_equal_a_sequential_run(self, labeled):
+        dfscode.clear_code_cache()
+        sequential = _motifs("sequential", labeled)
+        expected = _automaton_tables()
+        assert len(expected["templates"]) > 20
+        dfscode.clear_code_cache()
+        fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
+        assert motifs(fc.from_graph(labeled), 3) == sequential
+        assert _automaton_tables() == expected
+        absorbed = fc.last_report.backend_summary()["automaton"]
+        assert absorbed["nodes"] > 0 and absorbed["templates"] > 0
+        assert absorbed["bytes"] > 0
+
+    def test_second_call_forks_warm_workers(self, labeled):
+        dfscode.clear_code_cache()
+        census = _motifs(MultiprocessConfig(num_procs=2), labeled)
+        fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
+        assert motifs(fc.from_graph(labeled), 3) == census
+        assert fc.last_report.backend_summary()["automaton"] == {
+            "nodes": 0, "transitions": 0, "templates": 0, "bytes": 0,
+        }
+
+    def test_fsm_matches_sequential(self):
+        graph = community_graph(3, 10, p_in=0.4, p_out=0.05, n_labels=3, seed=5)
+        dfscode.clear_code_cache()
+        f_seq = fsm(FractalContext().from_graph(graph), min_support=3, max_edges=3)
+        dfscode.clear_code_cache()
+        fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
+        f_mp = fsm(fc.from_graph(graph), min_support=3, max_edges=3)
+        assert set(f_mp.frequent) == set(f_seq.frequent)
+        assert {p: f_mp.support_of(p) for p in f_mp.frequent} == {
+            p: f_seq.support_of(p) for p in f_seq.frequent
+        }
+        assert fc.last_report.backend_summary()["automaton"]["templates"] > 0
+
+    def test_worker_kills_keep_the_census(self, labeled):
+        fault_free = _motifs("sequential", labeled)
+        dfscode.clear_code_cache()
+        plan = FaultPlan(
+            mp_worker_kills=(MpWorkerKill(worker_id=0, after_chunks=1),)
+        )
+        fc = FractalContext(
+            engine=MultiprocessConfig(num_procs=2, fault_plan=plan)
+        )
+        assert motifs(fc.from_graph(labeled), 3) == fault_free
+        assert fc.last_report.backend_summary()["workers_lost"] == 1
+
+    def test_contradicting_record_raises(self, labeled):
+        dfscode.clear_code_cache()
+        _motifs("sequential", labeled)
+        root = ((), ())
+        (transition, child), *_ = dfscode.ROOT.children.items()
+        other = next(
+            key for key in dfscode._NODES
+            if key != (child.vranks, child.redges)
+        )
+        with pytest.raises(ValueError, match="transition"):
+            dfscode.absorb(((root, other), ((0, transition, 1),), ()))
+        key, node = next(
+            (key, node) for key, node in dfscode._NODES.items()
+            if node.template is not None and len(node.mapping) > 2
+        )
+        flat = dfscode.flat_code(node.template.code)
+        with pytest.raises(ValueError, match="template"):
+            dfscode.absorb(((key,), (), ((0, flat, node.mapping[::-1]),)))
+        # A record the tables agree with is absorbed as nothing new.
+        assert dfscode.absorb(
+            ((root, key), (), ((1, flat, node.mapping),))
+        ) == (0, 0, 0)
 
 
 class TestSimulatorUnchanged:

@@ -393,7 +393,8 @@ class TestBackendFlags:
         out = capsys.readouterr().out
         assert "3-cliques" in out
         assert "backend: multiprocess (2 procs" in out
-        assert "s (driver fold " in out
+        assert "s (driver fold " in out and "s cpu)" in out
+        assert "worker automaton: " in out
         # A query the driver counted itself forked nothing, and says so
         # instead of printing a start method it never used.
         assert main(
