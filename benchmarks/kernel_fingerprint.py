@@ -41,21 +41,26 @@ def _listing_digest(subgraphs) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def fingerprint() -> dict:
-    graphs = {
+def graphs() -> dict:
+    """``name -> (graph, relabel)``: the inputs and how a query is labeled on each."""
+    return {
         "unlabeled": (erdos_renyi_graph(40, 260, n_labels=1, seed=5), lambda p: p),
         "2-label": (erdos_renyi_graph(48, 420, n_labels=2, seed=11), _alternating),
     }
+
+
+def fingerprint(kernels=PATTERN_KERNELS, engines=tuple(ENGINES)) -> dict:
+    """``"graph/query/kernel/engine/collect" -> row`` for every run."""
     out = {}
-    for graph_name, (graph, relabel) in graphs.items():
+    for graph_name, (graph, relabel) in graphs().items():
         fg = FractalContext().from_graph(graph)
         for query, pattern in QUERY_PATTERNS.items():
             pattern = relabel(pattern)
-            for kernel in PATTERN_KERNELS:
-                for engine_name, engine in ENGINES.items():
+            for kernel in kernels:
+                for engine_name in engines:
                     for collect in ("count", "subgraphs"):
                         report = query_fractoid(fg, pattern, kernel=kernel).execute(
-                            collect=collect, engine=engine
+                            collect=collect, engine=ENGINES[engine_name]
                         )
                         metrics = report.metrics.snapshot()
                         metrics.pop("symmetry_cache_hits", None)

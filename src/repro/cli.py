@@ -390,6 +390,21 @@ def _print_pattern_kernel(report) -> None:
                 else "no position is shared"
             )
         )
+        reused = {
+            pos: level["base"]
+            for pos, level in enumerate(levels)
+            if level["base"] is not None
+        }
+        print(
+            "candidate reuse: "
+            + (
+                f"positions {list(reused)} start from the candidates of "
+                f"positions {list(reused.values())} and intersect only the "
+                "back edges they add"
+                if reused
+                else "no position starts from an earlier one's candidates"
+            )
+        )
         print(
             "injectivity: candidates tested against positions "
             f"{[level['injective'] for level in levels]}; "

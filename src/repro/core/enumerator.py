@@ -53,8 +53,9 @@ from ..runtime.metrics import Metrics
 from . import intersect
 from .intersect import (
     LevelProgram,
+    base_positions,
     compile_levels,
-    level_reads,
+    plan_reads,
     shares_candidates,
 )
 from .levelwalk import MAX_POSITIONS, injective_positions, level_executor
@@ -747,11 +748,21 @@ class PatternInducedStrategy(ExtensionStrategy):
             backs.sort()
             self._back_edges.append(backs)
         self._labels = [pattern.vertex_labels[p] for p in self.order]
+        # bases[pos]: the earlier position whose candidates ``pos`` starts
+        # from (intersect.base_positions); the legacy scan reuses nothing.
+        if self._kernel == "legacy":
+            self._bases: List[Optional[int]] = [None] * len(self.order)
+        else:
+            tau, _ = self.orbit_tail()
+            self._bases = base_positions(
+                self._labels, self._back_edges, self._checks, len(self.order) - tau
+            )
         # The plan's part of a generated walk's cache key (levelwalk.Shape).
         self._shape = (
             tuple(self._labels),
             tuple(tuple(backs) for backs in self._back_edges),
             tuple(tuple(checks) for checks in self._checks),
+            tuple(self._bases),
         )
         # The quotient of a matched prefix is fixed by the order (labels
         # and back-edge labels are enforced by the candidate filter):
@@ -775,7 +786,7 @@ class PatternInducedStrategy(ExtensionStrategy):
             ]
         else:
             programs, self._forget = compile_levels(
-                graph, self._labels, self._back_edges, self._checks
+                graph, self._labels, self._back_edges, self._checks, self._bases
             )
             self._levels = [self._injective(program) for program in programs]
 
@@ -812,22 +823,24 @@ class PatternInducedStrategy(ExtensionStrategy):
             # The legacy scan tests every candidate against the whole prefix.
             injective = [range(pos) for pos in range(len(self.order))]
         levels = []
+        reads = plan_reads(self._back_edges, self._checks, self._bases)
         for pos in range(len(self.order)):
-            reads = level_reads(self._back_edges[pos], self._checks[pos])
             levels.append(
                 {
-                    "reads": list(reads),
-                    "shared": sharing and shares_candidates(pos, reads),
+                    "reads": list(reads[pos]),
+                    "shared": sharing and shares_candidates(pos, reads[pos]),
                     "injective": list(injective[pos]),
+                    "base": self._bases[pos],
                 }
             )
         return {
             "kernel": self._kernel,
             "order": list(self.order),
             # Per matching-order position: the earlier positions its
-            # candidates depend on, whether siblings share them, and the
+            # candidates depend on, whether siblings share them, the
             # earlier positions a candidate is still tested against for
-            # injectivity at run time (the rest are proven distinct).
+            # injectivity at run time (the rest are proven distinct), and
+            # the earlier position whose candidates it starts from.
             "levels": levels,
             "symmetry": {
                 "conditions": len(self._conditions),

@@ -29,14 +29,27 @@ until the output list.  All outputs are fresh sorted lists.
 :func:`compile_levels` turns a whole matching order into level programs
 and shares a level's candidates between the sibling prefixes that agree
 on every position the level reads (:func:`level_reads`,
-:func:`share_level`).
+:func:`share_level`).  A position whose *base* (:func:`base_positions`)
+already intersected all but some of its slices starts from the base's
+candidates instead of joining every back neighbour again
+(:func:`compile_reused_level`, :func:`remember_level`): the clique's
+last level becomes a two-way merge of a suffix of its parent's list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..runtime.metrics import Metrics
 
@@ -46,13 +59,18 @@ if TYPE_CHECKING:
 __all__ = [
     "GALLOP_CROSSOVER",
     "LevelProgram",
+    "base_positions",
     "compile_level",
     "compile_levels",
+    "compile_reused_level",
     "intersect_slices",
     "level_reads",
+    "plan_reads",
     "range_bounds",
+    "remember_level",
     "share_level",
     "shares_candidates",
+    "symmetry_order",
 ]
 
 # Size ratio at which galloping beats the linear merge.  Galloping costs
@@ -271,6 +289,36 @@ def _leapfrog(slices: List[Slice], metrics: Metrics) -> List[int]:
     return out
 
 
+def _symmetry_window(
+    checks: Sequence[Tuple[int, bool]], n_vertices: int
+) -> Callable[[Sequence[int], Sequence[int], int, int, Metrics], Tuple[int, int]]:
+    """``window(matched, arr, lo, hi, metrics)``: ``arr[lo:hi]`` narrowed
+    to the ``[lower, upper)`` window ``checks`` set (maybe empty),
+    metered as :func:`range_bounds`; an empty window costs nothing."""
+    above = tuple(pos for pos, must_be_greater in checks if must_be_greater)
+    below = tuple(pos for pos, must_be_greater in checks if not must_be_greater)
+
+    def window(
+        matched: Sequence[int], arr: Sequence[int], lo: int, hi: int,
+        metrics: Metrics,
+    ) -> Tuple[int, int]:
+        lower = 0
+        for pos in above:
+            bound = matched[pos] + 1
+            if bound > lower:
+                lower = bound
+        upper = n_vertices
+        for pos in below:
+            bound = matched[pos]
+            if bound < upper:
+                upper = bound
+        if lower >= upper:
+            return lo, lo
+        return range_bounds(arr, lo, hi, lower, upper, metrics)
+
+    return window
+
+
 def compile_level(
     graph: "Graph",
     label: int,
@@ -319,28 +367,7 @@ def compile_level(
     adjacency = graph.labeled_adjacency
     lookups = tuple((back_pos, (label, elabel)) for back_pos, elabel in backs)
     windowed = bool(checks)
-    above = tuple(pos for pos, must_be_greater in checks if must_be_greater)
-    below = tuple(pos for pos, must_be_greater in checks if not must_be_greater)
-    n_vertices = graph.n_vertices
-
-    def window(
-        matched: Sequence[int], arr: Sequence[int], lo: int, hi: int,
-        metrics: Metrics,
-    ) -> Tuple[int, int]:
-        """``arr[lo:hi]`` narrowed to the symmetry window (maybe empty)."""
-        lower = 0
-        for pos in above:
-            bound = matched[pos] + 1
-            if bound > lower:
-                lower = bound
-        upper = n_vertices
-        for pos in below:
-            bound = matched[pos]
-            if bound < upper:
-                upper = bound
-        if lower >= upper:
-            return lo, lo
-        return range_bounds(arr, lo, hi, lower, upper, metrics)
+    window = _symmetry_window(checks, graph.n_vertices)
 
     if len(lookups) == 1:
         ((back_pos, key),) = lookups
@@ -412,6 +439,142 @@ def compile_level(
     return multiway
 
 
+def compile_reused_level(
+    graph: "Graph",
+    label: int,
+    added: Sequence[Tuple[int, int]],
+    checks: Sequence[Tuple[int, bool]],
+    base: int,
+    base_answer: Callable[[Sequence[int]], Sequence[int]],
+) -> LevelProgram:
+    """Compile a position that starts from its base's candidates.
+
+    ``base_answer(matched)`` is the candidate list position ``base``
+    computed for the current prefix (:func:`base_positions` says which
+    positions have a base, and why the answer contains every candidate
+    of this one).  The program cuts it to this position's symmetry
+    window — positionally past the base's vertex, unmetered, when this
+    position must exceed it, then as :func:`compile_level` narrows a
+    slice — and intersects what is left with one slice per back edge in
+    ``added`` (the back edges the base does not have), through
+    :func:`intersect_slices`.  It meters one ``index_slices`` per
+    lookup (stopping at the first missing one), the window and the
+    intersection, and one ``extension_tests`` per candidate; nothing for
+    the base's own candidates, which the base's level already metered.
+    """
+    adjacency = graph.labeled_adjacency
+    lookups = tuple((back_pos, (label, elabel)) for back_pos, elabel in added)
+    windowed = bool(checks)
+    window = _symmetry_window(checks, graph.n_vertices)
+    suffix = (base, True) in checks
+
+    def reused(matched: Sequence[int], metrics: Metrics) -> List[int]:
+        index, lnbr, _ = adjacency()
+        slices = [None]
+        for back_pos, key in lookups:
+            metrics.index_slices += 1
+            segment = index[matched[back_pos]].get(key)
+            if segment is None:
+                return []
+            slices.append((lnbr, segment[0], segment[1]))
+        found = base_answer(matched)
+        lo = bisect_right(found, matched[base]) if suffix else 0
+        hi = len(found)
+        if windowed:
+            lo, hi = window(matched, found, lo, hi, metrics)
+            if lo >= hi:
+                return []
+        slices[0] = (found, lo, hi)
+        found = intersect_slices(slices, metrics)
+        metrics.extension_tests += len(found)
+        return found
+
+    return reused
+
+
+def symmetry_order(
+    checks: Sequence[Sequence[Tuple[int, bool]]]
+) -> Iterator[Tuple[Set[int], Set[int], List[Set[int]]]]:
+    """Per position ``p``: ``(below, above, lower)``, the transitive
+    order the symmetry checks set on matched vertex ids.
+
+    ``below`` / ``above`` are the earlier positions whose vertex the
+    checks of positions ``0..p`` prove smaller / greater than the one at
+    ``p``; ``lower[y]`` (``y < p``) are the positions proven smaller than
+    the one at ``y`` by the checks of positions ``0..p-1`` only — the
+    checks that hold once ``p``'s prefix is matched.  ``lower`` is
+    extended with ``p``'s checks after the consumer resumes.
+    """
+    lower: List[Set[int]] = []
+    for p, position_checks in enumerate(checks):
+        below: Set[int] = set()
+        above: Set[int] = set()
+        for q, greater in position_checks:
+            if greater:
+                below |= lower[q] | {q}
+            else:
+                above |= {y for y in range(p) if q in lower[y]} | {q}
+        yield below, above, lower
+        for y in above:
+            lower[y] |= below | {p}
+        lower.append(below)
+
+
+def base_positions(
+    labels: Sequence[object],
+    back_edges: Sequence[Sequence[Tuple[int, int]]],
+    checks: Sequence[Sequence[Tuple[int, bool]]],
+    tail_start: int,
+) -> List[Optional[int]]:
+    """Per position, the earlier position whose candidates it reuses.
+
+    Position ``p``'s base is the latest earlier position ``q`` that
+
+    * carries ``p``'s vertex label;
+    * has at least two back edges, every one of them — edge label
+      included — also a back edge of ``p``;
+    * lies before ``tail_start``, the orbit tail's first position (a
+      tail position's candidates are counted, not listed);
+    * has a symmetry window containing ``p``'s for every matched prefix:
+      each lower bound of ``q`` is a lower bound of ``p`` or proven
+      smaller than one, and each upper bound of ``q`` is an upper bound
+      of ``p`` or proven greater than one, under the transitive order
+      of the checks of positions ``0..p-1`` (:func:`symmetry_order`).
+
+    Then ``q``'s candidates hold every candidate of ``p``, and ``p``'s
+    are exactly those of ``q`` inside ``p``'s window that the back edges
+    ``p`` adds also reach.  ``None`` where no position qualifies (with
+    fewer than two back edges the base would be one slice, which ``p``
+    looks up as cheaply itself).
+    """
+    out: List[Optional[int]] = []
+    for p, (_, _, lower) in enumerate(symmetry_order(checks)):
+        backs = set(back_edges[p])
+        above = [a for a, greater in checks[p] if greater]
+        below = [b for b, greater in checks[p] if not greater]
+        base = None
+        for q in range(min(p, tail_start) - 1, 0, -1):
+            if (
+                labels[q] == labels[p]
+                and len(back_edges[q]) >= 2
+                and backs.issuperset(back_edges[q])
+                and all(
+                    any(a == x or a in lower[x] for x in above)
+                    for a, greater in checks[q]
+                    if greater
+                )
+                and all(
+                    any(b == x or x in lower[b] for x in below)
+                    for b, greater in checks[q]
+                    if not greater
+                )
+            ):
+                base = q
+                break
+        out.append(base)
+    return out
+
+
 def level_reads(
     backs: Sequence[Tuple[int, int]], checks: Sequence[Tuple[int, bool]]
 ) -> Tuple[int, ...]:
@@ -423,6 +586,24 @@ def level_reads(
     meter the same work, whatever sits at the others.
     """
     return tuple(sorted({pos for pos, _ in backs} | {pos for pos, _ in checks}))
+
+
+def plan_reads(
+    back_edges: Sequence[Sequence[Tuple[int, int]]],
+    checks: Sequence[Sequence[Tuple[int, bool]]],
+    bases: Sequence[Optional[int]],
+) -> List[Tuple[int, ...]]:
+    """Per position, the positions its level reads: its own
+    :func:`level_reads`, plus its base's reads where it has a base (the
+    base's candidates — hence the work a reused level meters on them —
+    depend on those)."""
+    out: List[Tuple[int, ...]] = []
+    for pos, base in enumerate(bases):
+        reads = level_reads(back_edges[pos], checks[pos])
+        if base is not None:
+            reads = tuple(sorted({*reads, *out[base]}))
+        out.append(reads)
+    return out
 
 
 def shares_candidates(pos: int, reads: Sequence[int]) -> bool:
@@ -492,27 +673,76 @@ def share_level(
     return shared
 
 
+def remember_level(
+    program: LevelProgram, reads: Sequence[int], graph: "Graph"
+) -> Tuple[LevelProgram, Callable[[Sequence[int]], Sequence[int]], dict]:
+    """``program`` keeping its last answer, for the levels that reuse it.
+
+    Returns ``(remembered, answer, last)``: ``remembered`` is ``program``
+    storing what it returns (as a tuple: the caller may consume its
+    list) in the one-entry cache ``last``, keyed by ``matched``
+    restricted to ``reads`` and the graph version; ``answer(matched)``
+    hands out that entry when the key matches — in a depth-first walk
+    always, the base being matched before every level that reuses it —
+    and otherwise (a thief's first level after a steal, a rebuilt
+    prefix) recomputes it on a scratch :class:`Metrics`: host work the
+    enumeration problem does not contain, so nothing is metered.
+    """
+    key_of = itemgetter(*reads)
+    last: dict = {}
+
+    def remembered(matched: Sequence[int], metrics: Metrics) -> Sequence[int]:
+        found = program(matched, metrics)
+        last["key"] = (graph.version, key_of(matched))
+        last["answer"] = found if type(found) is tuple else tuple(found)
+        return found
+
+    def answer(matched: Sequence[int]) -> Sequence[int]:
+        if last.get("key") == (graph.version, key_of(matched)):
+            return last["answer"]
+        remembered(matched, Metrics())
+        return last["answer"]
+
+    return remembered, answer, last
+
+
 def compile_levels(
     graph: "Graph",
     labels: Sequence[int],
     back_edges: Sequence[Sequence[Tuple[int, int]]],
     checks: Sequence[Sequence[Tuple[int, bool]]],
+    bases: Sequence[Optional[int]],
 ) -> Tuple[List[LevelProgram], Callable[[], None]]:
-    """Compile a matching order: one :func:`compile_level` program per
-    position, shared between siblings where :func:`shares_candidates`.
+    """Compile a matching order: one program per position — reusing its
+    base's candidates where ``bases`` (:func:`base_positions`) names one
+    (:func:`compile_reused_level`), :func:`compile_level` elsewhere —
+    shared between siblings where :func:`shares_candidates`.
 
     Returns ``(programs, forget)``; ``forget()`` drops every shared
-    level's entries (a walk that starts over calls it, so nothing
-    outlives the walk that computed it).
+    level's entries and every remembered base answer (a walk that
+    starts over calls it, so nothing outlives the walk that computed
+    it).
     """
     programs: List[LevelProgram] = []
     memos: List[dict] = []
+    answers: dict = {}
+    reads = plan_reads(back_edges, checks, bases)
+    used_as_base = set(bases)
     for pos, label in enumerate(labels):
-        program = compile_level(graph, label, back_edges[pos], checks[pos])
-        reads = level_reads(back_edges[pos], checks[pos])
-        if shares_candidates(pos, reads):
+        base = bases[pos]
+        if base is None:
+            program = compile_level(graph, label, back_edges[pos], checks[pos])
+        else:
+            added = [edge for edge in back_edges[pos] if edge not in back_edges[base]]
+            program = compile_reused_level(
+                graph, label, added, checks[pos], base, answers[base]
+            )
+        if shares_candidates(pos, reads[pos]):
             memos.append({})
-            program = share_level(program, reads, graph, memos[-1])
+            program = share_level(program, reads[pos], graph, memos[-1])
+        if pos in used_as_base:
+            program, answers[pos], last = remember_level(program, reads[pos], graph)
+            memos.append(last)
         programs.append(program)
 
     def forget() -> None:

@@ -4,9 +4,9 @@
 :meth:`~repro.core.enumerator.PatternInducedStrategy.list_matches` run
 the function :func:`level_executor` returns for the plan's *shape*: per
 matching-order position the vertex label, the back edges ``(pos,
-elabel)`` and the symmetry checks ``(pos, must_be_greater)``, plus the
-leaf — ``"count"`` with the orbit tail ``(tau, arrangements)``, or
-``"list"``.  The function is Python source generated from the shape,
+elabel)``, the symmetry checks ``(pos, must_be_greater)`` and the base
+(:func:`~repro.core.intersect.base_positions`), plus the leaf —
+``"count"`` with the orbit tail ``(tau, arrangements)``, or ``"list"``.  The function is Python source generated from the shape,
 compiled once with ``compile``/``exec`` and cached process-wide on the
 shape alone, so strategies built for other graphs, other steps or other
 simulated cores reuse it.  Every matched position is one ``for`` loop
@@ -21,6 +21,11 @@ closures is written out:
   size ordering and the merge; galloping and the leapfrog join stay
   calls (:func:`~repro.core.intersect._gallop`,
   :func:`~repro.core.intersect._leapfrog`);
+* candidate reuse: a position with a base starts from the candidate
+  list of the enclosing loop at the base — past the base's vertex by
+  the loop's own index when the position must exceed it — and looks up
+  and intersects only the slices of the back edges it adds, metered as
+  :func:`~repro.core.intersect.compile_reused_level` meters it;
 * sibling sharing: a per-root memo at exactly the positions
   :func:`~repro.core.intersect.shares_candidates` names, storing next to
   the candidates the deltas of the counters the level moved — what the
@@ -43,12 +48,19 @@ namespace, never spelled in it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .intersect import _gallop, _leapfrog, _slice_size, level_reads, shares_candidates
+from .intersect import (
+    _gallop,
+    _leapfrog,
+    _slice_size,
+    plan_reads,
+    shares_candidates,
+    symmetry_order,
+)
 from .subgraph import SubgraphResult
 
 __all__ = ["MAX_POSITIONS", "Shape", "injective_positions", "level_executor"]
@@ -60,10 +72,14 @@ MAX_POSITIONS = 16
 
 Backs = Tuple[Tuple[int, int], ...]
 Checks = Tuple[Tuple[int, bool], ...]
-#: ``(labels, back_edges, checks, leaf, tail)``: per-position tuples,
+#: ``(labels, back_edges, checks, bases, leaf, tail)``: per-position
+#: tuples (``bases`` from :func:`~repro.core.intersect.base_positions`),
 #: ``leaf`` ``"count"`` with ``tail = (tau, arrangements)`` or ``"list"``
 #: with ``tail = None``.
-Shape = Tuple[tuple, Tuple[Backs, ...], Tuple[Checks, ...], str, Optional[Tuple[int, int]]]
+Shape = Tuple[
+    tuple, Tuple[Backs, ...], Tuple[Checks, ...], Tuple[Optional[int], ...],
+    str, Optional[Tuple[int, int]],
+]
 
 
 def injective_positions(
@@ -83,21 +99,9 @@ def injective_positions(
     checks of later positions do not count: they hold only once those
     positions are matched.
     """
-    # lower[q]: the positions whose vertex the checks seen so far prove
-    # smaller than the one at q (transitively closed).
-    lower: List[Set[int]] = []
     out: List[Tuple[int, ...]] = []
-    for p, label in enumerate(labels):
-        below: Set[int] = set()
-        above: Set[int] = set()
-        for q, greater in checks[p]:
-            if greater:
-                below |= lower[q] | {q}
-            else:
-                above |= {y for y in range(p) if q in lower[y]} | {q}
-        for y in above:
-            lower[y] |= below | {p}
-        lower.append(below)
+    for p, (below, above, _) in enumerate(symmetry_order(checks)):
+        label = labels[p]
         backs = {q for q, _ in back_edges[p]}
         out.append(
             tuple(
@@ -130,8 +134,10 @@ class _Source:
         self.depth -= levels
 
 
-def _window(src: _Source, above: List[int], below: List[int]) -> None:
-    """Narrow ``lnbr[lo:hi]`` to the symmetry window, as ``range_bounds``.
+def _window(
+    src: _Source, above: List[int], below: List[int], arr: str = "lnbr"
+) -> None:
+    """Narrow ``arr[lo:hi]`` to the symmetry window, as ``range_bounds``.
 
     An empty window (``lower >= upper``) empties the slice unmetered.  A
     bound no check sets — ``0`` below, ``n_vertices`` above — can never
@@ -147,14 +153,14 @@ def _window(src: _Source, above: List[int], below: List[int]) -> None:
     upper = "upper" if below else "n_vertices"
     src.open(f"if {lower} < {upper}:")
     if above:
-        src.open("if hi > lo and lower > lnbr[lo]:")
+        src.open(f"if hi > lo and lower > {arr}[lo]:")
         src("n_gallop += (hi - lo).bit_length()")
-        src("lo = bisect_left(lnbr, lower, lo, hi)")
+        src(f"lo = bisect_left({arr}, lower, lo, hi)")
         src.close()
     if below:
-        src.open("if hi > lo and upper <= lnbr[hi - 1]:")
+        src.open(f"if hi > lo and upper <= {arr}[hi - 1]:")
         src("n_gallop += (hi - lo).bit_length()")
-        src("hi = bisect_left(lnbr, upper, lo, hi)")
+        src(f"hi = bisect_left({arr}, upper, lo, hi)")
         src.close()
     src.close()
     src.open("else:")
@@ -196,28 +202,7 @@ def _candidates(
         src.close()
         if checks:
             _window(src, above, below)
-        src.open("if lo >= hi:")
-        src(f"c{p} = ()")
-        src.close()
-        src.open("elif bhi - blo >= crossover * (hi - lo):")
-        src(f"c{p} = gallop(lnbr, lo, hi, lnbr, blo, bhi, metrics)")
-        src(f"n_tests += len(c{p})")
-        src.close()
-        # The body of intersect._merge, its counter kept in a local.
-        src.open("else:")
-        src("last = lnbr[hi - 1]")
-        src("blast = lnbr[bhi - 1]")
-        src.open("if last <= blast:")
-        src("bhi = bisect_right(lnbr, last, blo, bhi)")
-        src.close()
-        src.open("else:")
-        src("hi = bisect_right(lnbr, blast, lo, hi)")
-        src.close()
-        src("common = set(lnbr[lo:hi]).intersection(lnbr[blo:bhi])")
-        src("n_comps += hi - lo + bhi - blo - len(common)")
-        src(f"c{p} = common" if sized else f"c{p} = sorted(common)")
-        src(f"n_tests += len(c{p})")
-        src.close()
+        _pair(src, p, sized, "lnbr", "lnbr")
     else:
         triples = ", ".join(f"(lnbr, *s{p}_{i})" for i in range(k))
         src(f"sl = [{triples}]")
@@ -240,27 +225,106 @@ def _candidates(
     src.close(k)
 
 
-def _shared_candidates(
+def _pair(src: _Source, p: int, sized: bool, arr: str, barr: str) -> None:
+    """Intersect ``arr[lo:hi]`` (the smaller) with ``barr[blo:bhi]`` into
+    ``c{p}``, as :func:`~repro.core.intersect.intersect_slices` does for
+    two slices: empty, galloping past the crossover, else the merge."""
+    src.open("if lo >= hi:")
+    src(f"c{p} = ()")
+    src.close()
+    src.open("elif bhi - blo >= crossover * (hi - lo):")
+    src(f"c{p} = gallop({arr}, lo, hi, {barr}, blo, bhi, metrics)")
+    src(f"n_tests += len(c{p})")
+    src.close()
+    # The body of intersect._merge, its counter kept in a local.
+    src.open("else:")
+    src(f"last = {arr}[hi - 1]")
+    src(f"blast = {barr}[bhi - 1]")
+    src.open("if last <= blast:")
+    src(f"bhi = bisect_right({barr}, last, blo, bhi)")
+    src.close()
+    src.open("else:")
+    src(f"hi = bisect_right({arr}, blast, lo, hi)")
+    src.close()
+    src(f"common = set({arr}[lo:hi]).intersection({barr}[blo:bhi])")
+    src("n_comps += hi - lo + bhi - blo - len(common)")
+    src(f"c{p} = common" if sized else f"c{p} = sorted(common)")
+    src(f"n_tests += len(c{p})")
+    src.close()
+
+
+def _reused_candidates(
     src: _Source, p: int, k: int, checks: Sequence[Tuple[int, bool]],
-    reads: Sequence[int], sized: bool,
+    sized: bool, base: int, base_list: str, start: Optional[str],
 ) -> None:
-    """:func:`_candidates` behind position ``p``'s per-root memo, keyed on
-    the positions it reads; a hit replays the counters a miss moved."""
-    deltas = [("n_slices", "n_slices"), ("n_tests", "n_tests")]
-    if k >= 2:
-        # The kernels meter gallop steps into ``metrics`` themselves.
-        deltas.append(("n_gallop", "n_gallop + metrics.gallop_steps"))
-    elif checks:
-        deltas.append(("n_gallop", "n_gallop"))
-    if k == 2:
-        deltas.append(("n_comps", "n_comps"))
+    """Code leaving position ``p``'s candidates in ``c{p}`` from the list
+    ``base_list`` of position ``base``, metered as its
+    :func:`~repro.core.intersect.compile_reused_level` program: one
+    ``index_slices`` per added back edge up to the first missing
+    segment, the list — from ``start``, just past the base's vertex,
+    when ``p`` must exceed it — narrowed to the window, the intersection
+    with the added slices, one ``extension_tests`` per candidate."""
+    above = [q for q, greater in checks if greater]
+    below = [q for q, greater in checks if not greater]
+    if start is not None and not below:
+        # Every element past the base's vertex exceeds it, so its bound
+        # never narrows; only the emptiness test (with upper bounds)
+        # could read it.
+        above.remove(base)
+    for i in range(k):
+        src("n_slices += 1")
+        src.open(f"if s{p}_{i} is None:")
+        src(f"c{p} = ()")
+        src.close()
+        src.open("else:")
+    src(f"lo = {start or 0}")
+    src(f"hi = len({base_list})")
+    if above or below:
+        _window(src, above, below, base_list)
+    if k == 0:
+        src(f"c{p} = {base_list}[lo:hi]")
+        src("n_tests += hi - lo")
+    elif k == 1:
+        # The base's list first: it stays the smaller side on a tie.
+        src(f"blo, bhi = s{p}_0")
+        src.open("if bhi - blo < hi - lo:")
+        src("arr = lnbr")
+        src(f"barr = {base_list}")
+        src("lo, hi, blo, bhi = blo, bhi, lo, hi")
+        src.close()
+        src.open("else:")
+        src(f"arr = {base_list}")
+        src("barr = lnbr")
+        src.close()
+        _pair(src, p, sized, "arr", "barr")
+    else:
+        triples = ", ".join(f"(lnbr, *s{p}_{i})" for i in range(k))
+        src(f"sl = [({base_list}, lo, hi), {triples}]")
+        src("sl.sort(key=slice_size)")
+        src.open("if sl[0][2] > sl[0][1]:")
+        src(f"c{p} = leapfrog(sl, metrics)")
+        src(f"n_tests += len(c{p})")
+        src.close()
+        src.open("else:")
+        src(f"c{p} = ()")
+        src.close()
+    src.close(k)
+
+
+def _shared_candidates(
+    src: _Source, p: int, reads: Sequence[int], emit: Callable[[], None],
+    deltas: Sequence[Tuple[str, str]],
+) -> None:
+    """The code ``emit`` writes behind position ``p``'s per-root memo,
+    keyed on the positions it reads; a hit replays ``deltas``, the
+    ``(local, now)`` counters a miss moved."""
     key = ", ".join(f"v{q}" for q in reads)
     src(f"key = ({key},)" if len(reads) > 1 else f"key = {key}")
     src(f"entry = memo{p}.get(key)")
     src.open("if entry is None:")
     for i, (_, now) in enumerate(deltas):
         src(f"m{i} = {now}")
-    _candidates(src, p, k, checks, sized)
+    emit()
     stored = ", ".join(f"{now} - m{i}" for i, (_, now) in enumerate(deltas))
     src(f"memo{p}[key] = (c{p}, {stored})")
     src.close()
@@ -269,6 +333,24 @@ def _shared_candidates(
     for i, (local, _) in enumerate(deltas):
         src(f"{local} += d{i}")
     src.close()
+
+
+def _deltas(
+    k: int, checks: Sequence[Tuple[int, bool]], base: Optional[int]
+) -> List[Tuple[str, str]]:
+    """The ``(local, now)`` counters a memo entry of a level replays:
+    those its code can move."""
+    deltas = [("n_slices", "n_slices"), ("n_tests", "n_tests")]
+    # The kernels meter gallop steps into ``metrics`` themselves; a reused
+    # level intersects one slice more than it looks up.
+    pairs = k + (base is not None)
+    if pairs >= 2:
+        deltas.append(("n_gallop", "n_gallop + metrics.gallop_steps"))
+    elif checks:
+        deltas.append(("n_gallop", "n_gallop"))
+    if pairs == 2:
+        deltas.append(("n_comps", "n_comps"))
+    return deltas
 
 
 def _list_leaf(
@@ -306,7 +388,7 @@ def _list_leaf(
 
 def _generate(shape: Shape) -> Tuple[str, Dict[str, object]]:
     """The executor's source and the namespace it is executed in."""
-    labels, back_edges, checks, leaf, tail = shape
+    labels, back_edges, checks, bases, leaf, tail = shape
     n = len(labels)
     if n > MAX_POSITIONS:
         raise ValueError(
@@ -325,15 +407,36 @@ def _generate(shape: Shape) -> Tuple[str, Dict[str, object]]:
         "repeat": repeat,
         "SubgraphResult": SubgraphResult,
     }
-    # hoisted[q]: (position, back-edge index) of every lookup keyed on the
+    # lookups[p]: the back edges whose slices position p looks up — all
+    # of them, or those its base lacks.
+    lookups = [
+        backs if base is None else [e for e in backs if e not in back_edges[base]]
+        for backs, base in zip(back_edges, bases)
+    ]
+    # hoisted[q]: (position, lookup index) of every lookup keyed on the
     # vertex at q, issued in the loop that binds it.
     hoisted: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for p in range(1, cut + 1):
-        for i, (q, elabel) in enumerate(back_edges[p]):
+        for i, (q, elabel) in enumerate(lookups[p]):
             hoisted[q].append((p, i))
             namespace[f"K{p}_{i}"] = (labels[p], elabel)
-    reads = [level_reads(back_edges[p], checks[p]) for p in range(n)]
+    reads = plan_reads(back_edges, checks, bases)
     shared = [p for p in range(1, cut + 1) if shares_candidates(p, reads[p])]
+    # Per base: the list its users read (the candidates before the
+    # injectivity filter), and where a user that must exceed the base's
+    # vertex starts in it — the loop's own index when the loop walks
+    # that list itself.
+    base_list: Dict[int, str] = {}
+    suffix_start: Dict[int, str] = {}
+    for p in range(1, cut + 1):
+        q = bases[p]
+        if q is None:
+            continue
+        base_list[q] = f"b{q}" if injective[q] else f"c{q}"
+        if (q, True) in checks[p]:
+            suffix_start[q] = (
+                f"bisect_right(b{q}, v{q})" if injective[q] else f"i{q} + 1"
+            )
 
     src = _Source()
     src.open(
@@ -369,12 +472,21 @@ def _generate(shape: Shape) -> Tuple[str, Dict[str, object]]:
             src(f"memo{p} = {{}}")
         bind(0)
         for p in range(1, cut + 1):
-            k = len(back_edges[p])
+            k = len(lookups[p])
             sized = p == cut and leaf == "count"
-            if p in shared:
-                _shared_candidates(src, p, k, checks[p], reads[p], sized)
+            q = bases[p]
+            if q is None:
+                emit = partial(_candidates, src, p, k, checks[p], sized)
             else:
-                _candidates(src, p, k, checks[p], sized)
+                start = suffix_start[q] if (q, True) in checks[p] else None
+                emit = partial(
+                    _reused_candidates, src, p, k, checks[p], sized,
+                    q, base_list[q], start,
+                )
+            if p in shared:
+                _shared_candidates(src, p, reads[p], emit, _deltas(k, checks[p], q))
+            else:
+                emit()
             collide = injective[p]
             if sized:
                 size = f"len(c{p})" + "".join(f" - (v{q} in c{p})" for q in collide)
@@ -388,6 +500,8 @@ def _generate(shape: Shape) -> Tuple[str, Dict[str, object]]:
                     src(f"total += comb(found, {tau}) * {arrangements}")
                     src.close()
                 continue
+            if p in base_list and injective[p]:
+                src(f"b{p} = c{p}")
             for q in collide:
                 # A copy: the candidates may be a memo's entry.
                 src.open(f"if v{q} in c{p}:")
@@ -398,7 +512,10 @@ def _generate(shape: Shape) -> Tuple[str, Dict[str, object]]:
                 _list_leaf(src, f"c{p}", cut, back_edges)
             else:
                 src(f"n_walked += len(c{p})")
-                src.open(f"for v{p} in c{p}:")
+                if p in suffix_start and not injective[p]:
+                    src.open(f"for i{p}, v{p} in enumerate(c{p}):")
+                else:
+                    src.open(f"for v{p} in c{p}:")
                 bind(p)
         src.depth = 1
     src("metrics.index_slices += n_slices")

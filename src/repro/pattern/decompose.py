@@ -73,9 +73,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.intersect import compile_levels, intersect_slices
+from ..core.intersect import base_positions, compile_levels, intersect_slices
 from ..graph.graph import Graph
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.metrics import Metrics
@@ -327,14 +328,12 @@ def _degree_skew(graph: Graph) -> float:
     n = graph.n_vertices
     if n == 0:
         return 1.0
-    total = 0
-    squares = 0
-    for v in range(n):
-        d = graph.degree(v)
-        total += d
-        squares += d * d
+    offsets = graph.csr()[0]
+    total = offsets[n] - offsets[0]
     if total == 0:
         return 1.0
+    degrees = list(map(sub, offsets[1:], offsets[:-1]))
+    squares = sum(map(mul, degrees, degrees))
     return (squares * n) / (total * total)
 
 
@@ -349,42 +348,57 @@ def _walk_estimate(
     Same independence model as ``plan_matching_order`` — level width
     multiplies per-back-edge selectivities from the label statistics;
     per-node work prices the slice lookups, the expected driving-slice
-    intersection scan and the surviving candidate tests — with one
-    refinement: slices anchored on edge-reached vertices (everything
+    intersection scan and the surviving candidate tests — with two
+    refinements: slices anchored on edge-reached vertices (everything
     but the root) are scaled by the degree skew (:func:`_degree_skew`),
-    the size-bias the independence model otherwise misses.
+    the size-bias the independence model otherwise misses; and a
+    position with a base (:func:`~repro.core.intersect.base_positions`,
+    here without symmetry windows or orbit tail) is priced as it runs —
+    the slices its base lacks, and a scan of the base's estimated width.
     """
     if not order:
         return 0.0, 0.0
     vertex_counts, pair_counts = graph.label_stats()
     skew = _degree_skew(graph)
-    labels = pattern.vertex_labels
-    root = order[0]
-    nodes = float(vertex_counts.get(labels[root], 0))
+    labels = [pattern.vertex_labels[p] for p in order]
+    position_of = {p: i for i, p in enumerate(order)}
+    back_edges = [
+        sorted(
+            (position_of[q], elabel)
+            for q, elabel in pattern.neighborhood(p)
+            if position_of.get(q, pos) < pos
+        )
+        for pos, p in enumerate(order)
+    ]
+    # The walk is priced un-broken: no symmetry windows, no orbit tail.
+    bases = base_positions(labels, back_edges, [()] * len(order), len(order))
+    nodes = float(vertex_counts.get(labels[0], 0))
     units = cost_model.index_slice_units + nodes * cost_model.extension_test_units
-    placed = {root}
-    for p in order[1:]:
-        backs = [
-            (q, elabel) for q, elabel in pattern.neighborhood(p) if q in placed
-        ]
+    widths = [nodes]
+    for pos in range(1, len(order)):
+        label = labels[pos]
+        base = bases[pos]
         slice_sizes = []
-        candidates = float(vertex_counts.get(labels[p], 0))
-        for q, elabel in backs:
+        candidates = float(vertex_counts.get(label, 0))
+        for q, elabel in back_edges[pos]:
             count_q = vertex_counts.get(labels[q], 0)
-            pair = pair_counts.get((labels[q], elabel, labels[p]), 0)
-            bias = skew if q != root else 1.0
-            slice_sizes.append(bias * pair / count_q if count_q else 0.0)
-            denominator = count_q * vertex_counts.get(labels[p], 0)
+            pair = pair_counts.get((labels[q], elabel, label), 0)
+            bias = skew if q != 0 else 1.0
+            if base is None or (q, elabel) not in back_edges[base]:
+                slice_sizes.append(bias * pair / count_q if count_q else 0.0)
+            denominator = count_q * vertex_counts.get(label, 0)
             candidates *= bias * pair / denominator if denominator else 0.0
+        # A level with a base scans the base's candidates, not its
+        # smallest slice, and looks up only the slices the base lacks.
+        driving = widths[base] if base is not None else min(slice_sizes, default=0.0)
         per_node = (
-            len(backs) * cost_model.index_slice_units
-            + (min(slice_sizes) if slice_sizes else 0.0)
-            * cost_model.intersect_compare_units
+            len(slice_sizes) * cost_model.index_slice_units
+            + driving * cost_model.intersect_compare_units
             + candidates * cost_model.extension_test_units
         )
         units += nodes * per_node
         nodes *= candidates
-        placed.add(p)
+        widths.append(candidates)
     return nodes, units
 
 
@@ -763,11 +777,13 @@ def count_embeddings(
     depth = len(plan.core)
     blocks = plan.blocks
     terms = plan.terms
+    checks = plan.core_checks or [()] * depth
     levels, _ = compile_levels(
         graph,
         plan.core_labels,
         plan.core_back_edges,
-        plan.core_checks or [()] * depth,
+        checks,
+        base_positions(plan.core_labels, plan.core_back_edges, checks, depth),
     )
     matched = [0] * depth
     used = set()

@@ -285,10 +285,13 @@ class ExecutionReport:
         they stay zero on pure-enumeration runs.
 
         ``levels`` lists, per matching-order position, the earlier
-        positions its candidates are computed from (``reads``) and
-        whether sibling prefixes share them (``shared`` — a plan-time
-        property: the indexed kernels share the positions that, the root
-        aside, do not read their whole prefix).
+        positions its candidates are computed from (``reads``), whether
+        sibling prefixes share them (``shared`` — a plan-time property:
+        the indexed kernels share the positions that, the root aside, do
+        not read their whole prefix), the earlier positions a candidate
+        is tested against for injectivity (``injective``) and the
+        earlier position whose candidates it starts from (``base``,
+        ``None`` for none and on every legacy level).
 
         ``symmetry`` reports the restriction set the matching plan uses
         (optimized size vs the classic heuristic, the automorphism group

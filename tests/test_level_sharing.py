@@ -295,6 +295,9 @@ def test_every_level_call_replays_against_the_bare_program(case):
         for pos, level in enumerate(levels):
             reads = {p for p, _ in strategy._back_edges[pos]}
             reads |= {p for p, _ in strategy._checks[pos]}
+            if level["base"] is not None:
+                # A reused level's work depends on its base's candidates.
+                reads |= set(levels[level["base"]]["reads"])
             assert level["reads"] == sorted(reads)
             # Entries are per root, so the root counts as read.
             assert level["shared"] == (reads | {0} < set(range(pos)))

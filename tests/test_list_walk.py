@@ -9,7 +9,9 @@ primitive an expansion, one per pattern vertex, ``collect="subgraphs"``
 hand out what the enumeration's freezing sink would — same vertices,
 edges and pattern, in the same order — and move every ``Metrics``
 counter by the same amount, on random labeled graphs and connected
-patterns of one to five vertices, under both indexed-family kernels, on
+patterns of one to six vertices (cliques and same-back-set positions
+among them, so levels that start from an earlier position's candidates
+are walked too), under both indexed-family kernels, on
 the sequential and the multiprocess backend, with and without root
 words (label-correct, as the executors hand them out).  The count leaf
 must return the enumeration's count and meter what the orbit walk over
@@ -57,25 +59,48 @@ KERNELS = ("indexed", "decomposed")
 # Random inputs
 # ----------------------------------------------------------------------
 @st.composite
-def cases(draw, max_k=5):
+def cases(draw, max_k=6):
     """``(graph, pattern, kernel, roots)``: a random labeled graph, a
     random connected pattern on 1..``max_k`` vertices over its labels, a
-    kernel and ``None`` or some root words."""
+    kernel and ``None`` or some root words.
+
+    A pattern is a spanning tree plus random chords, and then maybe a
+    clique on some of its vertices or a *twin* — a vertex given another
+    one's neighbours — the shapes whose positions start from an earlier
+    position's candidates (``kernel_info()["levels"][pos]["base"]``);
+    those draw denser graphs, where such matches exist."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
+    shape = draw(st.sampled_from(("tree", "clique", "twin")))
     n = draw(st.integers(min_value=4, max_value=14))
-    m = draw(st.integers(min_value=n - 1, max_value=min(3 * n, n * (n - 1) // 2)))
-    n_labels = rng.choice([1, 2])
-    n_elabels = rng.choice([1, 2])
+    most = n * (n - 1) // 2
+    if shape == "tree":
+        m = draw(st.integers(min_value=n - 1, max_value=min(3 * n, most)))
+        n_labels = rng.choice([1, 2])
+        n_elabels = rng.choice([1, 2])
+    else:
+        m = draw(st.integers(min_value=most * 2 // 3, max_value=most))
+        n_labels = rng.choice([1, 1, 2])
+        n_elabels = rng.choice([1, 1, 2])
     graph = erdos_renyi_graph(
         n, m, n_labels=n_labels, n_edge_labels=n_elabels, seed=seed % 10_000
     )
-    k = draw(st.integers(min_value=1, max_value=max_k))
+    k = draw(st.integers(min_value=1 if shape == "tree" else 4, max_value=max_k))
     pairs = {(rng.randrange(v), v) for v in range(1, k)}
     for u in range(k):
         for v in range(u + 1, k):
             if rng.random() < 0.3:
                 pairs.add((u, v))
+    if shape == "clique":
+        members = sorted(rng.sample(range(k), rng.randint(4, k)))
+        pairs.update((u, v) for i, u in enumerate(members) for v in members[i + 1:])
+    elif shape == "twin":
+        twin, original = rng.sample(range(k), 2)
+        for u, v in list(pairs):
+            if original in (u, v):
+                other = v if u == original else u
+                if other != twin:
+                    pairs.add((min(other, twin), max(other, twin)))
     edges = sorted(pairs)
     labels = [rng.randrange(n_labels) for _ in range(k)]
     pattern = Pattern(
@@ -198,7 +223,7 @@ def _reference_count(strategy, roots):
     return total
 
 
-@given(cases(max_k=6))
+@given(cases())
 @settings(max_examples=200, deadline=None)
 def test_count_matches_equals_the_enumeration(case):
     graph, pattern, kernel, roots = case
