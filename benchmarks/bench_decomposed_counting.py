@@ -29,9 +29,10 @@ headline so the summary never overstates the win.
 
 The 5x gates the full run only.  It was recorded at 13.7x (mico q3 3.3x,
 q7 56.6x) before orbit-multiplicity counting made q7's enumeration side
-cheap; the full run now reads what ``--quick`` reads, 2.48x (mico q3
-6.48x, q7 0.95x), and re-recording it belongs with the chooser
-re-calibration ROADMAP.md asks for.  ``--quick`` (the CI job) gates what
+cheap and the twins-last matching order made q3's; the full run now
+reads what ``--quick`` reads, 0.96x (mico q3 0.97x, q7 0.95x: both
+picks priced a little above their enumeration), and re-recording it
+belongs with the chooser re-calibration ROADMAP.md asks for.  ``--quick`` (the CI job) gates what
 a regression would break instead: counts identical everywhere (asserted
 as they are measured), and no chooser-picked query priced more than the
 chooser's own ``DECOMPOSITION_MARGIN`` above its enumeration.

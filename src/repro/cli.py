@@ -426,10 +426,16 @@ def _print_pattern_kernel(report) -> None:
             f"|Aut| {sym['group_order']}"
         ]
         orbit = summary.get("orbit_count")
+        twins = sym.get("twins")
+        placed = (
+            f"pattern vertices {', '.join(map(str, twins))} matched last; "
+            if twins
+            else ""
+        )
         if orbit is not None and orbit.get("executed"):
             parts.append(
-                f"orbit tail {orbit['tail']} "
-                f"(x{orbit['arrangements']} arrangements), "
+                f"orbit tail: {orbit['tail']} "
+                f"({placed}x{orbit['arrangements']} arrangements), "
                 f"{summary['orbit_multiplied_embeddings']:.0f} "
                 "embeddings counted in bulk"
             )

@@ -59,6 +59,7 @@ from .intersect import (
     shares_candidates,
 )
 from .levelwalk import MAX_POSITIONS, injective_positions, level_executor
+from .planner import plan_matching_order, twin_tail
 from .subgraph import Subgraph, SubgraphResult, level_tables, vertex_code
 
 __all__ = [
@@ -602,68 +603,6 @@ def matching_order(pattern: Pattern) -> List[int]:
     return order
 
 
-def plan_matching_order(pattern: Pattern, graph: Graph) -> List[int]:
-    """Cost-based connected matching order from graph label statistics.
-
-    CFL-Match-style planning: order pattern vertices by their *estimated
-    candidate-set size* while maximizing early back edges.  The estimate
-    for matching pattern vertex ``p`` after the already-ordered set is::
-
-        |{v : label(v) = label(p)}| * prod over back edges (q, le) of
-            sel(label(q), le, label(p))
-
-    where ``sel(la, le, lb)`` is the fraction of (la, lb) vertex pairs
-    joined by an ``le`` edge, read off :meth:`Graph.label_stats` under an
-    independence assumption.  More early back edges multiply in more
-    selectivities, so constrained vertices naturally sort first; ties
-    break on back-edge count (more first) then vertex id — fully
-    deterministic.  The start vertex is the one with the rarest label
-    (highest degree, then lowest id, on ties).
-    """
-    n = pattern.n_vertices
-    if n == 0:
-        return []
-    vertex_counts, pair_counts = graph.label_stats()
-    labels = pattern.vertex_labels
-
-    def root_size(p: int) -> int:
-        return vertex_counts.get(labels[p], 0)
-
-    start = min(range(n), key=lambda p: (root_size(p), -pattern.degree(p), p))
-    order = [start]
-    chosen = {start}
-    while len(order) < n:
-        best_vertex = -1
-        best_rank: Optional[tuple] = None
-        for p in range(n):
-            if p in chosen:
-                continue
-            backs = [
-                (q, elabel)
-                for q, elabel in pattern.neighborhood(p)
-                if q in chosen
-            ]
-            if not backs:
-                continue
-            estimate = float(root_size(p))
-            for q, elabel in backs:
-                denominator = vertex_counts.get(labels[q], 0) * root_size(p)
-                if denominator:
-                    estimate *= (
-                        pair_counts.get((labels[q], elabel, labels[p]), 0)
-                        / denominator
-                    )
-                else:
-                    estimate = 0.0
-            rank = (estimate, -len(backs), p)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_vertex = p
-        order.append(best_vertex)
-        chosen.add(best_vertex)
-    return order
-
-
 class PatternInducedStrategy(ExtensionStrategy):
     """Pattern-guided extension (subgraph querying, paper Listing 5).
 
@@ -727,9 +666,11 @@ class PatternInducedStrategy(ExtensionStrategy):
             # scoring uses the generic fan-out model, keeping legacy runs
             # independent of graph label statistics.
             score_graph = None
+            self._twins: List[int] = []
         else:
             self.order = plan_matching_order(pattern, graph)
             score_graph = graph
+            self._twins = twin_tail(pattern)
         plan = symmetry_plan(pattern, self.order, score_graph, self.metrics)
         self._conditions = plan.conditions
         self._sym_heuristic_size = plan.heuristic_size
@@ -753,10 +694,7 @@ class PatternInducedStrategy(ExtensionStrategy):
         if self._kernel == "legacy":
             self._bases: List[Optional[int]] = [None] * len(self.order)
         else:
-            tau, _ = self.orbit_tail()
-            self._bases = base_positions(
-                self._labels, self._back_edges, self._checks, len(self.order) - tau
-            )
+            self._bases = base_positions(self._labels, self._back_edges, self._checks)
         # The plan's part of a generated walk's cache key (levelwalk.Shape).
         self._shape = (
             tuple(self._labels),
@@ -847,6 +785,8 @@ class PatternInducedStrategy(ExtensionStrategy):
                 "heuristic_conditions": self._sym_heuristic_size,
                 "group_order": self._sym_group_order,
                 "orbit_tail": tail,
+                # The pattern vertices the planner matched last as twins.
+                "twins": list(self._twins),
             },
         }
 
@@ -873,7 +813,10 @@ class PatternInducedStrategy(ExtensionStrategy):
         every ``tau``-subset of ``C`` yields the same number of
         completions: ``arrangements``, the count of rank-orders of the
         tail satisfying its internal symmetry checks.  ``tau >= 1``
-        always (a bare leaf level counts its own candidates).
+        always (a bare leaf level counts its own candidates).  This only
+        reads the order: the indexed-family planner puts a pattern's
+        twins last (:func:`~repro.core.planner.plan_matching_order`),
+        which is where a tail longer than one comes from.
         """
         if self._orbit_tail is not None:
             return self._orbit_tail

@@ -524,7 +524,6 @@ def base_positions(
     labels: Sequence[object],
     back_edges: Sequence[Sequence[Tuple[int, int]]],
     checks: Sequence[Sequence[Tuple[int, bool]]],
-    tail_start: int,
 ) -> List[Optional[int]]:
     """Per position, the earlier position whose candidates it reuses.
 
@@ -533,8 +532,6 @@ def base_positions(
     * carries ``p``'s vertex label;
     * has at least two back edges, every one of them — edge label
       included — also a back edge of ``p``;
-    * lies before ``tail_start``, the orbit tail's first position (a
-      tail position's candidates are counted, not listed);
     * has a symmetry window containing ``p``'s for every matched prefix:
       each lower bound of ``q`` is a lower bound of ``p`` or proven
       smaller than one, and each upper bound of ``q`` is an upper bound
@@ -545,7 +542,9 @@ def base_positions(
     are exactly those of ``q`` inside ``p``'s window that the back edges
     ``p`` adds also reach.  ``None`` where no position qualifies (with
     fewer than two back edges the base would be one slice, which ``p``
-    looks up as cheaply itself).
+    looks up as cheaply itself).  The orbit tail is no exception: the
+    count leaf stops at the tail's first position and never reads a base
+    past it, while listings and the enumeration walk every position.
     """
     out: List[Optional[int]] = []
     for p, (_, _, lower) in enumerate(symmetry_order(checks)):
@@ -553,7 +552,7 @@ def base_positions(
         above = [a for a, greater in checks[p] if greater]
         below = [b for b, greater in checks[p] if not greater]
         base = None
-        for q in range(min(p, tail_start) - 1, 0, -1):
+        for q in range(p - 1, 0, -1):
             if (
                 labels[q] == labels[p]
                 and len(back_edges[q]) >= 2

@@ -47,13 +47,13 @@ implements that third kernel (``kernel="decomposed"``):
    single-anchor block costs one O(1) segment lookup, never a scan.
 
 The per-query chooser (:func:`choose_counting_kernel`) prices both
-strategies with the same label statistics ``plan_matching_order`` uses
-and picks decomposition only when its estimate is strictly cheaper;
-fringe-1 patterns (cliques, cycles) keep enumeration — their
-intermediate-level intersection work dominates and is shared, and the
-core loses enumeration's symmetry pruning — while multi-fringe patterns
-(diamond, house, double-diamond) collapse their deepest levels into
-O(1) block-size arithmetic.
+strategies with the same label statistics the matching-order planner
+(:mod:`repro.core.planner`) uses and picks decomposition only when its
+estimate is strictly cheaper; fringe-1 patterns (cliques, cycles) keep
+enumeration — their intermediate-level intersection work dominates and
+is shared, and the core loses enumeration's symmetry pruning — while
+multi-fringe patterns (diamond, house, double-diamond) collapse their
+deepest levels into O(1) block-size arithmetic.
 
 Everything here falls back to enumeration whenever the aggregation
 needs *embeddings* rather than counts (FSM domain support, subgraph
@@ -63,9 +63,10 @@ collection, embedding callbacks, partial-pattern steps) — see
 reason into ``kernel_info`` and meters it as ``metrics.decomp_fallbacks``.
 
 This module deliberately avoids importing ``core.enumerator`` (the
-step planner imports both); the restricted cost-order planner below
-computes the same order ``plan_matching_order`` would on the full
-vertex set.
+step planner imports both).  Orders come from :mod:`repro.core.planner`,
+the planner the enumeration itself calls: a cover's core walk is ordered
+by its greedy (``cost_order`` on the cover), and enumeration is priced
+in ``plan_matching_order``'s order — the one that runs, twins last.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.intersect import base_positions, compile_levels, intersect_slices
+from ..core.planner import cost_order, is_connected_subset, plan_matching_order
 from ..graph.graph import Graph
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.metrics import Metrics
@@ -241,78 +243,6 @@ def _pattern_edges(pattern: Pattern) -> List[Tuple[int, int]]:
     return sorted(edges)
 
 
-def _is_connected_subset(pattern: Pattern, subset: Sequence[int]) -> bool:
-    """Whether the pattern induced on ``subset`` is connected."""
-    members = set(subset)
-    if not members:
-        return False
-    stack = [subset[0]]
-    seen = {subset[0]}
-    while stack:
-        v = stack.pop()
-        for u, _ in pattern.neighborhood(v):
-            if u in members and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(members)
-
-
-def _cost_order(
-    pattern: Pattern, graph: Graph, subset: Sequence[int]
-) -> List[int]:
-    """``plan_matching_order`` restricted to a connected vertex subset.
-
-    Identical ranking rules (rarest-label root, smallest estimated
-    candidate set next, ties on back-edge count then vertex id), with
-    back edges counted only inside ``subset`` — so on the full vertex
-    set this computes exactly the enumeration planner's order.
-    """
-    members = sorted(set(subset))
-    if not members:
-        return []
-    vertex_counts, pair_counts = graph.label_stats()
-    labels = pattern.vertex_labels
-
-    def root_size(p: int) -> int:
-        return vertex_counts.get(labels[p], 0)
-
-    start = min(members, key=lambda p: (root_size(p), -pattern.degree(p), p))
-    order = [start]
-    chosen = {start}
-    while len(order) < len(members):
-        best_vertex = -1
-        best_rank: Optional[tuple] = None
-        for p in members:
-            if p in chosen:
-                continue
-            backs = [
-                (q, elabel)
-                for q, elabel in pattern.neighborhood(p)
-                if q in chosen
-            ]
-            if not backs:
-                continue
-            estimate = float(root_size(p))
-            for q, elabel in backs:
-                denominator = vertex_counts.get(labels[q], 0) * root_size(p)
-                if denominator:
-                    estimate *= (
-                        pair_counts.get((labels[q], elabel, labels[p]), 0)
-                        / denominator
-                    )
-                else:
-                    estimate = 0.0
-            rank = (estimate, -len(backs), p)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_vertex = p
-        if best_vertex < 0:  # disconnected subset; caller filtered these
-            break
-        order.append(best_vertex)
-        chosen.add(best_vertex)
-    return order
-
-
 def _degree_skew(graph: Graph) -> float:
     """``E[d^2] / E[d]^2``, the degree distribution's skew (>= 1).
 
@@ -353,7 +283,7 @@ def _walk_estimate(
     but the root) are scaled by the degree skew (:func:`_degree_skew`),
     the size-bias the independence model otherwise misses; and a
     position with a base (:func:`~repro.core.intersect.base_positions`,
-    here without symmetry windows or orbit tail) is priced as it runs —
+    here without symmetry windows) is priced as it runs —
     the slices its base lacks, and a scan of the base's estimated width.
     """
     if not order:
@@ -371,7 +301,7 @@ def _walk_estimate(
         for pos, p in enumerate(order)
     ]
     # The walk is priced un-broken: no symmetry windows, no orbit tail.
-    bases = base_positions(labels, back_edges, [()] * len(order), len(order))
+    bases = base_positions(labels, back_edges, [()] * len(order))
     nodes = float(vertex_counts.get(labels[0], 0))
     units = cost_model.index_slice_units + nodes * cost_model.extension_test_units
     widths = [nodes]
@@ -431,7 +361,7 @@ def _compile_cover(
     """Compile one candidate connected cover into a full plan."""
     n = pattern.n_vertices
     labels = pattern.vertex_labels
-    core_order = _cost_order(pattern, graph, cover)
+    core_order = cost_order(pattern, graph, cover)
     if len(core_order) != len(cover):
         return None
     position_of = {p: i for i, p in enumerate(core_order)}
@@ -622,7 +552,7 @@ def plan_decomposition(
             members = set(cover)
             if any(u not in members and v not in members for u, v in edges):
                 continue
-            if not _is_connected_subset(pattern, cover):
+            if not is_connected_subset(pattern, cover):
                 continue
             plan = _compile_cover(pattern, graph, cover, cost_model, auts)
             if plan is None:
@@ -646,7 +576,8 @@ def estimate_enumeration_units(
 ) -> float:
     """Estimated indexed-enumeration work for a full counting run.
 
-    The full (non-symmetry-broken) cost-order walk.  Symmetry breaking
+    The full (non-symmetry-broken) walk of the order enumeration runs
+    in, :func:`~repro.core.planner.plan_matching_order`.  Symmetry breaking
     prunes up to ``|Aut(P)|`` *leaves*, but the metered candidate work
     is dominated by interior extension tests that shrink far less, so
     dividing by the automorphism count grossly underestimates real
@@ -656,7 +587,7 @@ def estimate_enumeration_units(
     metered candidate units on the q1–q8 query shapes, it predicts the
     cheaper kernel on all eight.
     """
-    order = _cost_order(pattern, graph, range(pattern.n_vertices))
+    order = plan_matching_order(pattern, graph)
     _, units = _walk_estimate(pattern, graph, order, cost_model)
     return units
 
@@ -783,7 +714,7 @@ def count_embeddings(
         plan.core_labels,
         plan.core_back_edges,
         checks,
-        base_positions(plan.core_labels, plan.core_back_edges, checks, depth),
+        base_positions(plan.core_labels, plan.core_back_edges, checks),
     )
     matched = [0] * depth
     used = set()

@@ -295,7 +295,8 @@ class ExecutionReport:
 
         ``symmetry`` reports the restriction set the matching plan uses
         (optimized size vs the classic heuristic, the automorphism group
-        order, and the bulk-counted orbit tail); ``orbit_count`` records
+        order, the bulk-counted orbit tail and the ``twins``, the pattern
+        vertices the planner matched last to form it); ``orbit_count`` records
         whether the counting-only fast path executed and why not
         otherwise; ``list_walk`` records whether a listing step was
         walked (``PatternInducedStrategy.list_matches``) and why not

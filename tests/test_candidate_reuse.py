@@ -2,14 +2,15 @@
 
 ``repro.core.intersect.base_positions`` gives a matching-order position
 a *base* — the latest earlier position with its vertex label, at least
-two back edges that are all back edges of it, outside the orbit tail,
-whose symmetry window contains its own.  Such a level cuts the base's
-candidate list to its window and intersects only the back edges it
-adds, in the enumeration's level programs and in the generated walks
-alike.  Here:
+two back edges that are all back edges of it, whose symmetry window
+contains its own.  Such a level cuts the base's candidate list to its
+window and intersects only the back edges it adds, in the enumeration's
+level programs and in the generated walks alike.  Here:
 
 * the rule on q1-q8, counted and listed (what ``kernel_info`` reports);
 * the rule's negative shapes, one condition broken at a time;
+* a base inside the orbit tail: the listing starts from it, the count
+  leaf stops at the tail's first position and never reads it;
 * q4 and q5 on the simulated 2x2 cluster, where steals hand thieves
   prefixes whose base answer they never computed: the recomputation is
   host work, so every metered counter must equal the sequential
@@ -35,7 +36,7 @@ import pytest
 from repro import ClusterConfig, FractalContext, Pattern
 from repro.apps import QUERY_PATTERNS
 from repro.apps.queries import query_fractoid
-from repro.core import intersect
+from repro.core import intersect, levelwalk
 from repro.core.computation import Computation
 from repro.core.enumerator import PatternInducedStrategy
 from repro.core.primitives import Expand
@@ -63,13 +64,13 @@ EXPECTED_BASES = {
     # query: (counted, listed)
     "q1": ({}, {}),
     "q2": ({}, {}),
-    # The two wings of the diamond have different back edges.
-    "q3": ({}, {}),
+    # The wings are twins, matched last: the second starts from the first.
+    "q3": ({3: 2}, {3: 2}),
     "q4": ({3: 2}, {3: 2}),
     "q5": ({3: 2, 4: 3}, {3: 2, 4: 3}),
     "q6": ({}, {}),
-    # Positions 2..5 share their back edges, but they are the orbit tail.
-    "q7": ({}, {}),
+    # Positions 2..5 are four twins sharing their back edges.
+    "q7": ({3: 2, 4: 3, 5: 4}, {3: 2, 4: 3, 5: 4}),
     "q8": ({}, {}),
 }
 
@@ -101,15 +102,12 @@ CLIQUE = dict(
     labels=[0, 0, 0, 0],
     back_edges=[[], [(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)]],
     checks=[(), ((0, True),), ((1, True),), ((2, True),)],
-    tail_start=3,
 )
 
 
 def _rule(**changes):
     plan = {**CLIQUE, **changes}
-    return intersect.base_positions(
-        plan["labels"], plan["back_edges"], plan["checks"], plan["tail_start"]
-    )
+    return intersect.base_positions(plan["labels"], plan["back_edges"], plan["checks"])
 
 
 def test_the_clique_reuses_its_last_interior_position():
@@ -138,7 +136,6 @@ def test_the_clique_reuses_its_last_interior_position():
             dict(back_edges=[[], [(0, 0)], [(1, 0)], [(1, 0), (2, 0)]]),
             id="one-back-edge",
         ),
-        pytest.param(dict(tail_start=2), id="tail"),
     ],
 )
 def test_a_broken_condition_means_no_base(changes):
@@ -150,7 +147,7 @@ def test_the_latest_qualifying_position_wins():
     backs = [[], [(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)],
              [(0, 0), (1, 0), (2, 0), (3, 0)]]
     checks = [(), ((0, True),), ((1, True),), ((2, True),), ((3, True),)]
-    assert intersect.base_positions(labels, backs, checks, 4) == [None, None, None, 2, 3]
+    assert intersect.base_positions(labels, backs, checks) == [None, None, None, 2, 3]
 
 
 def test_reads_include_the_base_reads():
@@ -231,6 +228,30 @@ def test_a_reused_level_that_siblings_share():
     assert [r.vertices for r in listed] == [r.vertices for r in expected]
     assert delta == {name: getattr(metrics, name) for name in ENUMERATION_COUNTERS}
     assert _walked(CLUSTER_GRAPH, pattern, "count_matches")[0] == len(expected)
+
+
+def test_a_tail_position_has_a_base():
+    # The diamond's wings are twins matched last, an orbit tail of two:
+    # the second wing's base is the first.  The listing walks position 3
+    # from the suffix of position 2's list past v2 — no slice, no
+    # intersection — while the count leaf stops at position 2, the tail's
+    # first position, and never reads a base past it.
+    strategy = _strategy(GRAPH, QUERY_PATTERNS["q3"])
+    assert strategy.order == [0, 2, 1, 3]
+    assert strategy.orbit_tail() == (2, 1)
+    assert strategy._bases == [None, None, None, 2]
+    listed = levelwalk._generate(strategy._shape + ("list", None))[0]
+    assert "c3 = c2[lo:hi]" in listed and "K3_" not in listed
+    counted = levelwalk._generate(strategy._shape + ("count", (2, 1)))[0]
+    assert "v2" not in counted and "c3" not in counted
+    expected, metrics = _sequential_enumeration(GRAPH, strategy.pattern)
+    assert len(expected) == sum(
+        1 for _ in match_pattern(strategy.pattern, GRAPH, distinct=True)
+    ) > 0
+    listed, delta = _walked(GRAPH, strategy.pattern, "list_matches")
+    assert [r.vertices for r in listed] == [r.vertices for r in expected]
+    assert delta == {name: getattr(metrics, name) for name in ENUMERATION_COUNTERS}
+    assert _walked(GRAPH, strategy.pattern, "count_matches")[0] == len(expected)
 
 
 class _Scratch(Metrics):

@@ -33,7 +33,7 @@ from multiprocessing import shared_memory
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro import ClusterConfig, FractalContext, MultiprocessConfig, Pattern
 from repro.apps import QUERY_PATTERNS
@@ -41,6 +41,7 @@ from repro.apps.queries import query_fractoid
 from repro.core import intersect, levelwalk
 from repro.core.computation import Computation
 from repro.core.enumerator import PatternInducedStrategy
+from repro.core.planner import twin_tail
 from repro.core.primitives import Expand
 from repro.graph import erdos_renyi_graph, orkut_like
 from repro.pattern.isomorphism import match_pattern
@@ -59,19 +60,23 @@ KERNELS = ("indexed", "decomposed")
 # Random inputs
 # ----------------------------------------------------------------------
 @st.composite
-def cases(draw, max_k=6):
+def cases(draw, max_k=6, shapes=("tree", "clique", "twin", "twins")):
     """``(graph, pattern, kernel, roots)``: a random labeled graph, a
     random connected pattern on 1..``max_k`` vertices over its labels, a
     kernel and ``None`` or some root words.
 
     A pattern is a spanning tree plus random chords, and then maybe a
-    clique on some of its vertices or a *twin* — a vertex given another
-    one's neighbours — the shapes whose positions start from an earlier
-    position's candidates (``kernel_info()["levels"][pos]["base"]``);
-    those draw denser graphs, where such matches exist."""
+    clique on some of its vertices, a *twin* — a vertex given another
+    one's neighbours — or a class of *twins* — two or three vertices of
+    one label hung off one set of core vertices by the same edge labels
+    — the shapes whose positions start from an earlier position's
+    candidates (``kernel_info()["levels"][pos]["base"]``); those draw
+    denser graphs, where such matches exist.  The planner matches a twin
+    class last (``kernel_info()["symmetry"]["twins"]``): each draw is
+    labelled with whether it got a planned tail."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
-    shape = draw(st.sampled_from(("tree", "clique", "twin")))
+    shape = draw(st.sampled_from(shapes))
     n = draw(st.integers(min_value=4, max_value=14))
     most = n * (n - 1) // 2
     if shape == "tree":
@@ -86,9 +91,28 @@ def cases(draw, max_k=6):
         n, m, n_labels=n_labels, n_edge_labels=n_elabels, seed=seed % 10_000
     )
     k = draw(st.integers(min_value=1 if shape == "tree" else 4, max_value=max_k))
-    pairs = {(rng.randrange(v), v) for v in range(1, k)}
-    for u in range(k):
-        for v in range(u + 1, k):
+    pattern = _random_pattern(rng, shape, k, n_labels, n_elabels)
+    event(f"planned tail: {bool(twin_tail(pattern))}")
+    kernel = draw(st.sampled_from(KERNELS))
+    roots = None
+    if draw(st.booleans()):
+        # Root words as the executors pass them: vertices with the label
+        # of the first pattern vertex matched, any of them, in any order.
+        first = _strategy(graph, pattern, kernel).order[0]
+        candidates = list(graph.vertices_with_label(pattern.vertex_labels[first]))
+        roots = draw(st.permutations(candidates))[
+            : draw(st.integers(min_value=0, max_value=len(candidates)))
+        ]
+    return graph, pattern, kernel, roots
+
+
+def _random_pattern(rng, shape, k, n_labels, n_elabels):
+    """A connected ``k``-vertex pattern of ``shape`` (see :func:`cases`)."""
+    n_twins = rng.randint(2, 3) if shape == "twins" else 0
+    core = k - n_twins
+    pairs = {(rng.randrange(v), v) for v in range(1, core)}
+    for u in range(core):
+        for v in range(u + 1, core):
             if rng.random() < 0.3:
                 pairs.add((u, v))
     if shape == "clique":
@@ -101,22 +125,23 @@ def cases(draw, max_k=6):
                 other = v if u == original else u
                 if other != twin:
                     pairs.add((min(other, twin), max(other, twin)))
-    edges = sorted(pairs)
     labels = [rng.randrange(n_labels) for _ in range(k)]
-    pattern = Pattern(
-        labels, [(u, v, rng.randrange(n_elabels)) for u, v in edges]
-    )
-    kernel = draw(st.sampled_from(KERNELS))
-    roots = None
-    if draw(st.booleans()):
-        # Root words as the executors pass them: vertices with the label
-        # of the first pattern vertex matched, any of them, in any order.
-        first = _strategy(graph, pattern, kernel).order[0]
-        candidates = list(graph.vertices_with_label(labels[first]))
-        roots = draw(st.permutations(candidates))[
-            : draw(st.integers(min_value=0, max_value=len(candidates)))
-        ]
-    return graph, pattern, kernel, roots
+    edges = [(u, v, rng.randrange(n_elabels)) for u, v in sorted(pairs)]
+    if n_twins:
+        # Vertices core..k-1: one label, one neighbourhood, one edge
+        # label per neighbour.
+        hub = [(q, rng.randrange(n_elabels)) for q in rng.sample(
+            range(core), rng.randint(1, min(3, core))
+        )]
+        label = rng.randrange(n_labels)
+        for twin in range(core, k):
+            labels[twin] = label
+            edges.extend((q, twin, elabel) for q, elabel in hub)
+        # Twins anywhere in the vertex numbering, not only last.
+        ids = rng.sample(range(k), k)
+        labels = [labels[ids.index(v)] for v in range(k)]
+        edges = [(ids[u], ids[v], elabel) for u, v, elabel in edges]
+    return Pattern(labels, edges)
 
 
 def _strategy(graph, pattern, kernel):
@@ -457,6 +482,55 @@ def test_workers_list_like_the_enumeration(case):
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+# ----------------------------------------------------------------------
+# Twins matched last, on every backend
+# ----------------------------------------------------------------------
+TWIN_ENGINES = {
+    "sequential": lambda: "sequential",
+    "sim2x2": lambda: ClusterConfig(workers=2, cores_per_worker=2),
+    "mp2": lambda: MultiprocessConfig(num_procs=2),
+}
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="multiprocess backend needs fork")
+@given(cases(shapes=("twins",)))
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_twins_count_and_list_like_the_legacy_preset(case):
+    # A planned tail is counted in closed form and listed from the first
+    # twin's candidates; the legacy preset walks every embedding in its
+    # own order.  Same matches, same counts, on every backend.
+    graph, pattern, kernel, _ = case
+    legacy = _execute(graph, pattern, "legacy", "sequential")
+    expected = _matches(legacy)
+    for name, engine in TWIN_ENGINES.items():
+        listed = _execute(graph, pattern, kernel, engine())
+        assert _matches(listed) == expected, name
+        fg = FractalContext().from_graph(graph)
+        count = query_fractoid(fg, pattern, kernel=kernel).count(engine=engine())
+        assert count == len(expected), name
+
+
+def test_most_twin_draws_get_a_planned_tail(capsys):
+    # The share of ``cases(shapes=("twins",))`` patterns the planner
+    # gives a twin tail; the rest grew a larger class that would
+    # disconnect the core.
+    rng = random.Random(0)
+    draws = 500
+    planned = sum(
+        bool(twin_tail(_random_pattern(
+            rng, "twins", rng.randint(4, 6), rng.choice([1, 2]), rng.choice([1, 2])
+        )))
+        for _ in range(draws)
+    )
+    with capsys.disabled():
+        print(f"\n[twins] {planned}/{draws} draws get a planned tail")
+    assert planned >= 0.9 * draws
 
 
 # ----------------------------------------------------------------------
