@@ -421,13 +421,14 @@ class DomainSupport:
 
     def add_embedding(self, vertices: Sequence[int], positions: Sequence[int]) -> None:
         """Record one embedding: ``vertices[i]`` sits at ``positions[i]``."""
+        domains = self._domains
         n = max(positions) + 1 if positions else 0
-        while len(self._domains) < n:
-            self._domains.append(set())
+        while len(domains) < n:
+            domains.append(set())
         if self._saturated and not self.exact:
             return
         for vertex, position in zip(vertices, positions):
-            self._domains[position].add(vertex)
+            domains[position].add(vertex)
         self._update_saturation()
 
     def aggregate(self, other: "DomainSupport") -> "DomainSupport":
@@ -441,15 +442,18 @@ class DomainSupport:
         return self
 
     def _update_saturation(self) -> None:
-        if not self._saturated:
-            self._saturated = bool(self._domains) and all(
-                len(domain) >= self.min_support for domain in self._domains
-            )
-            if self._saturated and not self.exact:
-                # Keep only min_support witnesses per position.
-                self._domains = [
-                    set(list(domain)[: self.min_support]) for domain in self._domains
-                ]
+        if self._saturated or not self._domains:
+            return
+        min_support = self.min_support
+        for domain in self._domains:
+            if len(domain) < min_support:
+                return
+        self._saturated = True
+        if not self.exact:
+            # Keep only min_support witnesses per position.
+            self._domains = [
+                set(list(domain)[:min_support]) for domain in self._domains
+            ]
 
     @property
     def support(self) -> int:

@@ -22,13 +22,15 @@ Extension strategies:
 Custom enumerators (paper Appendix B) subclass :class:`ExtensionStrategy`
 — see ``repro.apps.cliques.KClistStrategy``.
 
-A strategy is walked two ways.  The simulated cluster takes one extension
-at a time from explicit enumerator frames and calls ``push``/``pop``/
-``rebuild``.  The sequential executor visits all children of a prefix
-from one frame, :meth:`ExtensionStrategy.children`; the vertex- and
-pattern-induced strategies fuse push, yield and pop there and compute
-once per prefix what its extensions share — the point of Figure 7's
-enumerator.
+A strategy is walked through one protocol,
+:meth:`ExtensionStrategy.children`: it visits the children of a prefix
+from one frame, and the three built-in strategies fuse push, yield and
+pop there and compute once per prefix what its extensions share — the
+point of Figure 7's enumerator.  The sequential executor runs a visitor
+to the end in a ``for``; the simulated cluster keeps one per enumerator
+frame and resumes it one child per quantum, so thieves can cut the
+frame's tail in between.  Only ``rebuild`` (a stolen prefix) pushes
+outside a visitor.
 """
 
 from __future__ import annotations
@@ -155,18 +157,28 @@ class ExtensionStrategy:
         in the body) leaves the current child pushed, exactly as a
         ``push`` without its ``pop`` would; :meth:`rebuild` recovers.
 
+        The consumer may also resume the visitor one child at a time
+        with ``next()`` and do other work in between, as the simulated
+        cluster does per quantum: a resume pops the previous child before
+        it pushes the next one, so a child stays pushed until then, and
+        the resume that finds ``words`` exhausted pops the last child and
+        ends the visitor.  Anything pushed on top meanwhile must be
+        popped again before the resume.
+
         This spelling goes through :meth:`push`/:meth:`pop`, so a custom
-        strategy and :class:`EdgeInducedStrategy` inherit it unchanged.
-        :class:`VertexInducedStrategy` and :class:`PatternInducedStrategy`
+        strategy inherits it unchanged.  :class:`VertexInducedStrategy`,
+        :class:`EdgeInducedStrategy` and :class:`PatternInducedStrategy`
         override it with a fused body that inlines their own
         ``push``/``pop`` and computes what only the prefix determines once
-        per call instead of once per word.  The rule that comes with a
-        fused body: it does not call ``push``/``pop``, so a subclass of
-        those two that overrides either must override ``children`` as
-        well (``children = ExtensionStrategy.children`` gets this
-        spelling back), and to observe the walk per child wrap
-        ``children``, as the multiprocess backend's fetch meter does —
-        a ``push`` shadowed on an instance is not seen.
+        per call instead of once per word; the vertex-induced one also
+        appends a child's pattern level at push when the prefix's is
+        resolved.  The rule that comes with a fused body: it does not
+        call ``push``/``pop``, so a subclass of those three that
+        overrides either must override ``children`` as well
+        (``children = ExtensionStrategy.children`` gets this spelling
+        back), and to observe the walk per child wrap ``children``, as
+        the multiprocess backend's fetch meter does — a ``push`` shadowed
+        on an instance is not seen.
         """
         push = self.push
         pop = self.pop
@@ -573,6 +585,77 @@ class EdgeInducedStrategy(ExtensionStrategy):
         else:
             self._sub = None
             subgraph.pop()
+
+    def children(self, subgraph: Subgraph, words: Iterable[int]) -> Iterator[int]:
+        """:meth:`push`, yield, :meth:`pop` per word, fused into one frame.
+
+        Hoisted once per prefix: the sync check, the subgraph's lists
+        and the graph's edge columns.  A child's pattern level resolves
+        lazily, as after :meth:`push`.
+
+        Counters, subgraph and strategy state at every ``yield`` and
+        after every pop are those of :meth:`push`/:meth:`pop`.  A
+        subgraph mutated behind the strategy's back while a child is out
+        is popped the slow way and the frame hoists again.
+
+        Inlined here, to be changed in step with their originals:
+        ``Subgraph.push_edge``/``pop`` and :meth:`pop`'s undo record.
+        """
+        src, dst, _ = self.graph.edge_arrays()
+        vertices = subgraph.vertices
+        edges = subgraph.edges
+        vertex_set = subgraph.vertex_set
+        edges_per_level = subgraph._edges_per_level
+        vertices_per_level = subgraph._vertices_per_level
+        levels = subgraph._levels
+        stale = True
+        for word in words:
+            if stale:
+                if self._sub is not subgraph or self._ver != subgraph.version:
+                    self._resync(subgraph)
+                depth = len(edges_per_level)
+                n_edges = len(edges)
+                stale = False
+            u = src[word]
+            v = dst[word]
+            added = 0
+            if u not in vertex_set:
+                vertices.append(u)
+                vertex_set.add(u)
+                added = 1
+            if v not in vertex_set:
+                vertices.append(v)
+                vertex_set.add(v)
+                added += 1
+            edges.append(word)
+            edges_per_level.append(1)
+            vertices_per_level.append(added)
+            self._ver = subgraph.version = subgraph.version + 1
+            yield word
+            if self._sub is subgraph and self._ver == subgraph.version:
+                undo = self._undo
+                if undo and len(undo) == n_edges + 1:
+                    added_edges, displaced, new_endpoints = undo.pop()
+                    first = self._first
+                    for eid in added_edges:
+                        del first[eid]
+                    self._folded_eset.discard(word)
+                    for x in new_endpoints:
+                        self._folded_vset.discard(x)
+                    if displaced is not None:
+                        first[word] = displaced
+                    self._testsum.pop()
+                edges_per_level.pop()
+                edges.pop()
+                for _ in range(vertices_per_level.pop()):
+                    vertex_set.discard(vertices.pop())
+                self._ver = subgraph.version = subgraph.version + 1
+                if len(levels) > depth + 1:
+                    levels.pop()
+            else:
+                self._sub = None
+                subgraph.pop()
+                stale = True
 
 
 def matching_order(pattern: Pattern) -> List[int]:
@@ -1070,9 +1153,15 @@ class SubgraphEnumerator:
     """Paper Figure 7: a prefix with a consumable extension cursor.
 
     The simulated cluster keeps one enumerator per enumeration level on
-    each core's stack.  ``take()`` consumes the next extension — the short
-    critical section of the paper's thread-safe ``extend()`` — and idle
-    cores steal by taking from a victim's shallowest non-empty enumerator.
+    each core's stack.  Iterating a frame consumes its extensions at the
+    cursor — the short critical section of the paper's thread-safe
+    ``extend()`` — and idle cores steal from the tail of a victim's
+    shallowest non-empty enumerator, which the iteration sees at its
+    next word.  A core walks a frame through its ``visitor``: the
+    strategy's :meth:`~ExtensionStrategy.children` over the frame,
+    created on the frame's first quantum and resumed once per quantum
+    after that — a resume pops the previous child and pushes the next,
+    so a leaf child stays pushed until its frame is resumed again.
     """
 
     __slots__ = (
@@ -1081,6 +1170,7 @@ class SubgraphEnumerator:
         "cursor",
         "primitive_index",
         "stealable",
+        "visitor",
     )
 
     def __init__(
@@ -1099,6 +1189,16 @@ class SubgraphEnumerator:
         # otherwise idle cores could bounce a single extension among
         # themselves forever without anybody processing it.
         self.stealable = stealable
+        self.visitor: Optional[Iterator[int]] = None
+
+    def __iter__(self) -> Iterator[int]:
+        """Consume the extensions at the cursor, one per step, until a
+        step finds none left (thieves may have cut the tail meanwhile)."""
+        extensions = self.extensions
+        while self.cursor < len(extensions):
+            word = extensions[self.cursor]
+            self.cursor += 1
+            yield word
 
     def has_next(self) -> bool:
         """Whether unconsumed extensions remain."""
@@ -1107,12 +1207,6 @@ class SubgraphEnumerator:
     def remaining(self) -> int:
         """Number of unconsumed extensions."""
         return len(self.extensions) - self.cursor
-
-    def take(self) -> int:
-        """Consume and return the next extension."""
-        word = self.extensions[self.cursor]
-        self.cursor += 1
-        return word
 
     def steal_chunk(self, count: int) -> List[int]:
         """Steal up to ``count`` extensions from the tail, in original order.

@@ -97,7 +97,11 @@ class Subgraph:
         self._vertices_per_level.append(1)
 
     def push_edge(self, eid: int) -> None:
-        """Append edge ``eid``, adding endpoints not yet present."""
+        """Append edge ``eid``, adding endpoints not yet present.
+
+        ``EdgeInducedStrategy.children`` inlines this method — keep
+        them in step.
+        """
         u, v = self.graph.edge(eid)
         added = 0
         if u not in self.vertex_set:
@@ -117,9 +121,10 @@ class Subgraph:
         """Undo the most recent push.
 
         The fused child visitors (``VertexInducedStrategy.children``,
+        ``EdgeInducedStrategy.children``,
         ``PatternInducedStrategy.children``) inline :meth:`push_vertex`
-        and this method, the level rule below included — keep them in
-        step.
+        or :meth:`push_edge` and this method, the level rule below
+        included — keep them in step.
         """
         n_edges = self._edges_per_level.pop()
         n_vertices = self._vertices_per_level.pop()

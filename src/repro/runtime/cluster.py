@@ -275,6 +275,7 @@ class _Core:
         "steals_external",
         "stack",
         "subgraph",
+        "words",
         "strategy",
         "metrics",
         "computation",
@@ -315,6 +316,10 @@ class _Core:
         self.stack: List[SubgraphEnumerator] = []
         self.strategy = strategy
         self.subgraph: Subgraph = strategy.make_subgraph()
+        # The subgraph's list that holds its words: a frame's prefix.
+        self.words: List[int] = (
+            self.subgraph.edges if strategy.mode == "edge" else self.subgraph.vertices
+        )
         self.metrics = computation.metrics
         self.computation = computation
         self.done = False
@@ -613,9 +618,9 @@ class _SchedState:
     **Registry** — ``reg_workers[w]`` is the set of core ids on worker
     ``w`` that currently hold at least one stealable, non-exhausted frame
     (``_Core.stealable_count`` is the per-core refcount).  It is updated
-    incrementally when frames are pushed, drained by ``take()``, stolen
-    empty, or orphaned by a death, so victim selection inspects only real
-    candidates instead of rescanning every core's whole stack.
+    incrementally when frames are pushed, drained by their visitors,
+    stolen empty, or orphaned by a death, so victim selection inspects
+    only real candidates instead of rescanning every core's whole stack.
 
     **Parking** — an idle core that finds nothing stealable leaves the
     event heap instead of re-entering it every ``_WAIT_EPSILON``.
@@ -780,8 +785,6 @@ class _SchedState:
         legacy ``_next_work_clock`` would see it — the popped event's own
         clock when the popped core is busy.
         """
-        if not self.parked:
-            return
         pos = (clock, core_id)
         for core in list(self.parked.values()):
             pend = core.pend
@@ -973,12 +976,21 @@ class ClusterEngine:
         config = self.config
         sched_metrics = runtime.metrics
         steal_messages = 0
+        # The entry a core re-enters the heap with, pushed by the pop
+        # that takes the next event (one heappushpop instead of two).
+        entry: Optional[Tuple[float, int]] = None
+        heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         while True:
-            if not heap:
-                if sched.parked and sched.drain_parked():
-                    continue
+            if entry is not None:
+                clock, core_id = heappushpop(heap, entry)
+                entry = None
+            elif heap:
+                clock, core_id = heappop(heap)
+            elif sched.parked and sched.drain_parked():
+                continue
+            else:
                 break
-            clock, core_id = heapq.heappop(heap)
             core = cores[core_id]
             sched_metrics.scheduler_events += 1
             if core.done or core.parked or core.queued_clock != clock:
@@ -987,13 +999,16 @@ class ClusterEngine:
                 # re-pushing.
                 sched_metrics.scheduler_requeues += 1
                 continue
-            # Replay parked cores' virtual polls preceding this event.
-            busy_min = clock if core.stack else sched._busy_min()
-            sched.collapse(clock, core_id, busy_min)
-            if heap and heap[0] < (clock, core_id):
-                # A wake landed before this event: defer and re-pop in order.
-                heapq.heappush(heap, (clock, core_id))
-                continue
+            if sched.parked:
+                # Replay parked cores' virtual polls preceding this event.
+                busy_min = clock if core.stack else sched._busy_min()
+                sched.collapse(clock, core_id, busy_min)
+                if heap and heap[0] < (clock, core_id):
+                    # A wake landed before this event (nothing else
+                    # pushes between the pop and here): defer and re-pop
+                    # in order.
+                    entry = (clock, core_id)
+                    continue
             core.queued_clock = None
             deadline = core.deadline
             if deadline is not None and core.clock >= deadline and not core.failed:
@@ -1004,7 +1019,7 @@ class ClusterEngine:
                 storages = storages_per_core[core_id]
                 self._advance(core, primitives, storages, sink, cost, sched)
                 core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
+                entry = (core.clock, core_id)
                 continue
             idle_since = core.clock
             stolen, messages, found = self._try_steal(
@@ -1013,7 +1028,7 @@ class ClusterEngine:
             steal_messages += messages
             if stolen:
                 core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
+                entry = (core.clock, core_id)
                 continue
             wake = self._next_work_clock(cores, core, config)
             if wake is None:
@@ -1026,7 +1041,7 @@ class ClusterEngine:
                 # randomness), or a dead core's orphans become visible by
                 # then.  Keep the core live.
                 core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
+                entry = (core.clock, core_id)
             else:
                 sched.park(core, idle_since)
         return steal_messages
@@ -1137,24 +1152,38 @@ class ClusterEngine:
         cost: CostModel,
         sched: _SchedState,
     ) -> None:
-        """Process one quantum: consume one extension or pop a dead frame."""
-        top = core.stack[-1]
-        if not top.has_next():
-            core.stack.pop()
-            if core.stack:
-                core.strategy.pop(core.subgraph)
+        """Process one quantum: visit the top frame's next child, or
+        retire an exhausted frame.
+
+        A frame is walked by its strategy's child visitor, created on
+        the frame's first quantum and resumed once per quantum after
+        that: the resume pops the previous child (a leaf stays pushed
+        until then) and pushes the next.  An exhausted frame's quantum
+        finishes the visitor, which pops the frame's last child, and
+        pops the frame; its own prefix word is popped when the frame
+        below resumes.  Pops meter nothing.
+        """
+        stack = core.stack
+        top = stack[-1]
+        visitor = top.visitor
+        if top.cursor >= len(top.extensions):
+            if visitor is not None:
+                next(visitor, None)
+            stack.pop()
             return
-        word = top.take()
-        if top.stealable and not top.has_next():
-            sched.retract(core)
         strategy = core.strategy
+        subgraph = core.subgraph
+        if visitor is None:
+            visitor = top.visitor = strategy.children(subgraph, top)
         metrics = core.metrics
         before_tests = metrics.extension_tests
         before_scans = metrics.adjacency_scans
         before_compares = metrics.intersect_comparisons
         before_gallops = metrics.gallop_steps
         before_slices = metrics.index_slices
-        strategy.push(core.subgraph, word)
+        word = next(visitor)
+        if top.stealable and top.cursor >= len(top.extensions):
+            sched.retract(core)
         metrics.subgraphs_enumerated += 1
         units = cost.subgraph_units
         owner = self._word_owner
@@ -1167,21 +1196,17 @@ class ClusterEngine:
             else:
                 metrics.remote_adjacency_fetches += 1
                 units += cost.remote_fetch_units
+        computation = core.computation
         idx = top.primitive_index
         n = len(primitives)
-        emitted = False
         pushed_frame = False
         while idx < n:
             primitive = primitives[idx]
             kind = type(primitive)
             if kind is Expand:
-                extensions = strategy.extensions(core.subgraph)
-                core.stack.append(
-                    SubgraphEnumerator(
-                        tuple(self._words_of(core.subgraph, strategy)),
-                        extensions,
-                        idx + 1,
-                    )
+                extensions = strategy.extensions(subgraph)
+                stack.append(
+                    SubgraphEnumerator(tuple(core.words), extensions, idx + 1)
                 )
                 if extensions:
                     sched.publish(core)
@@ -1190,40 +1215,38 @@ class ClusterEngine:
             if kind is Filter:
                 metrics.filter_calls += 1
                 units += cost.filter_units
-                if not primitive.fn(core.subgraph, core.computation):
+                if not primitive.fn(subgraph, computation):
                     break
                 metrics.filter_passed += 1
             elif kind is AggregationFilter:
                 metrics.filter_calls += 1
                 units += cost.filter_units
-                view = core.computation.aggregation_views[primitive.source_uid]
-                if not primitive.fn(core.subgraph, view):
+                view = computation.aggregation_views[primitive.source_uid]
+                if not primitive.fn(subgraph, view):
                     break
                 metrics.filter_passed += 1
             else:  # Aggregate
                 storage = storages.get(primitive.uid)
                 if storage is not None:
-                    key = primitive.key_fn(core.subgraph, core.computation)
+                    key = primitive.key_fn(subgraph, computation)
                     if primitive.update_fn is not None:
                         storage.add_inplace(
                             key,
-                            core.subgraph,
-                            core.computation,
+                            subgraph,
+                            computation,
                             primitive.value_fn,
                             primitive.update_fn,
                         )
                     else:
                         storage.add(
-                            key, primitive.value_fn(core.subgraph, core.computation)
+                            key, primitive.value_fn(subgraph, computation)
                         )
                     metrics.aggregate_updates += 1
                     units += cost.aggregate_units
             idx += 1
         else:
-            emitted = True
-        if emitted:
             if sink is not None:
-                sink(core.subgraph)
+                sink(subgraph)
             metrics.results_emitted += 1
             units += cost.emit_units
         # Back-edge probes are metered but not clocked (see CostModel):
@@ -1242,15 +1265,6 @@ class ClusterEngine:
         core.mem_tick += 1
         if core.mem_tick & 31 == 0 or pushed_frame:
             core.track_memory()
-        if not pushed_frame:
-            strategy.pop(core.subgraph)
-
-    @staticmethod
-    def _words_of(subgraph: Subgraph, strategy: ExtensionStrategy) -> List[int]:
-        """The word sequence identifying the current prefix."""
-        if strategy.mode == "edge":
-            return list(subgraph.edges)
-        return list(subgraph.vertices)
 
     # ------------------------------------------------------------------
     # Work stealing
@@ -1606,7 +1620,10 @@ class ClusterEngine:
                 partitions = set()
                 for key, value in combined.entries():
                     words += ship_words(key) + ship_words(value)
-                    partitions.add(stable_partition(key, n_workers))
+                    # One message per partition hit: done hashing once
+                    # every partition is.
+                    if len(partitions) < n_workers:
+                        partitions.add(stable_partition(key, n_workers))
                 messages = len(partitions)
                 metrics = survivor.metrics
                 metrics.agg_entries_shipped += entries_out

@@ -151,3 +151,121 @@ class TestDomainSupport:
             single.add_embedding([v], [0])
             reduced.aggregate(single)
         assert bulk.support == reduced.support
+
+
+class _ScanningDomainSupport:
+    """``DomainSupport`` as it was before saturation checks stopped at
+    the first short domain and saturated supports stopped checking:
+    the reference :class:`TestDomainSupportEquivalence` compares to."""
+
+    def __init__(self, min_support, n_positions=0, exact=True):
+        self.min_support = min_support
+        self.exact = exact
+        self._domains = [set() for _ in range(n_positions)]
+        self._saturated = False
+
+    def add_embedding(self, vertices, positions):
+        n = max(positions) + 1 if positions else 0
+        while len(self._domains) < n:
+            self._domains.append(set())
+        if self._saturated and not self.exact:
+            return
+        for vertex, position in zip(vertices, positions):
+            self._domains[position].add(vertex)
+        self._update_saturation()
+
+    def aggregate(self, other):
+        while len(self._domains) < len(other._domains):
+            self._domains.append(set())
+        if not (self._saturated and not self.exact):
+            for mine, theirs in zip(self._domains, other._domains):
+                mine.update(theirs)
+            self._update_saturation()
+        return self
+
+    def _update_saturation(self):
+        if not self._saturated:
+            self._saturated = bool(self._domains) and all(
+                len(domain) >= self.min_support for domain in self._domains
+            )
+            if self._saturated and not self.exact:
+                self._domains = [
+                    set(list(domain)[: self.min_support]) for domain in self._domains
+                ]
+
+    @property
+    def support(self):
+        if not self._domains:
+            return 0
+        return min(len(domain) for domain in self._domains)
+
+    def has_enough_support(self):
+        return self._saturated or self.support >= self.min_support
+
+    def domain_sizes(self):
+        return tuple(len(domain) for domain in self._domains)
+
+    def image_vertices(self):
+        return set().union(*self._domains)
+
+    def ship_words(self):
+        return 1 + sum(len(domain) for domain in self._domains)
+
+
+_embeddings = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 3)), min_size=0, max_size=4
+    ),
+    max_size=6,
+)
+
+
+class TestDomainSupportEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        min_support=st.integers(1, 4),
+        exact=st.booleans(),
+        n_positions=st.integers(0, 3),
+        # Each step adds one embedding, or aggregates a support built
+        # from a few embeddings.
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), _embeddings.map(lambda e: e[:1])),
+                st.tuples(st.just("aggregate"), _embeddings),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_the_scanning_implementation(
+        self, min_support, exact, n_positions, steps
+    ):
+        def observe(support):
+            return (
+                support.support,
+                support.domain_sizes(),
+                support.has_enough_support(),
+                support.image_vertices(),
+                support.ship_words(),
+            )
+
+        def build(cls, embeddings):
+            support = cls(min_support, n_positions=n_positions, exact=exact)
+            for embedding in embeddings:
+                support.add_embedding(
+                    [v for v, _ in embedding], [p for _, p in embedding]
+                )
+            return support
+
+        new = build(DomainSupport, [])
+        old = build(_ScanningDomainSupport, [])
+        for kind, embeddings in steps:
+            if kind == "add":
+                for embedding in embeddings:
+                    vertices = [v for v, _ in embedding]
+                    positions = [p for _, p in embedding]
+                    new.add_embedding(vertices, positions)
+                    old.add_embedding(vertices, positions)
+            else:
+                new.aggregate(build(DomainSupport, embeddings))
+                old.aggregate(build(_ScanningDomainSupport, embeddings))
+            assert observe(new) == observe(old)

@@ -267,3 +267,58 @@ def test_reduction_is_transparent(
         for name in shared_segments:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+
+_SIMULATED_FSM = """
+import json
+from repro import ClusterConfig, FractalContext
+from repro.apps import fsm
+from repro.graph.datasets import patents_like
+
+engine = ClusterConfig(workers=4, cores_per_worker=7)
+result = fsm(FractalContext(engine=engine).from_graph(patents_like(0.6)), 4, 3)
+print(json.dumps({
+    "frequent": sorted(
+        (p.canonical_code(), s.support, s.domain_sizes())
+        for p, s in result.frequent.items()
+    ),
+    "rounds": [
+        (report.simulated_seconds, report.metrics.snapshot())
+        for report in result.reports
+    ],
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_simulated_fsm_ignores_pythonhashseed(self):
+        """The 4x7 simulated FSM mines, clocks and meters the same under
+        two string-hash seeds: nothing it reports (the shuffle's
+        partition count, the order children are pushed and popped in)
+        may follow ``hash()`` of a str."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _SIMULATED_FSM],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        first, second = outputs
+        assert len(first["frequent"]) > 0 and len(first["rounds"]) == 3
+        assert first["frequent"] == second["frequent"]
+        assert first["rounds"] == second["rounds"]

@@ -1,9 +1,9 @@
 """The child visitor ≡ push / yield / pop.
 
-``ExtensionStrategy.children`` is how the sequential executor visits the
-children of a prefix; the vertex- and pattern-induced strategies fuse
-``push``, the yield and ``pop`` into one frame that hoists what only the
-prefix determines.  This
+``ExtensionStrategy.children`` is how the sequential executor and the
+simulated cluster visit the children of a prefix; the vertex-, edge- and
+pattern-induced strategies fuse ``push``, the yield and ``pop`` into one
+frame that hoists what only the prefix determines.  This
 file walks the same DFS twice — through ``children()`` and through the
 test-local reference below, which is the loop the executor used to spell
 out — and requires the same subgraph state and the same ``Pattern``
@@ -322,7 +322,7 @@ class _CountingPattern(_Counting, PatternInducedStrategy):
 
 
 class _CountingEdge(_Counting, EdgeInducedStrategy):
-    pass  # inherits the base spelling: nothing to bring
+    children = ExtensionStrategy.children
 
 
 def _walk_two_levels(strategy):
@@ -355,9 +355,9 @@ def test_a_fused_visitor_does_not_call_push_or_pop(graph):
 
 
 def test_who_gets_which_visitor():
-    # Custom strategies and the edge-induced one walk through push/pop;
-    # the vertex- and pattern-induced ones bring a fused body.
-    for cls in (KClistStrategy, SamplingStrategy, EdgeInducedStrategy):
+    # Custom strategies walk through push/pop; the three built-in ones
+    # bring a fused body.
+    for cls in (KClistStrategy, SamplingStrategy):
         assert cls.children is ExtensionStrategy.children
-    for cls in (VertexInducedStrategy, PatternInducedStrategy):
+    for cls in (VertexInducedStrategy, EdgeInducedStrategy, PatternInducedStrategy):
         assert "children" in cls.__dict__

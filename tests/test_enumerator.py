@@ -154,17 +154,21 @@ class TestSubgraphEnumerator:
         enum = SubgraphEnumerator((1, 2), [10, 11, 12])
         assert enum.has_next()
         assert enum.remaining() == 3
-        assert enum.take() == 10
-        assert enum.take() == 11
+        words = iter(enum)
+        assert next(words) == 10
+        assert next(words) == 11
         assert enum.remaining() == 1
 
     def test_steal_takes_from_tail(self):
         enum = SubgraphEnumerator((), [10, 11, 12])
-        assert enum.take() == 10
+        words = iter(enum)
+        assert next(words) == 10
         assert enum.steal_chunk(1) == [12]
         assert enum.remaining() == 1
-        assert enum.take() == 11
+        # The iteration sees the cut tail at its next word.
+        assert next(words) == 11
         assert enum.steal_chunk(1) == []
+        assert next(words, None) is None
 
     def test_stealable_flag(self):
         private = SubgraphEnumerator((), [1], stealable=False)

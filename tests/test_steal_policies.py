@@ -15,7 +15,11 @@ Three invariants guard this subsystem:
    bookkeeping (``scheduler_events``, ``scheduler_requeues``,
    ``cores_parked``, ``wake_events``, ``parked_units``,
    ``victim_scan_steps``, ``steal_chunk_extensions``), so they are that
-   loop's answers.  Floats compare exactly: JSON round-trips ``repr``.
+   loop's answers.  The ``fsm-*`` cases (three rounds each: edge words,
+   the aggregation filter, ``DomainSupport``, the two-level shuffle)
+   were recorded while a core still called ``push``/``pop`` per quantum
+   instead of resuming its frame's child visitor.  Floats compare
+   exactly: JSON round-trips ``repr``.
 3. **Setup metering** — level-0 root enumeration is cluster setup, not
    core 0's work: its probes are metered engine-side, step totals are
    unchanged, and core 0's per-core counters stay clean.
@@ -28,6 +32,7 @@ which in the commit, and check that the diff of the file touches only
 what that change explains.
 """
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -36,6 +41,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, FractalContext, Pattern
+from repro.apps.fsm import fsm
 from repro.graph import erdos_renyi_graph, powerlaw_graph
 from repro.runtime.cluster import ClusterEngine
 from repro.runtime.faults import (
@@ -116,11 +122,39 @@ def _replay_cases():
                 name = f"cliques-{policy}-{fault}-{ws_int}-{ws_ext}"
                 cases[name] = ("cliques", _config(ws_int, ws_ext, policy, plan))
     cases["census-one"] = ("census", _config(True, True))
+    # Edge-induced words, the aggregation filter, DomainSupport and the
+    # two-level shuffle: three FSM rounds on a labeled graph.
+    for policy, fault in (
+        ("one", "healthy"),
+        ("one", "fault_plan"),
+        ("adaptive", "core_kills"),
+    ):
+        cases[f"fsm-{policy}-{fault}"] = (
+            "fsm",
+            _config(True, True, policy, faults[fault]),
+        )
     return cases
+
+
+def _fsm_record(config):
+    graph = erdos_renyi_graph(40, 110, n_labels=3, n_edge_labels=2, seed=9)
+    result = fsm(FractalContext(engine=config).from_graph(graph), 3, max_edges=3)
+    frequent = sorted(
+        (p.canonical_code(), s.support, s.domain_sizes())
+        for p, s in result.frequent.items()
+    )
+    return {
+        "frequent": len(frequent),
+        # The patterns and supports, too long to pin entry by entry.
+        "frequent_sha256": hashlib.sha256(repr(frequent).encode()).hexdigest(),
+        "rounds": [_report_record(report) for report in result.reports],
+    }
 
 
 def _replay(app, config):
     """What the fingerprint file pins of one run, as JSON returns it."""
+    if app == "fsm":
+        return json.loads(json.dumps(_fsm_record(config)))
     record = {}
     if app == "cliques":
         report = _clique_fractoid(powerlaw_graph(80, attach=4, seed=11), config).execute(
@@ -131,7 +165,13 @@ def _replay(app, config):
         view = fractoid.aggregation("motifs")
         report = fractoid.fractal_graph.context.last_report
         record["views"] = sorted((k.canonical_code(), v) for k, v in view.items())
-    record.update(
+    record.update(_report_record(report))
+    return json.loads(json.dumps(record))
+
+
+def _report_record(report):
+    """One execution's counts, clocks and per-core reports."""
+    return dict(
         result_count=report.result_count,
         simulated_seconds=report.simulated_seconds,
         metrics=report.metrics.snapshot(),
@@ -152,7 +192,6 @@ def _replay(app, config):
             for core in step.cluster.cores
         ],
     )
-    return json.loads(json.dumps(record))
 
 
 def _record():
