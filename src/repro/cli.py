@@ -79,7 +79,7 @@ def _fault_plan(args) -> object:
     if path is not None:
         try:
             return FaultPlan.load(path)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot load fault plan {path!r}: {exc}")
     seed = getattr(args, "inject_failures", None)
     if seed is not None:
@@ -100,7 +100,7 @@ def _engine(args) -> object:
         if path is not None:
             try:
                 plan = FaultPlan.load(path)
-            except (OSError, ValueError, TypeError, KeyError) as exc:
+            except (OSError, ValueError) as exc:
                 raise SystemExit(f"cannot load fault plan {path!r}: {exc}")
         else:
             seed = getattr(args, "inject_failures", None)
@@ -155,13 +155,18 @@ def _load_dataset(name: str, scale: float):
         raise SystemExit(
             f"unknown dataset {name!r}; choose from {sorted(registry)}"
         )
-    return registry[name](scale=scale)
+    try:
+        return registry[name](scale=scale)
+    except ValueError as exc:
+        raise SystemExit(
+            f"cannot generate dataset {name!r} at --scale {scale}: {exc}"
+        )
 
 
 def _cmd_datasets(args) -> int:
     rows = [
-        dataset_stats(ctor(scale=args.scale))
-        for ctor in dataset_registry().values()
+        dataset_stats(_load_dataset(name, args.scale))
+        for name in dataset_registry()
     ]
     print_table(
         ["graph", "|V|", "|E|", "|L|", "density", "#keywords"],

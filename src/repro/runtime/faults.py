@@ -64,7 +64,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -86,12 +86,24 @@ def _check_clock(value: float, what: str) -> None:
     """Reject clock values the simulator cannot schedule."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if math.isnan(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if math.isnan(number):
         raise ValueError(f"{what} must not be NaN")
-    if math.isinf(value):
+    if math.isinf(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    if value < 0:
+    if number < 0:
         raise ValueError(f"{what} must be non-negative, got {value!r}")
+
+
+def _check_index(value, bound: int, message: str) -> None:
+    """Reject ``value`` unless it is an integer in ``0..bound-1``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+        0 <= value < bound
+    ):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -138,14 +150,16 @@ class MessageFaults:
     delay_units: float = 300.0
 
     def validate(self) -> None:
-        if not 0.0 <= self.drop < 1.0:
+        for name in ("drop", "duplicate", "delay"):
+            _check_clock(getattr(self, name), f"message {name} probability")
+        if self.drop >= 1.0:
             raise ValueError(
                 "message drop probability must be in [0, 1): a drop "
                 f"probability of {self.drop!r} would starve the retry loop"
             )
         for name in ("duplicate", "delay"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if p > 1.0:
                 raise ValueError(
                     f"message {name} probability must be in [0, 1], got {p!r}"
                 )
@@ -180,7 +194,13 @@ class FailureDetector:
         _check_clock(self.heartbeat_interval_units, "heartbeat interval")
         if self.heartbeat_interval_units <= 0:
             raise ValueError("heartbeat interval must be positive")
-        if self.miss_threshold < 1:
+        threshold = self.miss_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, int):
+            raise ValueError(
+                f"heartbeat miss threshold must be an integer, got {threshold!r}"
+            )
+        _check_clock(threshold, "heartbeat miss threshold")
+        if threshold < 1:
             raise ValueError("heartbeat miss threshold must be >= 1")
 
     def detect_at(self, death_clock: float) -> float:
@@ -250,6 +270,18 @@ class MpPoisonChunk:
     chunk_index: int
 
 
+# The plan's list-valued sections and the entry type each one holds.
+_ENTRY_SECTIONS = {
+    "core_failures": CoreFailure,
+    "worker_failures": WorkerFailure,
+    "stragglers": StragglerWindow,
+    "mp_worker_kills": MpWorkerKill,
+    "mp_worker_stalls": MpWorkerStall,
+    "mp_drop_results": MpDropResult,
+    "mp_poison_chunks": MpPoisonChunk,
+}
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A complete, deterministic fault schedule for one execution.
@@ -273,15 +305,7 @@ class FaultPlan:
 
     def __post_init__(self):
         # Accept lists for convenience; store tuples so plans are hashable.
-        for name in (
-            "core_failures",
-            "worker_failures",
-            "stragglers",
-            "mp_worker_kills",
-            "mp_worker_stalls",
-            "mp_drop_results",
-            "mp_poison_chunks",
-        ):
+        for name in _ENTRY_SECTIONS:
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
@@ -293,33 +317,31 @@ class FaultPlan:
         """Check the plan against a cluster shape; raise ``ValueError``."""
         total = workers * cores_per_worker
         for failure in self.core_failures:
-            core_id = failure.core_id
-            if (
-                not isinstance(core_id, int)
-                or isinstance(core_id, bool)
-                or not 0 <= core_id < total
-            ):
-                raise ValueError(
-                    f"fault plan kills core {core_id!r}, but the "
-                    f"cluster has cores 0..{total - 1} "
-                    f"({workers} workers x {cores_per_worker} cores)"
-                )
+            _check_index(
+                failure.core_id,
+                total,
+                f"fault plan kills core {failure.core_id!r}, but the "
+                f"cluster has cores 0..{total - 1} "
+                f"({workers} workers x {cores_per_worker} cores)",
+            )
             _check_clock(failure.at, f"failure clock for core {failure.core_id}")
         for failure in self.worker_failures:
-            if not 0 <= failure.worker_id < workers:
-                raise ValueError(
-                    f"fault plan kills worker {failure.worker_id}, but the "
-                    f"cluster has workers 0..{workers - 1}"
-                )
+            _check_index(
+                failure.worker_id,
+                workers,
+                f"fault plan kills worker {failure.worker_id!r}, but the "
+                f"cluster has workers 0..{workers - 1}",
+            )
             _check_clock(
                 failure.at, f"failure clock for worker {failure.worker_id}"
             )
         for window in self.stragglers:
-            if not 0 <= window.core_id < total:
-                raise ValueError(
-                    f"straggler window names core {window.core_id}, but the "
-                    f"cluster has cores 0..{total - 1}"
-                )
+            _check_index(
+                window.core_id,
+                total,
+                f"straggler window names core {window.core_id!r}, but the "
+                f"cluster has cores 0..{total - 1}",
+            )
             _check_clock(window.start, "straggler window start")
             _check_clock(window.end, "straggler window end")
             if window.end <= window.start:
@@ -327,7 +349,8 @@ class FaultPlan:
                     f"straggler window for core {window.core_id} is empty: "
                     f"start={window.start!r}, end={window.end!r}"
                 )
-            if window.factor < 1.0 or math.isnan(window.factor):
+            _check_clock(window.factor, "straggler factor")
+            if window.factor < 1.0:
                 raise ValueError(
                     f"straggler factor must be >= 1, got {window.factor!r}"
                 )
@@ -350,21 +373,22 @@ class FaultPlan:
         """
         if num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {num_procs!r}")
+        bounds = f"the backend has workers 0..{num_procs - 1}"
         for kill in self.mp_worker_kills:
-            if not 0 <= kill.worker_id < num_procs:
-                raise ValueError(
-                    f"fault plan kills mp worker {kill.worker_id}, but the "
-                    f"backend has workers 0..{num_procs - 1}"
-                )
+            _check_index(
+                kill.worker_id,
+                num_procs,
+                f"fault plan kills mp worker {kill.worker_id!r}, but {bounds}",
+            )
             _check_chunk_count(
                 kill.after_chunks, f"kill after_chunks for worker {kill.worker_id}"
             )
         for stall in self.mp_worker_stalls:
-            if not 0 <= stall.worker_id < num_procs:
-                raise ValueError(
-                    f"fault plan stalls mp worker {stall.worker_id}, but the "
-                    f"backend has workers 0..{num_procs - 1}"
-                )
+            _check_index(
+                stall.worker_id,
+                num_procs,
+                f"fault plan stalls mp worker {stall.worker_id!r}, but {bounds}",
+            )
             _check_chunk_count(
                 stall.after_chunks,
                 f"stall after_chunks for worker {stall.worker_id}",
@@ -375,11 +399,12 @@ class FaultPlan:
                     f"stall freeze must be a bool, got {stall.freeze!r}"
                 )
         for drop in self.mp_drop_results:
-            if not 0 <= drop.worker_id < num_procs:
-                raise ValueError(
-                    f"fault plan drops results of mp worker {drop.worker_id}, "
-                    f"but the backend has workers 0..{num_procs - 1}"
-                )
+            _check_index(
+                drop.worker_id,
+                num_procs,
+                f"fault plan drops results of mp worker {drop.worker_id!r}, "
+                f"but {bounds}",
+            )
             _check_chunk_count(
                 drop.chunk_number,
                 f"drop chunk_number for worker {drop.worker_id}",
@@ -593,68 +618,36 @@ class FaultPlan:
     def to_dict(self) -> dict:
         """Plain-JSON representation (round-trips through ``from_dict``)."""
         out: dict = {"seed": self.seed}
-        if self.core_failures:
-            out["core_failures"] = [
-                {"core_id": f.core_id, "at": f.at} for f in self.core_failures
-            ]
-        if self.worker_failures:
-            out["worker_failures"] = [
-                {"worker_id": f.worker_id, "at": f.at}
-                for f in self.worker_failures
-            ]
-        if self.stragglers:
-            out["stragglers"] = [
-                {
-                    "core_id": w.core_id,
-                    "start": w.start,
-                    "end": w.end,
-                    "factor": w.factor,
-                }
-                for w in self.stragglers
-            ]
+        for name in _ENTRY_SECTIONS:
+            entries = getattr(self, name)
+            if entries:
+                out[name] = [asdict(entry) for entry in entries]
         if self.message_faults is not None:
-            m = self.message_faults
-            out["message_faults"] = {
-                "drop": m.drop,
-                "duplicate": m.duplicate,
-                "delay": m.delay,
-                "delay_units": m.delay_units,
-            }
-        if self.mp_worker_kills:
-            out["mp_worker_kills"] = [
-                {"worker_id": k.worker_id, "after_chunks": k.after_chunks}
-                for k in self.mp_worker_kills
-            ]
-        if self.mp_worker_stalls:
-            out["mp_worker_stalls"] = [
-                {
-                    "worker_id": s.worker_id,
-                    "after_chunks": s.after_chunks,
-                    "seconds": s.seconds,
-                    "freeze": s.freeze,
-                }
-                for s in self.mp_worker_stalls
-            ]
-        if self.mp_drop_results:
-            out["mp_drop_results"] = [
-                {"worker_id": d.worker_id, "chunk_number": d.chunk_number}
-                for d in self.mp_drop_results
-            ]
-        if self.mp_poison_chunks:
-            out["mp_poison_chunks"] = [
-                {"chunk_index": p.chunk_index} for p in self.mp_poison_chunks
-            ]
-        out["detector"] = {
-            "heartbeat_interval_units": self.detector.heartbeat_interval_units,
-            "miss_threshold": self.detector.miss_threshold,
-        }
+            out["message_faults"] = asdict(self.message_faults)
+        out["detector"] = asdict(self.detector)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict` (tolerates missing sections)."""
+        """Inverse of :meth:`to_dict` (tolerates missing sections).
+
+        Raises ``ValueError`` on an unknown top-level key (a misspelt
+        section would otherwise inject nothing), a section that is not a
+        list, an entry that is not an object or names an unknown field,
+        and a seed that is not an integer.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"fault plan must be a JSON object, got {data!r}")
+        known = {"seed", "message_faults", "detector", *_ENTRY_SECTIONS}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown fault plan section(s) {unknown}; "
+                f"a plan has {sorted(known)}"
+            )
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"fault plan seed must be an integer, got {seed!r}")
 
         def build(entry_cls, entry: dict, section: str):
             # Unknown keys in a fault entry signal a typo'd or newer plan;
@@ -668,44 +661,22 @@ class FaultPlan:
             except TypeError as exc:
                 raise ValueError(f"bad {section} entry {entry!r}: {exc}")
 
-        message_faults = None
-        if data.get("message_faults") is not None:
-            message_faults = build(
-                MessageFaults, data["message_faults"], "message_faults"
-            )
-        detector = build(FailureDetector, data.get("detector", {}), "detector")
+        sections = {}
+        for name, entry_cls in _ENTRY_SECTIONS.items():
+            entries = data.get(name, [])
+            if not isinstance(entries, list):
+                raise ValueError(
+                    f"fault plan section {name!r} must be a list, got {entries!r}"
+                )
+            sections[name] = tuple(build(entry_cls, e, name) for e in entries)
+        message_faults = data.get("message_faults")
+        if message_faults is not None:
+            message_faults = build(MessageFaults, message_faults, "message_faults")
         return cls(
-            core_failures=tuple(
-                build(CoreFailure, entry, "core_failures")
-                for entry in data.get("core_failures", ())
-            ),
-            worker_failures=tuple(
-                build(WorkerFailure, entry, "worker_failures")
-                for entry in data.get("worker_failures", ())
-            ),
-            stragglers=tuple(
-                build(StragglerWindow, entry, "stragglers")
-                for entry in data.get("stragglers", ())
-            ),
             message_faults=message_faults,
-            detector=detector,
-            seed=data.get("seed", 0),
-            mp_worker_kills=tuple(
-                build(MpWorkerKill, entry, "mp_worker_kills")
-                for entry in data.get("mp_worker_kills", ())
-            ),
-            mp_worker_stalls=tuple(
-                build(MpWorkerStall, entry, "mp_worker_stalls")
-                for entry in data.get("mp_worker_stalls", ())
-            ),
-            mp_drop_results=tuple(
-                build(MpDropResult, entry, "mp_drop_results")
-                for entry in data.get("mp_drop_results", ())
-            ),
-            mp_poison_chunks=tuple(
-                build(MpPoisonChunk, entry, "mp_poison_chunks")
-                for entry in data.get("mp_poison_chunks", ())
-            ),
+            detector=build(FailureDetector, data.get("detector", {}), "detector"),
+            seed=seed,
+            **sections,
         )
 
     def save(self, path: str) -> None:

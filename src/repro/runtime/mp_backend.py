@@ -154,23 +154,6 @@ from .stepplan import StepPlan, count_step, plan_step
 
 __all__ = ["MultiprocessConfig", "MultiprocessBackend"]
 
-# Counters shipped as absolute values (merge takes max), not deltas.
-_PEAK_COUNTERS = ("peak_enumerator_bytes", "peak_aggregation_entries")
-
-
-def _snapshot_delta(
-    before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-chunk counter delta between two cumulative snapshots."""
-    delta: Dict[str, float] = {}
-    for name, value in after.items():
-        if name in _PEAK_COUNTERS:
-            delta[name] = value
-        else:
-            delta[name] = value - before.get(name, 0)
-    return delta
-
-
 class _ChunkExecutor:
     """One process's chunk runner: sequential engine in, wire bytes out.
 
@@ -186,6 +169,7 @@ class _ChunkExecutor:
         cached_uids, collect, chunk_lists, listing=False,
     ):
         self.metrics = Metrics()
+        self._baseline = self.metrics.snapshot()
         interner = PatternInterner()
         self.strategy = strategy_factory(graph, self.metrics, interner)
         self._computation = Computation(
@@ -196,13 +180,11 @@ class _ChunkExecutor:
         self._collect = collect
         self._chunk_lists = chunk_lists
         self._listing = listing
-        self._baseline: Dict[str, float] = {}
 
     def metrics_delta(self) -> Dict[str, float]:
         """Counters accumulated since the previous call (peaks absolute)."""
-        snap = self.metrics.snapshot()
-        delta = _snapshot_delta(self._baseline, snap)
-        self._baseline = snap
+        delta = self.metrics.delta_since(self._baseline)
+        self._baseline = self.metrics.snapshot()
         return delta
 
     def run(self, cidx: int) -> Tuple[int, bytes]:

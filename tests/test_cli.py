@@ -132,6 +132,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "cliques", "--dataset", "nope"])
 
+    def test_scale_too_small_for_generator_exits(self):
+        # mico's preferential-attachment generator needs more vertices
+        # than each new vertex attaches to.
+        with pytest.raises(SystemExit, match=r"'mico' at --scale 0\.05"):
+            main(["run", "cliques", "--dataset", "mico", "--scale", "0.05"])
+
     def test_unknown_query(self):
         with pytest.raises(SystemExit):
             main(["run", "query", "--query", "q99", "--scale", "0.2"])

@@ -1,5 +1,7 @@
 """Tests for the cost model and the Table 2 memory model."""
 
+import pytest
+
 from repro.graph import erdos_renyi_graph, wikidata_like
 from repro.runtime import DEFAULT_COST_MODEL, CostModel, MemoryModel, Metrics
 
@@ -47,16 +49,51 @@ class TestCostModel:
             DEFAULT_COST_MODEL.units_per_second = 1.0  # type: ignore
 
 
+# Peaks merge by max; every other counter sums.  The simulated-unit
+# counters (``*_units``) are floats, every other counter an int.
+_PEAKS = ("peak_enumerator_bytes", "peak_aggregation_entries")
+
+
+def _counter_type(name):
+    return float if name.endswith("_units") else int
+
+
 class TestMetrics:
-    def test_merge_sums_counts_and_maxes_peaks(self):
+    @pytest.mark.parametrize("name", Metrics.__slots__)
+    def test_merge_rule(self, name):
+        kind = _counter_type(name)
+        assert type(getattr(Metrics(), name)) is kind
         a, b = Metrics(), Metrics()
-        a.extension_tests = 10
-        b.extension_tests = 5
-        a.peak_enumerator_bytes = 100
-        b.peak_enumerator_bytes = 300
+        setattr(a, name, kind(3))
+        setattr(b, name, kind(5))
         a.merge(b)
-        assert a.extension_tests == 15
-        assert a.peak_enumerator_bytes == 300
+        merged = getattr(a, name)
+        assert merged == (5 if name in _PEAKS else 8)
+        assert type(merged) is kind
+        # The merge touched no other counter.
+        others = {k: v for k, v in a.snapshot().items() if k != name}
+        assert not any(others.values())
+
+    def test_worker_delta_round_trip(self):
+        """Merging ``later.delta_since(earlier)`` into the earlier bundle
+        gives the later one; peaks travel absolute."""
+        earlier = Metrics()
+        for i, name in enumerate(Metrics.__slots__):
+            setattr(earlier, name, _counter_type(name)(i + 1))
+        before = earlier.snapshot()
+        later = Metrics.from_snapshot(before)
+        for i, name in enumerate(Metrics.__slots__):
+            setattr(later, name, getattr(later, name) + _counter_type(name)(i % 4))
+        delta = later.delta_since(before)
+        assert list(delta) == list(Metrics.__slots__)
+        for name in _PEAKS:
+            assert delta[name] == getattr(later, name)
+        earlier.merge(Metrics.from_snapshot(delta))
+
+        def typed(metrics):
+            return [(k, type(v), v) for k, v in metrics.snapshot().items()]
+
+        assert typed(earlier) == typed(later)
 
     def test_snapshot_round_trip(self):
         metrics = Metrics()

@@ -288,6 +288,135 @@ class TestPlanSerialization:
             FaultPlan.from_dict([1, 2, 3])
 
 
+_SECTIONS = {
+    "core_failures": CoreFailure,
+    "worker_failures": WorkerFailure,
+    "stragglers": StragglerWindow,
+    "mp_worker_kills": MpWorkerKill,
+    "mp_worker_stalls": MpWorkerStall,
+    "mp_drop_results": MpDropResult,
+    "mp_poison_chunks": MpPoisonChunk,
+}
+
+
+def _check_plan(data: dict) -> FaultPlan:
+    """Load a plan dict and validate it for a 2x2 cluster and 2 procs."""
+    plan = FaultPlan.from_dict(data)
+    plan.validate(workers=2, cores_per_worker=2)
+    plan.validate_mp(2)
+    return plan
+
+
+class TestMalformedPlans:
+    """A wrong plan raises ValueError naming what is wrong, never a
+    TypeError and never a plan that silently injects nothing."""
+
+    def test_misspelt_section_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'core_failure'"):
+            FaultPlan.from_dict({"core_failure": [{"core_id": 0, "at": 5}]})
+
+    @pytest.mark.parametrize("section", sorted(_SECTIONS))
+    @pytest.mark.parametrize("value", [None, 3, {"core_id": 0}, "x"])
+    def test_section_must_be_a_list(self, section, value):
+        with pytest.raises(ValueError, match=f"{section}.*must be a list"):
+            FaultPlan.from_dict({section: value})
+
+    @pytest.mark.parametrize("seed", ["1", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan.from_dict({"seed": seed})
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"worker_failures": [{"worker_id": "0", "at": 5}]}, "worker '0'"),
+            ({"worker_failures": [{"worker_id": 0.5, "at": 5}]}, "worker 0.5"),
+            ({"stragglers": [{"core_id": "0", "start": 0, "end": 9}]},
+             "core '0'"),
+            ({"stragglers": [{"core_id": 0, "start": 0, "end": 9,
+                              "factor": "2"}]}, "straggler factor"),
+            ({"stragglers": [{"core_id": 0, "start": 0, "end": 9,
+                              "factor": float("inf")}]}, "straggler factor"),
+            ({"detector": {"miss_threshold": "3"}}, "miss threshold"),
+            ({"detector": {"miss_threshold": 2.5}}, "miss threshold"),
+            ({"detector": {"miss_threshold": 10 ** 400}}, "miss threshold"),
+            ({"message_faults": {"drop": "0.1"}}, "drop probability"),
+            ({"message_faults": {"delay": None}}, "delay probability"),
+            ({"core_failures": [{"core_id": 0, "at": 10 ** 400}]}, "finite"),
+            ({"mp_worker_kills": [{"worker_id": "0"}]}, "mp worker '0'"),
+            ({"mp_worker_stalls": [{"worker_id": [0]}]}, r"mp worker \[0\]"),
+            ({"mp_drop_results": [{"worker_id": None}]}, "mp worker None"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            _check_plan(data)
+
+    def test_cli_rejects_misspelt_section(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text('{"core_failure": [{"core_id": 0, "at": 5}]}')
+        with pytest.raises(SystemExit, match="'core_failure'"):
+            main(["run", "cliques", "--dataset", "mico", "--scale", "0.3",
+                  "--workers", "2", "--cores", "2", "--fault-plan", str(path)])
+
+    def test_cli_rejects_string_worker_id(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text('{"worker_failures": [{"worker_id": "0", "at": 5}]}')
+        with pytest.raises(SystemExit, match="invalid cluster configuration"):
+            main(["run", "cliques", "--dataset", "mico", "--scale", "0.3",
+                  "--workers", "2", "--cores", "2", "--fault-plan", str(path)])
+
+
+_json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=5),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def _json_entry(entry_cls):
+    """JSON objects keyed mostly by ``entry_cls``'s own field names."""
+    names = st.sampled_from(list(entry_cls.__dataclass_fields__))
+    keys = st.one_of(names, names, st.text(max_size=3))
+    return st.dictionaries(keys, _json_leaf, max_size=5)
+
+
+_json_plan = st.fixed_dictionaries(
+    {},
+    optional={
+        **{
+            name: st.one_of(
+                st.lists(st.one_of(_json_entry(cls), _json_leaf), max_size=3),
+                _json_leaf,
+            )
+            for name, cls in _SECTIONS.items()
+        },
+        "message_faults": st.one_of(_json_entry(MessageFaults), _json_leaf),
+        "detector": st.one_of(_json_entry(FailureDetector), _json_leaf),
+        "seed": _json_leaf,
+        "core_failure": _json_leaf,
+    },
+)
+
+
+class TestPlanFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_plan)
+    def test_json_dict_gives_valid_plan_or_value_error(self, data):
+        try:
+            plan = _check_plan(data)
+        except ValueError:
+            return
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
 class TestMpPlanSections:
     """JSON round-trip and validation of the real-process fault sections."""
 
