@@ -3,7 +3,9 @@
 Measures wall-clock for motifs k=3 on a mico-like graph under the
 shared-memory multiprocess backend at 1..8 worker processes, against
 the sequential engine, and records the partitioned-storage comparison
-(hash vs greedy vertex-cut remote-fetch profile on a community graph).
+(hash vs greedy vertex-cut remote-fetch profile on a community graph),
+which is modelled on the simulated cluster: the multiprocess workers
+all read one shared-memory graph, so none of their reads is remote.
 
 Honesty note: speedup is bounded by the *host's* physical parallelism.
 The payload records ``host_cpus`` next to every number and computes
@@ -69,20 +71,13 @@ def run_smoke() -> int:
     """CI job: 2 procs on a small graph, counts must equal the simulator."""
     graph = mico_like(scale=0.25)
     sim, _, _ = _census(ClusterConfig(workers=2, cores_per_worker=2), graph)
-    for partition in (None, "hash", "vertexcut"):
-        mp, wall, _ = _census(
-            MultiprocessConfig(num_procs=2, partition=partition), graph
-        )
-        if _canonical(mp) != _canonical(sim):
-            print(f"FAIL: partition={partition}: counts differ from simulator")
-            return 1
-        print(
-            f"smoke partition={partition}: {sum(mp.values())} subgraphs "
-            f"match simulator ({wall:.2f}s wall)"
-        )
     dfscode.clear_code_cache()
-    first, _, first_report = _census(MultiprocessConfig(num_procs=2), graph)
+    first, wall, first_report = _census(MultiprocessConfig(num_procs=2), graph)
     second, _, second_report = _census(MultiprocessConfig(num_procs=2), graph)
+    print(
+        f"smoke: {sum(first.values())} subgraphs on 2 procs "
+        f"({wall:.2f}s wall, cold tables)"
+    )
     absorbed = first_report.backend_summary()["automaton"]
     again = second_report.backend_summary()["automaton"]
     print(f"smoke automaton: first call absorbed {absorbed}, second {again}")
@@ -90,7 +85,7 @@ def run_smoke() -> int:
         print("FAIL: workers did not hand their automaton back to the driver")
         return 1
     if not _canonical(first) == _canonical(second) == _canonical(sim):
-        print("FAIL: counts differ between the first and second call")
+        print("FAIL: counts differ from the simulator or between calls")
         return 1
     print("smoke OK: multiprocess counts identical to simulator")
     return 0
@@ -135,24 +130,23 @@ def run_full(out: Path, reps: int) -> int:
     achieved = wall_1 / wall_8 if wall_8 else 0.0
     target_met = achieved >= TARGET_SPEEDUP
 
-    # Partition-strategy comparison: identical counts, measurably
-    # different remote-adjacency profile on a community-structured graph.
+    # Partition-strategy comparison on the simulated cluster (deterministic,
+    # no wall time): identical counts, measurably different
+    # remote-adjacency profile on a community-structured graph.
     pgraph = community_graph(4, 16, p_in=0.3, p_out=0.02, seed=7)
     pseq, _, _ = _census("sequential", pgraph)
     partitions = {}
     for strategy in ("hash", "vertexcut"):
-        census, wall, report = _census(
-            MultiprocessConfig(num_procs=4, partition=strategy), pgraph
+        census, _, report = _census(
+            ClusterConfig(workers=4, cores_per_worker=1, partition=strategy),
+            pgraph,
         )
         if _canonical(census) != _canonical(pseq):
             print(f"FAIL: partition={strategy} counts differ")
             return 1
         partitions[strategy] = {
-            "wall_s": round(wall, 4),
-            **{
-                k: (round(v, 4) if isinstance(v, float) else v)
-                for k, v in report.partition_summary().items()
-            },
+            k: (round(v, 4) if isinstance(v, float) else v)
+            for k, v in report.partition_summary().items()
         }
     hash_remote = partitions["hash"]["remote_fraction"]
     vc_remote = partitions["vertexcut"]["remote_fraction"]
@@ -208,7 +202,9 @@ def run_full(out: Path, reps: int) -> int:
                 "vertices": pgraph.n_vertices,
                 "edges": pgraph.n_edges,
             },
-            "num_procs": 4,
+            "engine": "simulator",
+            "workers": 4,
+            "cores_per_worker": 1,
             "strategies": partitions,
             "strategies_differ_measurably": hash_remote != vc_remote,
         },

@@ -4,10 +4,10 @@ Two questions, answered with real processes and real signals:
 
 1. **Correctness under chaos** — for a matrix of fault schedules
    (worker SIGKILLs, sleeps past the supervision deadline, SIGSTOP
-   freezes, dropped result messages, poison chunks, mixed schedules,
-   with and without partitioned storage), does the supervised
-   multiprocess backend produce counts byte-identical to the fault-free
-   simulator?  Any mismatch fails the benchmark.
+   freezes, dropped result messages, poison chunks, mixed schedules),
+   does the supervised multiprocess backend produce counts
+   byte-identical to the fault-free simulator?  Any mismatch fails the
+   benchmark.
 2. **Overhead of recovery** — how much wall-clock does surviving N
    injected worker kills cost relative to the fault-free run?  The
    overhead-vs-failures curve is the price of the lease/respawn
@@ -73,42 +73,36 @@ def _recovery(report):
     }
 
 
-# (name, num_procs, partition, worker_timeout, plan) — the same families
+# (name, num_procs, worker_timeout, plan) — the same families
 # the test suite exercises, run here against a larger graph with timing.
 def chaos_matrix():
     return [
-        ("kill_first_chunk", 2, None, 5.0,
+        ("kill_first_chunk", 2, 5.0,
          FaultPlan(mp_worker_kills=(MpWorkerKill(0, 0),))),
-        ("kill_after_two_chunks", 2, None, 5.0,
+        ("kill_after_two_chunks", 2, 5.0,
          FaultPlan(mp_worker_kills=(MpWorkerKill(0, 2),))),
-        ("kill_two_of_three", 3, None, 5.0,
+        ("kill_two_of_three", 3, 5.0,
          FaultPlan(mp_worker_kills=(MpWorkerKill(0, 0), MpWorkerKill(1, 1)))),
-        ("stall_below_timeout", 2, None, 5.0,
+        ("stall_below_timeout", 2, 5.0,
          FaultPlan(mp_worker_stalls=(MpWorkerStall(0, 1, 0.3),))),
-        ("stall_past_timeout", 2, None, 1.0,
+        ("stall_past_timeout", 2, 1.0,
          FaultPlan(mp_worker_stalls=(MpWorkerStall(0, 1, 4.0),))),
-        ("freeze_sigstop", 2, None, 1.0,
+        ("freeze_sigstop", 2, 1.0,
          FaultPlan(mp_worker_stalls=(MpWorkerStall(1, 0, 600.0, True),))),
-        ("drop_first_result", 2, None, 1.0,
+        ("drop_first_result", 2, 1.0,
          FaultPlan(mp_drop_results=(MpDropResult(1, 0),))),
-        ("drop_two_results", 2, None, 1.0,
+        ("drop_two_results", 2, 1.0,
          FaultPlan(mp_drop_results=(MpDropResult(0, 1), MpDropResult(1, 0)))),
-        ("poison_chunk", 2, None, 2.0,
+        ("poison_chunk", 2, 2.0,
          FaultPlan(mp_poison_chunks=(MpPoisonChunk(2),))),
-        ("poison_plus_kill", 3, None, 2.0,
+        ("poison_plus_kill", 3, 2.0,
          FaultPlan(mp_poison_chunks=(MpPoisonChunk(0),),
                    mp_worker_kills=(MpWorkerKill(2, 1),))),
-        ("kill_stall_drop_mixed", 3, None, 1.0,
+        ("kill_stall_drop_mixed", 3, 1.0,
          FaultPlan(mp_worker_kills=(MpWorkerKill(0, 1),),
                    mp_worker_stalls=(MpWorkerStall(1, 2, 4.0),),
                    mp_drop_results=(MpDropResult(2, 0),))),
-        ("kill_hash_partition", 2, "hash", 5.0,
-         FaultPlan(mp_worker_kills=(MpWorkerKill(0, 0),))),
-        ("freeze_vertexcut_partition", 2, "vertexcut", 1.0,
-         FaultPlan(mp_worker_stalls=(MpWorkerStall(0, 0, 600.0, True),))),
-        ("drop_hash_partition", 2, "hash", 1.0,
-         FaultPlan(mp_drop_results=(MpDropResult(1, 0),))),
-        ("seeded_plan", 2, None, 2.0,
+        ("seeded_plan", 2, 2.0,
          FaultPlan.from_seed_mp(11, 2, stall_seconds=0.2)),
     ]
 
@@ -149,10 +143,9 @@ def run_full(out: Path) -> int:
 
     # ---- chaos matrix: byte-identity under every schedule -------------
     schedules = {}
-    for name, procs, partition, timeout, plan in chaos_matrix():
+    for name, procs, timeout, plan in chaos_matrix():
         config = MultiprocessConfig(
             num_procs=procs,
-            partition=partition,
             worker_timeout=timeout,
             fault_plan=plan,
         )
@@ -160,7 +153,6 @@ def run_full(out: Path) -> int:
         identical = _canonical(census) == reference
         schedules[name] = {
             "num_procs": procs,
-            "partition": partition,
             "worker_timeout_s": timeout,
             "wall_s": round(wall, 4),
             "counts_identical_to_simulator": identical,

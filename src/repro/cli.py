@@ -4,9 +4,10 @@ Usage::
 
     python -m repro datasets
     python -m repro run motifs --dataset mico --k 3
-    python -m repro run cliques --dataset youtube --k 4 --workers 2 --cores 8
+    python -m repro run cliques --dataset youtube --k 4 --workers 2 --cores 8 \\
+        --partition vertexcut
     python -m repro run motifs --dataset mico --k 3 \\
-        --backend multiprocess --num-procs 4 --partition vertexcut
+        --backend multiprocess --num-procs 4
     python -m repro run fsm --dataset mico --support 20
     python -m repro run query --dataset patents --query q3
     python -m repro run keywords --dataset wikidata --words paris revolution
@@ -91,6 +92,12 @@ def _engine(args) -> object:
     backend = getattr(args, "backend", "auto")
     partition = getattr(args, "partition", None)
     if backend == "multiprocess":
+        if partition is not None:
+            raise SystemExit(
+                "--partition models partitioned storage on the simulated "
+                "cluster: pass --backend simulator (multiprocess workers "
+                "all read one shared-memory graph)"
+            )
         # Real-process failure injection: a plan file is used as given
         # (its mp_* sections drive the faults); --inject-failures SEED
         # derives real worker kills/stalls/drops from the seed.
@@ -114,7 +121,6 @@ def _engine(args) -> object:
         try:
             return MultiprocessConfig(
                 num_procs=num_procs,
-                partition=partition,
                 worker_timeout=getattr(args, "worker_timeout", 30.0),
                 max_worker_retries=getattr(args, "max_worker_retries", 2),
                 fault_plan=plan,
@@ -133,8 +139,9 @@ def _engine(args) -> object:
             )
         if partition is not None:
             raise SystemExit(
-                "--partition needs parallel workers: pass --backend "
-                "simulator or --backend multiprocess"
+                "--partition needs parallel workers on the simulated "
+                "cluster: pass --workers/--cores so that workers x cores "
+                "> 1, or --backend simulator"
             )
         return "sequential"
     try:
@@ -288,12 +295,20 @@ def _print_agg_shuffle(report) -> None:
 
 
 def _print_backend(report) -> None:
-    """Backend identity block printed after multiprocess runs."""
+    """Multiprocess identity block, and any backend's degradation line."""
     if report is None:
         return
     summary = report.backend_summary()
-    if summary.get("backend") != "multiprocess":
-        return
+    if summary.get("backend") == "multiprocess":
+        _print_multiprocess(summary)
+    if summary.get("degraded_to"):
+        print(
+            f"degraded to {summary['degraded_to']} "
+            f"({summary['degraded_reason']})"
+        )
+
+
+def _print_multiprocess(summary) -> None:
     # A counting step the driver ran itself forked nothing: say so rather
     # than print a start method and a shared segment that never existed.
     counted = (
@@ -332,18 +347,14 @@ def _print_backend(report) -> None:
         summary.get("workers_lost")
         or summary.get("chunks_reexecuted")
         or summary.get("chunks_quarantined")
-        or summary.get("degraded_to")
     ):
-        line = (
+        print(
             "mp recovery: "
             f"{summary.get('workers_lost', 0)} workers lost "
             f"({summary.get('workers_respawned', 0)} respawned), "
             f"{summary.get('chunks_reexecuted', 0)} chunks re-executed, "
             f"{summary.get('chunks_quarantined', 0)} quarantined"
         )
-        if summary.get("degraded_to"):
-            line += f", degraded to {summary['degraded_to']}"
-        print(line)
 
 
 def _print_partition(report) -> None:
@@ -680,9 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--partition",
         choices=["hash", "vertexcut"],
         default=None,
-        help="partitioned graph storage: assign root vertices to "
-        "workers by multiplicative hash or greedy vertex-cut and meter "
-        "remote adjacency fetches; default is unpartitioned storage",
+        help="partitioned graph storage on the simulated cluster: assign "
+        "root vertices to workers by multiplicative hash or greedy "
+        "vertex-cut and price remote adjacency fetches; default is none",
     )
     p_run.add_argument(
         "--steal-policy",

@@ -198,19 +198,21 @@ def run_in_process(
 class SequentialBackend(ExecutionBackend):
     """Algorithm 1 on one core — the relocated driver sequential path.
 
-    ``degraded_from`` is the
-    :class:`~repro.runtime.mp_backend.MultiprocessConfig` this backend
-    stands in for on a platform without ``fork``: every step reports
-    ``degraded_to``.
+    ``degraded_reason`` says why this backend stands in for a
+    :class:`~repro.runtime.mp_backend.MultiprocessConfig` (a platform
+    without ``fork``): every step then reports ``degraded_to`` and that
+    ``degraded_reason``.
     """
 
     name = "sequential"
 
     def __init__(
-        self, cost_model: CostModel = DEFAULT_COST_MODEL, degraded_from=None
+        self,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+        degraded_reason: Optional[str] = None,
     ):
         self.cost_model = cost_model
-        self._degraded_from = degraded_from
+        self._degraded_reason = degraded_reason
 
     def run_step(
         self,
@@ -231,8 +233,9 @@ class SequentialBackend(ExecutionBackend):
         step = plan_step(strategy, graph, primitives, collect, root_words, cost)
         step, units = count_step(step, graph, strategy, metrics, cost)
         info: Dict[str, object] = {"backend": self.name}
-        if self._degraded_from is not None:
+        if self._degraded_reason is not None:
             info["degraded_to"] = self.name
+            info["degraded_reason"] = self._degraded_reason
         if units is not None:
             return shortcut_outcome(step, metrics, units, cost, info)
         return run_in_process(
@@ -355,9 +358,10 @@ def resolve_backend(
     On platforms without the ``fork`` start method a
     ``MultiprocessConfig`` cannot run real workers; with
     ``degrade="auto"`` (the default) the step degrades to a
-    :class:`SequentialBackend` that reports ``degraded_to``, under a
-    ``RuntimeWarning`` naming the platform; with ``degrade="never"`` the
-    same message raises.
+    :class:`SequentialBackend` that reports ``degraded_to`` under a
+    ``RuntimeWarning`` naming the platform, and that warning's message as
+    ``degraded_reason``; with ``degrade="never"`` the same message
+    raises.
     """
     from .mp_backend import (
         MultiprocessBackend,
@@ -377,7 +381,7 @@ def resolve_backend(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return SequentialBackend(engine.cost_model, degraded_from=engine)
+            return SequentialBackend(engine.cost_model, degraded_reason=message)
         return MultiprocessBackend(engine)
     if engine == "sequential":
         return SequentialBackend(cost_model)

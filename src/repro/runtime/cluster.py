@@ -255,10 +255,6 @@ class ClusterStepResult:
     # step ran under ``ClusterConfig.partition``; ``None`` otherwise.
     partition_info: Optional[Dict[str, object]] = None
 
-    def finish_seconds(self, cost_model: CostModel) -> List[float]:
-        """Per-core finish times in seconds (task runtimes of Figure 16)."""
-        return [cost_model.seconds(core.finish_units) for core in self.cores]
-
 
 class _Core:
     """Execution state of one simulated core."""

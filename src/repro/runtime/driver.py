@@ -172,7 +172,9 @@ class ExecutionReport:
         the driver's sequential path; all zero on a fault-free run.
         ``degraded_to`` appears, on any backend, when a step abandoned
         real parallelism entirely (no ``fork``, no shared memory, every
-        worker lost).  ``entries_shipped``/``shipped_bytes`` are the
+        worker lost), with ``degraded_reason`` saying which and why — the
+        reason the step's ``RuntimeWarning`` gave.
+        ``entries_shipped``/``shipped_bytes`` are the
         aggregation entries and encoded payload bytes that crossed the
         process boundary, counted once per retired chunk (the real-core
         counterpart of the simulator's metered aggregation shuffle).
@@ -193,7 +195,7 @@ class ExecutionReport:
         wall = 0.0
         forked = []  # backend_info of every step that forked workers
         entries_shipped = shipped_bytes = 0
-        degraded_to = None
+        degraded = None  # backend_info of the last step that degraded
         for step in self.steps:
             if step.backend_info is not None:
                 info = step.backend_info
@@ -203,7 +205,7 @@ class ExecutionReport:
                 if "fold_seconds" in step.backend_info:
                     forked.append(step.backend_info)
                 if step.backend_info.get("degraded_to"):
-                    degraded_to = step.backend_info["degraded_to"]
+                    degraded = step.backend_info
         if info is None:
             return {"backend": None}
         summary: Dict[str, object] = {"backend": info.get("backend")}
@@ -231,8 +233,9 @@ class ExecutionReport:
                     name: sum(step_info["automaton"][name] for step_info in forked)
                     for name in forked[0]["automaton"]
                 }
-        if degraded_to is not None:
-            summary["degraded_to"] = degraded_to
+        if degraded is not None:
+            for key in ("degraded_to", "degraded_reason"):
+                summary[key] = degraded[key]
         return summary
 
     def partition_summary(self) -> Dict[str, object]:

@@ -554,7 +554,7 @@ class FaultPlan:
         ``num_procs``-worker backend.  One randomly chosen worker slot
         is always spared from kills so the plan passes
         :meth:`validate_mp`.  ``chunks_hint`` bounds the chunk ordinals
-        faults fire at (keep it near ``chunks_per_proc``);
+        faults fire at (keep it near ``mp_backend.CHUNKS_PER_PROC``);
         ``stall_seconds`` sizes injected sleeps — pick it above the
         configured worker timeout to exercise straggler detection.
         """

@@ -26,7 +26,7 @@ sequential backend with a warning (see
 
 **Planned once, counted in the driver.**  What a step runs as is the
 step planner's decision (:mod:`repro.runtime.stepplan`); this backend
-only states when it needs real enumerators (a fault plan, a partition).
+only states when it needs real enumerators (a fault plan).
 Counting steps run in the driver, not in workers — a collapsed walk is
 orders of magnitude less work than the enumeration the worker fleet
 exists to parallelize, and far below the fork/shared-memory setup cost
@@ -70,14 +70,12 @@ freezes, dropped result messages and poison chunks.  Faults apply to
 generation-0 workers only (respawned replacements run clean), so every
 survivable schedule terminates.
 
-**Work distribution.**  Without a partition, chunks are round-robin
-slices of the root words and any idle worker receives the next pending
-chunk — cheap dynamic balancing at lease granularity.  With a
-partition strategy from :mod:`repro.graph.partition`, each chunk is
-owned by its partition's worker slot and is only leased elsewhere after
-the owner slot is abandoned, so fault-free partitioned runs keep the
-exact static placement (and local/remote fetch metering) of the
-unsupervised backend.
+**Work distribution.**  Chunks are round-robin slices of the root
+words and any idle worker receives the next pending chunk — cheap
+dynamic balancing at lease granularity.  Every worker reads the whole
+graph from the one shared segment, so no adjacency read is remote here;
+partitioned storage and its fetch pricing are modelled on the simulated
+cluster (``ClusterConfig.partition``).
 
 **Result shipping.**  Each worker ships one message per completed
 chunk: a flat ``bytes`` payload it encoded itself
@@ -106,12 +104,14 @@ how much), so the next step's and the next call's workers fork warm.
 Interners stay per executor — their key space grows with the graph's
 labels, and each context hands out its own patterns.
 
-**Known limit.**  A worker SIGKILLed in the middle of a result-queue
-``put`` can leave the queue's cross-process lock held; survivors then
-stall, trip their lease timeouts and the step walks down the
-degradation ladder to the in-driver path.  Results stay correct; only
-wall-clock suffers.  (Injected kills fire at chunk boundaries, outside
-``put``, so chaos schedules do not hit this by construction.)
+**Known limit.**  A worker SIGKILLed while the result queue's feeder
+thread writes (``put`` only buffers; a background thread writes later)
+can leave the queue's cross-process lock held; survivors then stall,
+trip their lease timeouts and the step walks down the degradation
+ladder to the in-driver path.  Results stay correct; only wall-clock
+suffers.  An injected kill first closes the queue and joins its feeder
+thread, so a worker's own kill cannot hit this; the supervisor's SIGKILL
+of a straggler whose heartbeats still flow can.
 """
 
 from __future__ import annotations
@@ -128,14 +128,13 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.aggregation import decode_entries, encode_entries
 from ..core.computation import Computation
 from ..core.primitives import Expand
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
-from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
 from ..pattern import dfscode
 from ..pattern.pattern import Pattern, PatternInterner
@@ -153,6 +152,15 @@ from .metrics import Metrics
 from .stepplan import StepPlan, count_step, plan_step
 
 __all__ = ["MultiprocessConfig", "MultiprocessBackend"]
+
+# Root words are cut into at most this many chunks per worker process:
+# enough leases for idle workers to balance on, few enough that per-chunk
+# shipping stays small next to the enumeration.
+CHUNKS_PER_PROC = 8
+# Seconds between a worker's heartbeats (clamped to a quarter of the
+# worker timeout, so a short deadline still sees several beats).
+HEARTBEAT_INTERVAL = 0.25
+
 
 class _ChunkExecutor:
     """One process's chunk runner: sequential engine in, wire bytes out.
@@ -293,11 +301,6 @@ class _ChunkFold:
 class MultiprocessConfig:
     """Shape of a real-parallel execution.
 
-    ``partition=None`` (default) distributes chunk leases dynamically;
-    a strategy name from ``PARTITION_STRATEGIES`` pins each chunk to its
-    owner's worker slot and turns on local/remote adjacency-fetch
-    metering.
-
     Fault-tolerance knobs: ``worker_timeout`` bounds how long a chunk
     lease may stay unacknowledged before its worker is declared lost;
     ``max_worker_retries`` bounds respawns per worker slot;
@@ -311,26 +314,16 @@ class MultiprocessConfig:
     """
 
     num_procs: int = 2
-    partition: Optional[str] = None
-    chunks_per_proc: int = 8
     cost_model: CostModel = DEFAULT_COST_MODEL
     worker_timeout: float = 30.0
     max_worker_retries: int = 2
     max_chunk_retries: int = 2
-    heartbeat_interval: float = 0.25
     degrade: str = "auto"
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self):
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs!r}")
-        if self.chunks_per_proc < 1:
-            raise ValueError("chunks_per_proc must be >= 1")
-        if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"partition must be None or one of {PARTITION_STRATEGIES}, "
-                f"got {self.partition!r}"
-            )
         if not self.worker_timeout > 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout!r}"
@@ -339,8 +332,6 @@ class MultiprocessConfig:
             raise ValueError("max_worker_retries must be >= 0")
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
-        if not self.heartbeat_interval > 0:
-            raise ValueError("heartbeat_interval must be positive")
         if self.degrade not in ("auto", "never"):
             raise ValueError(
                 f"degrade must be 'auto' or 'never', got {self.degrade!r}"
@@ -421,11 +412,6 @@ class MultiprocessBackend(ExecutionBackend):
                 "mp fault plan configured (fault injection needs "
                 "worker enumeration)"
             )
-        elif config.partition is not None:
-            needs_enumerators = (
-                "partitioned storage configured (fetch metering "
-                "needs per-word pushes)"
-            )
         step = plan_step(
             parent_strategy, graph, primitives, collect, root_words, cost,
             needs_enumerators,
@@ -469,33 +455,8 @@ class MultiprocessBackend(ExecutionBackend):
         if not words:
             return in_driver(words)
 
-        n_procs = config.num_procs
-        partition_info: Optional[Dict[str, object]] = None
-        word_owner: Optional[Callable[[int], int]] = None
-        chunk_owner: Optional[List[int]] = None
-        if config.partition is not None:
-            graph_partition = partition_graph(graph, config.partition, n_procs)
-            word_owner = graph_partition.word_owner(graph, parent_strategy.mode)
-            partition_info = graph_partition.summary(graph)
-            # Owner-pinned chunks: each worker enumerates from the roots
-            # it owns (remote fetches happen only when the DFS wanders
-            # across the cut); leases move off the owner slot only when
-            # that slot is abandoned after repeated deaths.
-            assignments: List[List[int]] = [[] for _ in range(n_procs)]
-            for word in words:
-                assignments[word_owner(word)].append(word)
-            chunk_lists: List[List[int]] = []
-            chunk_owner = []
-            for slot, owned in enumerate(assignments):
-                if not owned:
-                    continue
-                k = min(len(owned), config.chunks_per_proc)
-                for i in range(k):
-                    chunk_lists.append(owned[i::k])
-                    chunk_owner.append(slot)
-        else:
-            n = min(len(words), n_procs * config.chunks_per_proc)
-            chunk_lists = [words[i::n] for i in range(n)]
+        n = min(len(words), config.num_procs * CHUNKS_PER_PROC)
+        chunk_lists = [words[i::n] for i in range(n)]
         try:
             shared = self._shared_for(graph)
         except OSError as exc:
@@ -512,6 +473,7 @@ class MultiprocessBackend(ExecutionBackend):
             )
             outcome = in_driver(words)
             info["degraded_to"] = "sequential"
+            info["degraded_reason"] = message
             return outcome
 
         return self._run_supervised(
@@ -523,11 +485,8 @@ class MultiprocessBackend(ExecutionBackend):
             collect,
             shared,
             chunk_lists,
-            chunk_owner,
-            word_owner,
             setup_metrics,
             step,
-            partition_info,
             started,
         )
 
@@ -542,11 +501,8 @@ class MultiprocessBackend(ExecutionBackend):
         collect,
         shared: SharedGraphBuffers,
         chunk_lists: List[List[int]],
-        chunk_owner: Optional[List[int]],
-        word_owner,
         setup_metrics: Metrics,
         step: StepPlan,
-        partition_info,
         started: float,
     ) -> StepOutcome:
         """Supervision loop: lease chunks, watch workers, recover losses."""
@@ -565,7 +521,7 @@ class MultiprocessBackend(ExecutionBackend):
         )
         result_queue = self._ctx.Queue()
         beat_interval = max(
-            0.02, min(config.heartbeat_interval, config.worker_timeout / 4.0)
+            0.02, min(HEARTBEAT_INTERVAL, config.worker_timeout / 4.0)
         )
 
         def executor_on(graph_view) -> _ChunkExecutor:
@@ -602,18 +558,17 @@ class MultiprocessBackend(ExecutionBackend):
             )
 
             def die() -> None:
-                # Stop heartbeats first so SIGKILL cannot land inside a
-                # heartbeat put() holding the queue's cross-process lock.
+                # Stop heartbeats, then let the queue's feeder thread
+                # flush what put() buffered: SIGKILL must not land while
+                # it writes, holding the queue's cross-process lock.
                 stop_beats.set()
                 heartbeats.join(timeout=1.0)
+                result_queue.close()
+                result_queue.join_thread()
                 os.kill(os.getpid(), signal.SIGKILL)
 
             try:
                 executor = executor_on(shared.attach())
-                if word_owner is not None:
-                    _meter_fetches_per_child(
-                        executor.strategy, word_owner, slot, executor.metrics
-                    )
                 chunks_done = 0
                 while True:
                     cidx = task_queue.get()
@@ -673,14 +628,7 @@ class MultiprocessBackend(ExecutionBackend):
         respawns_left: Dict[int, int] = {
             slot: config.max_worker_retries for slot in range(n_procs)
         }
-        abandoned: Set[int] = set()
-        if chunk_owner is not None:
-            pending_owned: List[deque] = [deque() for _ in range(n_procs)]
-            for cidx, slot in enumerate(chunk_owner):
-                pending_owned[slot].append(cidx)
-            orphans: deque = deque()
-        else:
-            pending: deque = deque(range(n_chunks))
+        pending: deque = deque(range(n_chunks))
         total_metrics = Metrics()
         total_metrics.merge(setup_metrics)
         fold = _ChunkFold(
@@ -718,24 +666,15 @@ class MultiprocessBackend(ExecutionBackend):
             handles[(slot, gen)] = handle
             live[slot] = (slot, gen)
 
-        def next_chunk(slot: int) -> Optional[int]:
-            if chunk_owner is not None:
-                if pending_owned[slot]:
-                    return pending_owned[slot].popleft()
-                if orphans:
-                    return orphans.popleft()
-                return None
-            return pending.popleft() if pending else None
-
         def dispatch() -> None:
             now = time.monotonic()
-            for slot, key in list(live.items()):
+            for key in list(live.values()):
                 handle = handles[key]
                 if handle.dead or handle.done or handle.lease is not None:
                     continue
-                cidx = next_chunk(slot)
-                if cidx is None:
-                    continue
+                if not pending:
+                    return
+                cidx = pending.popleft()
                 handle.lease = cidx
                 handle.lease_since = now
                 handle.task_queue.put(cidx)
@@ -747,14 +686,7 @@ class MultiprocessBackend(ExecutionBackend):
                 recovery["chunks_quarantined"] += 1
                 return
             recovery["chunks_reexecuted"] += 1
-            if chunk_owner is not None:
-                owner = chunk_owner[cidx]
-                if owner in abandoned:
-                    orphans.appendleft(cidx)
-                else:
-                    pending_owned[owner].appendleft(cidx)
-            else:
-                pending.appendleft(cidx)
+            pending.appendleft(cidx)
 
         def lose_worker(handle: _WorkerHandle, reason: str) -> None:
             deaths[reason] += 1
@@ -774,11 +706,6 @@ class MultiprocessBackend(ExecutionBackend):
                 total_deaths = sum(deaths.values())
                 time.sleep(min(0.4, 0.02 * (2 ** min(total_deaths - 1, 4))))
                 spawn(handle.slot, handle.gen + 1)
-            else:
-                abandoned.add(handle.slot)
-                if chunk_owner is not None:
-                    while pending_owned[handle.slot]:
-                        orphans.append(pending_owned[handle.slot].popleft())
 
         def retire(message) -> None:
             _, _, cidx, n_entries, payload = message
@@ -865,13 +792,16 @@ class MultiprocessBackend(ExecutionBackend):
         remaining = sorted(
             set(range(n_chunks)) - fold.acked - set(quarantine)
         )
+        degraded_reason = None
         if degraded:
-            message = (
+            degraded_reason = (
                 "all multiprocess worker slots exhausted their respawn "
                 f"budget ({config.max_worker_retries} per slot); "
                 f"re-executing {len(remaining) + len(quarantine)} chunks "
                 "in-driver on the sequential path"
-                + (f"\nlast worker error:\n{last_error}" if last_error else "")
+            )
+            message = degraded_reason + (
+                f"\nlast worker error:\n{last_error}" if last_error else ""
             )
             if config.degrade == "never":
                 raise RuntimeError(message)
@@ -880,9 +810,7 @@ class MultiprocessBackend(ExecutionBackend):
         driver_chunks = sorted(set(quarantine) | set(remaining))
         if driver_chunks:
             # Quarantine/degradation rung: the driver runs the chunks
-            # itself, through the same executor and wire form as a worker
-            # (no partition fetch metering — the driver owns no partition,
-            # and under faults placement metering has already diverged).
+            # itself, through the same executor and wire form as a worker.
             executor = executor_on(graph)
             for cidx in driver_chunks:
                 fold.ack(cidx, executor.run(cidx)[1])
@@ -921,8 +849,7 @@ class MultiprocessBackend(ExecutionBackend):
         }
         if degraded:
             info["degraded_to"] = "sequential"
-        if partition_info is not None:
-            info["partition"] = partition_info
+            info["degraded_reason"] = degraded_reason
         if step.mode == "list":
             info[SHORTCUT_FLAGS["list"] + "_in_worker"] = True
         return StepOutcome(
@@ -1003,33 +930,3 @@ def _kill_process(proc) -> None:
     except Exception:
         pass
     proc.join(timeout=2.0)
-
-
-def _meter_fetches_per_child(
-    strategy,
-    word_owner: Callable[[int], int],
-    worker_id: int,
-    metrics: Metrics,
-) -> None:
-    """Count a local or remote adjacency fetch for every visited child.
-
-    Visiting a child reads its word's adjacency list to extend the
-    subgraph; when the word's partition owner is another worker, a
-    distributed deployment would fetch that list across the
-    interconnect.  The sequential executor visits children only through
-    ``strategy.children``, so that is the one name shadowed (by an
-    instance attribute, around whichever visitor the strategy has) — the
-    strategy's behavior is unchanged, only the counters move (and with
-    them the cost model's ``remote_fetch_units`` pricing).
-    """
-    visit = strategy.children
-
-    def metered_children(subgraph, words):
-        for word in visit(subgraph, words):
-            if word_owner(word) == worker_id:
-                metrics.local_adjacency_fetches += 1
-            else:
-                metrics.remote_adjacency_fetches += 1
-            yield word
-
-    strategy.children = metered_children

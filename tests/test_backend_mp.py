@@ -25,7 +25,10 @@ from repro.runtime.backend import (
 )
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
 from repro.runtime.faults import FaultPlan, MpWorkerKill
-from repro.runtime.mp_backend import MultiprocessBackend
+from repro.runtime.mp_backend import (
+    MultiprocessBackend,
+    fork_unavailable_message,
+)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -71,8 +74,9 @@ class TestBackendResolution:
     def test_bad_mp_config_rejected(self):
         with pytest.raises(ValueError):
             MultiprocessConfig(num_procs=0)
-        with pytest.raises(ValueError):
-            MultiprocessConfig(partition="metis")
+        # Partitioned storage is modelled on the simulator only.
+        with pytest.raises(TypeError):
+            MultiprocessConfig(partition="hash")
 
 
 @needs_fork
@@ -90,10 +94,13 @@ class TestMultiprocessEquivalence:
     def test_motifs_partitioned(self, graph):
         seq = _motifs("sequential", graph)
         for strategy in ("hash", "vertexcut"):
-            mp = _motifs(
-                MultiprocessConfig(num_procs=2, partition=strategy), graph
+            sim = _motifs(
+                ClusterConfig(
+                    workers=2, cores_per_worker=2, partition=strategy
+                ),
+                graph,
             )
-            assert dict(mp) == dict(seq)
+            assert dict(sim) == dict(seq)
 
     def test_cliques_match(self, graph):
         fc_seq = FractalContext()
@@ -106,9 +113,7 @@ class TestMultiprocessEquivalence:
     def test_fsm_match(self):
         graph = community_graph(3, 10, p_in=0.4, p_out=0.05, n_labels=3, seed=5)
         fc_seq = FractalContext()
-        fc_mp = FractalContext(
-            engine=MultiprocessConfig(num_procs=2, partition="hash")
-        )
+        fc_mp = FractalContext(engine=MultiprocessConfig(num_procs=2))
         f_seq = fsm(fc_seq.from_graph(graph), min_support=3, max_edges=2)
         f_mp = fsm(fc_mp.from_graph(graph), min_support=3, max_edges=2)
         assert set(f_mp.frequent) == set(f_seq.frequent)
@@ -177,8 +182,11 @@ class TestRemoteFetchMetering:
         assert m.local_adjacency_fetches == 0
 
     def test_partitioned_run_meters_fetches(self, graph):
+        # Partitioned storage is metered on the simulated cluster.
         fc = FractalContext(
-            engine=MultiprocessConfig(num_procs=2, partition="hash")
+            engine=ClusterConfig(
+                workers=2, cores_per_worker=2, partition="hash"
+            )
         )
         motifs(fc.from_graph(graph), 3)
         m = fc.last_report.metrics
@@ -191,7 +199,9 @@ class TestRemoteFetchMetering:
         )
         summary = fc.last_report.partition_summary()
         assert summary["strategy"] == "hash"
+        assert summary["n_parts"] == 2
         assert summary["remote_fetches"] == m.remote_adjacency_fetches
+        assert summary["local_fetches"] == m.local_adjacency_fetches
         assert summary["remote_units"] == pytest.approx(
             m.remote_adjacency_fetches * DEFAULT_COST_MODEL.remote_fetch_units
         )
@@ -370,6 +380,39 @@ class TestSimulatorUnchanged:
         )
 
 
+@needs_fork
+class TestInterruptedRun:
+    """Ctrl-C in the driver mid-step reaps every worker and unlinks the
+    shared graph segment on its way out."""
+
+    def test_keyboard_interrupt_reaps_workers_and_unlinks_segment(
+        self, monkeypatch, graph
+    ):
+        from multiprocessing import shared_memory
+
+        from repro.graph import SharedGraphBuffers
+        from repro.runtime import mp_backend
+
+        segments = []
+
+        def recording(g):
+            shared = SharedGraphBuffers(g)
+            segments.append(shared.name)
+            return shared
+
+        def interrupt(fold):
+            raise KeyboardInterrupt  # as if Ctrl-C landed after chunk one
+
+        monkeypatch.setattr(mp_backend, "SharedGraphBuffers", recording)
+        monkeypatch.setattr(mp_backend._ChunkFold, "fold_ready", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _motifs(MultiprocessConfig(num_procs=2), graph)
+        assert multiprocessing.active_children() == []
+        assert len(segments) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segments[0])
+
+
 class TestSharedGraphBuffers:
     def test_attach_round_trip(self, graph):
         from repro.graph import SharedGraphBuffers
@@ -491,9 +534,13 @@ class TestMultiprocessConfigValidation:
         assert report.steps[-1].backend_info == {
             "backend": "sequential",
             "degraded_to": "sequential",
+            "degraded_reason": fork_unavailable_message(),
             "orbit_counted": True,
         }
         assert report.backend_summary()["degraded_to"] == "sequential"
+        assert report.backend_summary()["degraded_reason"] == (
+            fork_unavailable_message()
+        )
 
     def test_no_fork_platform_raises_when_degrade_never(self, monkeypatch):
         monkeypatch.setattr(
@@ -558,9 +605,14 @@ class TestInDriverRungs:
             "repro.runtime.mp_backend.SharedGraphBuffers", no_segment
         )
         config = MultiprocessConfig(num_procs=2)
-        with pytest.warns(RuntimeWarning, match="shared-memory segment creation"):
+        with pytest.warns(
+            RuntimeWarning, match="shared-memory segment creation"
+        ) as caught:
             report = self._subgraphs(config, graph)
         assert report.result_count > 0
+        reason = report.backend_summary()["degraded_reason"]
+        assert reason.startswith("shared-memory segment creation failed")
+        assert str(caught.pop(RuntimeWarning).message).endswith(reason)
         self._assert_reports_like_sequential(
             report,
             graph,
@@ -570,6 +622,7 @@ class TestInDriverRungs:
                 "inline": True,
                 "listed_in_driver": True,
                 "degraded_to": "sequential",
+                "degraded_reason": reason,
             },
         )
 

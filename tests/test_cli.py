@@ -345,6 +345,27 @@ class TestBackendFlags:
         assert "fork" in message
         assert "--backend simulator" in message
 
+    def test_degradation_is_printed_on_the_stand_in_backend(
+        self, monkeypatch, capsys
+    ):
+        import multiprocessing
+
+        from repro.runtime.mp_backend import fork_unavailable_message
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.warns(RuntimeWarning):
+            assert main(
+                ["run", "cliques", "--dataset", "mico", "--scale", "0.3",
+                 "--k", "3", "--backend", "multiprocess"]
+            ) == 0
+        out = capsys.readouterr().out
+        assert "backend: multiprocess" not in out
+        assert (
+            f"degraded to sequential ({fork_unavailable_message()})" in out
+        )
+
     def test_motif_table_does_not_depend_on_the_backend(self, capsys):
         # Representatives come from the canonical code and count ties are
         # broken by it, so the printed rows are the same on every engine.
@@ -412,15 +433,12 @@ class TestBackendFlags:
         assert "counted in driver (orbit), no workers forked" in out
         assert "start method ?" not in out
 
-    def test_run_multiprocess_partitioned(self, capsys):
-        assert main(
-            ["run", "cliques", "--dataset", "mico", "--scale", "0.3",
-             "--k", "3", "--backend", "multiprocess", "--num-procs", "2",
-             "--partition", "vertexcut"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "partition: vertexcut x2" in out
-        assert "remote adjacency:" in out
+    def test_run_multiprocess_partitioned(self):
+        # Partitioned storage is modelled on the simulated cluster only.
+        with pytest.raises(SystemExit, match="--backend simulator"):
+            main(["run", "cliques", "--dataset", "mico", "--scale", "0.3",
+                  "--k", "3", "--backend", "multiprocess", "--num-procs", "2",
+                  "--partition", "vertexcut"])
 
     def test_simulator_backend_partitioned(self, capsys):
         assert main(

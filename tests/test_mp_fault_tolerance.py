@@ -87,7 +87,7 @@ def baseline(graph):
 
 
 # ---------------------------------------------------------------------------
-# The chaos matrix: (name, num_procs, partition, worker_timeout, plan).
+# The chaos matrix: (name, num_procs, worker_timeout, plan).
 # Timeouts are tight (~1 s) so hang/straggler detection fires fast; the
 # injected sleeps either fit under the deadline (recovered straggler,
 # no kill) or deliberately blow past it.
@@ -95,17 +95,17 @@ def baseline(graph):
 CHAOS_MATRIX = [
     (
         "kill_first_chunk",
-        2, None, 5.0,
+        2, 5.0,
         FaultPlan(mp_worker_kills=(MpWorkerKill(worker_id=0, after_chunks=0),)),
     ),
     (
         "kill_after_two_chunks",
-        2, None, 5.0,
+        2, 5.0,
         FaultPlan(mp_worker_kills=(MpWorkerKill(worker_id=0, after_chunks=2),)),
     ),
     (
         "kill_two_of_three_workers",
-        3, None, 5.0,
+        3, 5.0,
         FaultPlan(mp_worker_kills=(
             MpWorkerKill(worker_id=0, after_chunks=0),
             MpWorkerKill(worker_id=1, after_chunks=1),
@@ -113,21 +113,21 @@ CHAOS_MATRIX = [
     ),
     (
         "stall_below_timeout",
-        2, None, 5.0,
+        2, 5.0,
         FaultPlan(mp_worker_stalls=(
             MpWorkerStall(worker_id=0, after_chunks=1, seconds=0.3),
         )),
     ),
     (
         "stall_past_timeout",
-        2, None, 1.0,
+        2, 1.0,
         FaultPlan(mp_worker_stalls=(
             MpWorkerStall(worker_id=0, after_chunks=1, seconds=4.0),
         )),
     ),
     (
         "freeze_sigstop",
-        2, None, 1.0,
+        2, 1.0,
         FaultPlan(mp_worker_stalls=(
             MpWorkerStall(worker_id=1, after_chunks=0, seconds=600.0,
                           freeze=True),
@@ -135,14 +135,14 @@ CHAOS_MATRIX = [
     ),
     (
         "drop_first_result",
-        2, None, 1.0,
+        2, 1.0,
         FaultPlan(mp_drop_results=(
             MpDropResult(worker_id=1, chunk_number=0),
         )),
     ),
     (
         "drop_two_results",
-        2, None, 1.0,
+        2, 1.0,
         FaultPlan(mp_drop_results=(
             MpDropResult(worker_id=0, chunk_number=1),
             MpDropResult(worker_id=1, chunk_number=0),
@@ -150,12 +150,12 @@ CHAOS_MATRIX = [
     ),
     (
         "poison_chunk",
-        2, None, 2.0,
+        2, 2.0,
         FaultPlan(mp_poison_chunks=(MpPoisonChunk(chunk_index=2),)),
     ),
     (
         "poison_plus_kill",
-        3, None, 2.0,
+        3, 2.0,
         FaultPlan(
             mp_poison_chunks=(MpPoisonChunk(chunk_index=0),),
             mp_worker_kills=(MpWorkerKill(worker_id=2, after_chunks=1),),
@@ -163,7 +163,7 @@ CHAOS_MATRIX = [
     ),
     (
         "kill_stall_drop_mixed",
-        3, None, 1.0,
+        3, 1.0,
         FaultPlan(
             mp_worker_kills=(MpWorkerKill(worker_id=0, after_chunks=1),),
             mp_worker_stalls=(
@@ -173,28 +173,8 @@ CHAOS_MATRIX = [
         ),
     ),
     (
-        "kill_hash_partition",
-        2, "hash", 5.0,
-        FaultPlan(mp_worker_kills=(MpWorkerKill(worker_id=0, after_chunks=0),)),
-    ),
-    (
-        "freeze_vertexcut_partition",
-        2, "vertexcut", 1.0,
-        FaultPlan(mp_worker_stalls=(
-            MpWorkerStall(worker_id=0, after_chunks=0, seconds=600.0,
-                          freeze=True),
-        )),
-    ),
-    (
-        "drop_hash_partition",
-        2, "hash", 1.0,
-        FaultPlan(mp_drop_results=(
-            MpDropResult(worker_id=1, chunk_number=0),
-        )),
-    ),
-    (
         "seeded_plan",
-        2, None, 2.0,
+        2, 2.0,
         FaultPlan.from_seed_mp(11, 2, stall_seconds=0.2),
     ),
 ]
@@ -203,16 +183,15 @@ CHAOS_MATRIX = [
 @needs_fork
 class TestChaosMatrix:
     @pytest.mark.parametrize(
-        "name,num_procs,partition,timeout,plan",
+        "name,num_procs,timeout,plan",
         CHAOS_MATRIX,
         ids=[case[0] for case in CHAOS_MATRIX],
     )
     def test_counts_identical_under_faults(
-        self, graph, baseline, name, num_procs, partition, timeout, plan
+        self, graph, baseline, name, num_procs, timeout, plan
     ):
         config = MultiprocessConfig(
             num_procs=num_procs,
-            partition=partition,
             worker_timeout=timeout,
             fault_plan=plan,
         )
@@ -307,11 +286,13 @@ class TestDegradationLadder:
             fault_plan=plan,
         )
         with deadline():
-            with pytest.warns(RuntimeWarning, match="respawn"):
+            with pytest.warns(RuntimeWarning, match="respawn") as caught:
                 counts, report = _census(graph, config)
         assert counts == baseline
         summary = report.backend_summary()
         assert summary["degraded_to"] == "sequential"
+        warning = str(caught.pop(RuntimeWarning).message)
+        assert warning.startswith(summary["degraded_reason"])
         assert report.metrics.workers_lost >= 1
 
     def test_degrade_never_raises_instead(self, graph):
