@@ -1,7 +1,7 @@
 """Decomposed counting kernel vs indexed enumeration, measured.
 
 Standalone harness writing ``BENCH_decomposed_counting.json`` at the
-repository root:
+repository root (``--quick``: under ``.benchmarks/``):
 
 * **Counting workload** — the q1-q8 subgraph-counting queries on the
   patents stand-in (the Fig 15 workload, sparse) and the denser mico
@@ -59,9 +59,7 @@ from repro.harness import bench_mico, bench_patents  # noqa: E402
 from repro.pattern.decompose import DECOMPOSITION_MARGIN  # noqa: E402
 from repro.runtime.mp_backend import MultiprocessConfig  # noqa: E402
 
-from bench_schema import make_header  # noqa: E402
-
-DEFAULT_OUT = REPO_ROOT / "BENCH_decomposed_counting.json"
+from bench_schema import make_header, result_path  # noqa: E402
 
 CROSSOVER_SWEEP = (1, 2, 4, 8, 16, 32, 64)
 CROSSOVER_TOLERANCE = 1.10  # default must price within 10% of the best
@@ -227,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="single repetition, q1/q3/q7 only (CI smoke)",
     )
     parser.add_argument("--reps", type=int, default=None, help="repetitions")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     reps = args.reps if args.reps is not None else (1 if args.quick else 3)
     if reps < 1:
@@ -348,8 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "met": met,
         },
     }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out = args.out or result_path("decomposed_counting", args.quick)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {out}")
     if not met:
         print(
             f"FAIL ({target}): chosen-query unit reduction "

@@ -22,7 +22,8 @@ vertex-induced exploration, motif census via canonical pattern codes),
 so a full pass is 81 fault runs checked against 12 failure-free
 baselines.  The harness also records a recovery-overhead-vs-failure-rate
 curve and writes everything to ``BENCH_fault_recovery.json`` at the
-repository root; any invariant violation makes it exit nonzero.
+repository root (``--smoke``: under ``.benchmarks/``); any invariant
+violation makes it exit nonzero.
 
 Usage::
 
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import ClusterConfig, FractalContext
-from bench_schema import make_header
+from bench_schema import make_header, result_path
 from repro.graph import powerlaw_graph
 from repro.runtime.faults import (
     CoreFailure,
@@ -47,9 +48,6 @@ from repro.runtime.faults import (
     StragglerWindow,
     WorkerFailure,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_fault_recovery.json"
 
 WORKERS = 2
 CORES = 3
@@ -346,12 +344,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="smaller graph for CI; still >= 20 schedules x 3 apps",
     )
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     n = 48 if args.smoke else 110
     graph = powerlaw_graph(n, attach=4, seed=17)
     seeded = 16 if args.smoke else 22
-    return run(graph, seeded, args.out)
+    out = args.out or result_path("fault_recovery", args.smoke)
+    return run(graph, seeded, out)
 
 
 if __name__ == "__main__":

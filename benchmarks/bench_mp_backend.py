@@ -2,10 +2,8 @@
 
 Measures wall-clock for motifs k=3 on a mico-like graph under the
 shared-memory multiprocess backend at 1..8 worker processes, against
-the sequential engine, and records the partitioned-storage comparison
-(hash vs greedy vertex-cut remote-fetch profile on a community graph),
-which is modelled on the simulated cluster: the multiprocess workers
-all read one shared-memory graph, so none of their reads is remote.
+the sequential engine.  Every worker reads the one shared-memory copy
+of the graph.
 
 Honesty note: speedup is bounded by the *host's* physical parallelism.
 The payload records ``host_cpus`` next to every number and computes
@@ -43,7 +41,6 @@ if str(SRC) not in sys.path:
 
 from repro import ClusterConfig, FractalContext, MultiprocessConfig  # noqa: E402
 from repro.apps import motifs  # noqa: E402
-from repro.graph import community_graph  # noqa: E402
 from repro.graph.datasets import mico_like  # noqa: E402
 from repro.pattern import dfscode  # noqa: E402
 
@@ -130,33 +127,11 @@ def run_full(out: Path, reps: int) -> int:
     achieved = wall_1 / wall_8 if wall_8 else 0.0
     target_met = achieved >= TARGET_SPEEDUP
 
-    # Partition-strategy comparison on the simulated cluster (deterministic,
-    # no wall time): identical counts, measurably different
-    # remote-adjacency profile on a community-structured graph.
-    pgraph = community_graph(4, 16, p_in=0.3, p_out=0.02, seed=7)
-    pseq, _, _ = _census("sequential", pgraph)
-    partitions = {}
-    for strategy in ("hash", "vertexcut"):
-        census, _, report = _census(
-            ClusterConfig(workers=4, cores_per_worker=1, partition=strategy),
-            pgraph,
-        )
-        if _canonical(census) != _canonical(pseq):
-            print(f"FAIL: partition={strategy} counts differ")
-            return 1
-        partitions[strategy] = {
-            k: (round(v, 4) if isinstance(v, float) else v)
-            for k, v in report.partition_summary().items()
-        }
-    hash_remote = partitions["hash"]["remote_fraction"]
-    vc_remote = partitions["vertexcut"]["remote_fraction"]
-
     headline = (
         f"motifs k=3: {achieved:.2f}x at {TARGET_PROCS} procs vs 1 "
         f"(target {TARGET_SPEEDUP:.0f}x, "
         f"{'met' if target_met else 'NOT met'}; host has {host_cpus} "
-        f"cpu{'s' if host_cpus != 1 else ''}); vertexcut remote fraction "
-        f"{vc_remote:.2f} vs hash {hash_remote:.2f}"
+        f"cpu{'s' if host_cpus != 1 else ''})"
     )
     payload = {
         **make_header(
@@ -195,18 +170,6 @@ def run_full(out: Path, reps: int) -> int:
             "host_cpus": host_cpus,
             "host_can_reach_target": host_cpus >= TARGET_SPEEDUP,
             "target_met": target_met,
-        },
-        "partition_comparison": {
-            "graph": {
-                "name": pgraph.name,
-                "vertices": pgraph.n_vertices,
-                "edges": pgraph.n_edges,
-            },
-            "engine": "simulator",
-            "workers": 4,
-            "cores_per_worker": 1,
-            "strategies": partitions,
-            "strategies_differ_measurably": hash_remote != vc_remote,
         },
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -53,6 +53,7 @@ __all__ = [
     "current_commit",
     "current_git_dirty",
     "make_header",
+    "result_path",
     "load_bench",
     "iter_bench_files",
 ]
@@ -112,6 +113,21 @@ def make_header(
         "host_cpus": os.cpu_count() or 1,
         "git_dirty": current_git_dirty(),
     }
+
+
+def result_path(bench: str, smoke: bool) -> Path:
+    """Where a run writes its result file when no ``--out`` is given.
+
+    A full run records ``BENCH_<bench>.json`` at the repository root.  A
+    smoke run is a check, not a record: it writes the same file under the
+    gitignored ``.benchmarks/`` and leaves the checked-in one as it was.
+    """
+    name = f"BENCH_{bench}.json"
+    if not smoke:
+        return REPO_ROOT / name
+    scratch = REPO_ROOT / ".benchmarks"
+    scratch.mkdir(exist_ok=True)
+    return scratch / name
 
 
 def load_bench(path: Path) -> Dict[str, object]:

@@ -4,8 +4,7 @@ Usage::
 
     python -m repro datasets
     python -m repro run motifs --dataset mico --k 3
-    python -m repro run cliques --dataset youtube --k 4 --workers 2 --cores 8 \\
-        --partition vertexcut
+    python -m repro run cliques --dataset youtube --k 4 --workers 2 --cores 8
     python -m repro run motifs --dataset mico --k 3 \\
         --backend multiprocess --num-procs 4
     python -m repro run fsm --dataset mico --support 20
@@ -90,14 +89,7 @@ def _fault_plan(args) -> object:
 
 def _engine(args) -> object:
     backend = getattr(args, "backend", "auto")
-    partition = getattr(args, "partition", None)
     if backend == "multiprocess":
-        if partition is not None:
-            raise SystemExit(
-                "--partition models partitioned storage on the simulated "
-                "cluster: pass --backend simulator (multiprocess workers "
-                "all read one shared-memory graph)"
-            )
         # Real-process failure injection: a plan file is used as given
         # (its mp_* sections drive the faults); --inject-failures SEED
         # derives real worker kills/stalls/drops from the seed.
@@ -137,12 +129,6 @@ def _engine(args) -> object:
                 "--workers/--cores so that workers x cores > 1, or "
                 "--backend simulator"
             )
-        if partition is not None:
-            raise SystemExit(
-                "--partition needs parallel workers on the simulated "
-                "cluster: pass --workers/--cores so that workers x cores "
-                "> 1, or --backend simulator"
-            )
         return "sequential"
     try:
         return ClusterConfig(
@@ -150,7 +136,6 @@ def _engine(args) -> object:
             cores_per_worker=args.cores,
             fault_plan=plan,
             steal_policy=getattr(args, "steal_policy", "one"),
-            partition=partition,
         )
     except ValueError as exc:
         raise SystemExit(f"invalid cluster configuration: {exc}")
@@ -357,29 +342,6 @@ def _print_multiprocess(summary) -> None:
         )
 
 
-def _print_partition(report) -> None:
-    """Partitioned-storage block printed after partitioned runs."""
-    if report is None:
-        return
-    summary = report.partition_summary()
-    if summary["strategy"] is None:
-        return
-    print(
-        "partition: "
-        f"{summary['strategy']} x{summary['n_parts']} "
-        f"(balance {summary['balance']:.3f}, "
-        f"{summary['cut_edges']:.0f} cut edges, "
-        f"cut fraction {summary['cut_fraction']:.3f})"
-    )
-    print(
-        "remote adjacency: "
-        f"{summary['remote_fetches']:.0f} remote / "
-        f"{summary['local_fetches']:.0f} local fetches "
-        f"(remote fraction {summary['remote_fraction']:.3f}, "
-        f"{summary['remote_units']:.1f} units)"
-    )
-
-
 def _print_pattern_kernel(report) -> None:
     """Candidate-kernel block printed after pattern-query runs."""
     if report is None:
@@ -555,7 +517,6 @@ def _run_app(args) -> int:
         if engine.fault_plan is not None:
             _print_recovery(context.last_report)
     _print_backend(context.last_report)
-    _print_partition(context.last_report)
     return 0
 
 
@@ -686,14 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="respawns allowed per multiprocess worker slot before the "
         "slot is abandoned; when every slot is abandoned the step "
         "degrades to in-driver sequential execution (default 2)",
-    )
-    p_run.add_argument(
-        "--partition",
-        choices=["hash", "vertexcut"],
-        default=None,
-        help="partitioned graph storage on the simulated cluster: assign "
-        "root vertices to workers by multiplicative hash or greedy "
-        "vertex-cut and price remote adjacency fetches; default is none",
     )
     p_run.add_argument(
         "--steal-policy",

@@ -176,9 +176,8 @@ class ExtensionStrategy:
         call ``push``/``pop``, so a subclass of those three that
         overrides either must override ``children`` as well
         (``children = ExtensionStrategy.children`` gets this spelling
-        back), and to observe the walk per child wrap ``children``, as
-        the multiprocess backend's fetch meter does — a ``push`` shadowed
-        on an instance is not seen.
+        back), and to observe the walk per child wrap ``children`` — a
+        ``push`` shadowed on an instance is not seen.
         """
         push = self.push
         pop = self.pop

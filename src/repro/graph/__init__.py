@@ -1,14 +1,6 @@
 """Graph substrate: data model, I/O, synthetic datasets, reduction views."""
 
 from .graph import Graph, GraphBuilder, GraphError
-from .partition import (
-    PARTITION_STRATEGIES,
-    GraphPartition,
-    edges_of_part,
-    hash_partition,
-    partition_graph,
-    vertexcut_partition,
-)
 from .shm import SharedGraphBuffers
 from .io import (
     load_adjacency_list,
@@ -46,13 +38,7 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "GraphError",
-    "GraphPartition",
-    "PARTITION_STRATEGIES",
     "SharedGraphBuffers",
-    "edges_of_part",
-    "hash_partition",
-    "partition_graph",
-    "vertexcut_partition",
     "load_adjacency_list",
     "load_edge_list",
     "load_keywords",

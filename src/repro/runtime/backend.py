@@ -19,7 +19,7 @@ uses to unlink its shared-memory segment.  A backend returns one
 :class:`StepOutcome` per step: the filled aggregation storages, the
 step's metrics, its priced work, and an optional ``backend_info`` dict
 surfaced in :class:`~repro.runtime.driver.StepReport` for reporting
-(real wall time, partition quality, shared-segment size).
+(real wall time, shared-segment size).
 
 A backend decides *where* a step runs, never *what* it runs as: every
 ``run_step`` builds a probe strategy, asks
@@ -73,7 +73,7 @@ class StepOutcome:
     cluster: Optional[ClusterStepResult] = None
     kernel_info: Optional[Dict[str, object]] = None
     # Backend-specific observability (backend name, real wall time,
-    # partition summary, shared-memory footprint, ...).
+    # shared-memory footprint, ...).
     backend_info: Optional[Dict[str, object]] = None
     # Frozen results of the final step, for backends whose sinks run in
     # another process (the driver's sink closure cannot).  ``None`` means
@@ -283,11 +283,6 @@ class SimulatorBackend(ExecutionBackend):
             needs_enumerators = (
                 "fault injection configured (recovery needs enumerators)"
             )
-        elif config.partition is not None:
-            needs_enumerators = (
-                "partitioned storage configured (fetch metering "
-                "needs per-word pushes)"
-            )
         probe = core_strategy(Metrics())
         step = plan_step(
             probe, graph, primitives, collect, root_words, cost,
@@ -326,8 +321,6 @@ class SimulatorBackend(ExecutionBackend):
             root_words=root_words,
         )
         result.metrics.merge(metrics)
-        if result.partition_info is not None:
-            info["partition"] = result.partition_info
         return StepOutcome(
             storages=result.storages,
             metrics=result.metrics,

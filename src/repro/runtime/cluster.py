@@ -59,7 +59,6 @@ from ..core.primitives import (
 )
 from ..core.subgraph import Subgraph
 from ..graph.graph import Graph
-from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..pattern.pattern import PatternInterner
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages
@@ -112,16 +111,6 @@ class ClusterConfig:
     # ``None`` (the default) keeps the uniform network of prior releases
     # — every clock bit-identical.
     link_latency: Optional[Tuple[Tuple[int, int, float], ...]] = None
-    # Partitioned graph storage (docs/internals.md §12).  ``None`` (the
-    # default) keeps the replicated-graph model of the original engine —
-    # every clock and counter bit-identical to prior releases.  A
-    # strategy name from ``repro.graph.partition.PARTITION_STRATEGIES``
-    # assigns every vertex an owning *worker* (n_parts = workers):
-    # level-0 roots start on the worker that owns them, and every pushed
-    # word owned elsewhere is metered as a remote adjacency fetch and
-    # charged ``cost_model.remote_fetch_units`` on the simulated clock —
-    # the simulator's prediction of partitioning quality.
-    partition: Optional[str] = None
 
     def __post_init__(self):
         for name in ("workers", "cores_per_worker"):
@@ -165,11 +154,6 @@ class ClusterConfig:
                     )
                 seen.add(pair)
                 _check_clock(units, f"link latency for workers {src}<->{dst}")
-        if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"partition must be None or one of {PARTITION_STRATEGIES}, "
-                f"got {self.partition!r}"
-            )
         if self.fault_plan is not None:
             self.fault_plan.validate(self.workers, self.cores_per_worker)
 
@@ -251,9 +235,6 @@ class ClusterStepResult:
     recovered_extensions: int = 0
     recovery_units: float = 0.0
     steal_retries: int = 0
-    # Partition-quality summary (``GraphPartition.summary``) when the
-    # step ran under ``ClusterConfig.partition``; ``None`` otherwise.
-    partition_info: Optional[Dict[str, object]] = None
 
 
 class _Core:
@@ -836,9 +817,6 @@ class ClusterEngine:
 
     def __init__(self, config: ClusterConfig):
         self.config = config
-        # Owner lookup for the active partition (None = replicated graph);
-        # set per run_step, consulted by _advance's fetch metering.
-        self._word_owner: Optional[Callable[[int], int]] = None
         # Adaptive steal-degree controller (None under ``"one"``)
         # and the heterogeneous-link lookup; both set per run_step.
         self._controller: Optional[_StealController] = None
@@ -881,16 +859,6 @@ class ClusterEngine:
         storages_per_core = [
             new_storages(primitives, cached_uids) for _ in cores
         ]
-        partition_info: Optional[Dict[str, object]] = None
-        self._word_owner = None
-        if config.partition is not None and cores:
-            graph_partition = partition_graph(
-                graph, config.partition, config.workers
-            )
-            self._word_owner = graph_partition.word_owner(
-                graph, cores[0].strategy.mode
-            )
-            partition_info = graph_partition.summary(graph)
         setup_metrics = self._distribute_roots(cores, primitives, root_words)
 
         runtime = _FaultRuntime(config, cost)
@@ -942,11 +910,9 @@ class ClusterEngine:
                 heap, cores, storages_per_core, primitives, sink, cost, runtime
             )
 
-        result = self._collect(
+        return self._collect(
             cores, storages_per_core, steal_messages, cost, runtime
         )
-        result.partition_info = partition_info
-        return result
 
     def _drain(
         self,
@@ -1111,24 +1077,6 @@ class ClusterEngine:
         else:
             words = list(root_words)
         n = len(cores)
-        owner = self._word_owner
-        if owner is not None:
-            # Partitioned storage: a root starts on the worker that owns
-            # it (zero remote fetch at level 0), round-robin across that
-            # worker's cores.
-            cpw = self.config.cores_per_worker
-            per_worker: List[List[int]] = [
-                [] for _ in range(self.config.workers)
-            ]
-            for word in words:
-                per_worker[owner(word)].append(word)
-            for core in cores:
-                local = per_worker[core.worker_id]
-                partition = local[core.core_id % cpw :: cpw]
-                core.stack.append(
-                    SubgraphEnumerator((), partition, first_expand + 1)
-                )
-            return setup_metrics
         for core in cores:
             partition = words[core.core_id::n]
             core.stack.append(
@@ -1182,16 +1130,6 @@ class ClusterEngine:
             sched.retract(core)
         metrics.subgraphs_enumerated += 1
         units = cost.subgraph_units
-        owner = self._word_owner
-        if owner is not None:
-            # Partitioned storage: pushing a word reads its adjacency; a
-            # word owned by another worker models a cross-partition fetch
-            # and pays the interconnect price on the simulated clock.
-            if owner(word) == core.worker_id:
-                metrics.local_adjacency_fetches += 1
-            else:
-                metrics.remote_adjacency_fetches += 1
-                units += cost.remote_fetch_units
         computation = core.computation
         idx = top.primitive_index
         n = len(primitives)

@@ -72,17 +72,6 @@ class CostModel:
     decomp_block_units: float = 1.0
     decomp_term_units: float = 0.25
 
-    # Partitioned graph storage (docs/internals.md §12).  When a
-    # partition strategy assigns vertices to workers, pushing a word
-    # owned by another worker models fetching its adjacency list across
-    # the interconnect.  Far cheaper than a steal round-trip (adjacency
-    # fetches batch and pipeline; steals are latency-bound) but much
-    # more expensive than the local scan, so partition quality — the
-    # fraction of remote fetches — visibly moves the predicted makespan.
-    # Exactly zero fetches occur without a partition, keeping
-    # unpartitioned clock arithmetic bit-identical to prior releases.
-    remote_fetch_units: float = 40.0
-
     # Work stealing (paper §4.2 and §6).
     steal_internal_units: float = 25.0
     steal_request_units: float = 400.0  # WS_ext request/response messages
@@ -141,7 +130,6 @@ class CostModel:
             + metrics.intersect_comparisons * self.intersect_compare_units
             + metrics.gallop_steps * self.gallop_step_units
             + metrics.index_slices * self.index_slice_units
-            + metrics.remote_adjacency_fetches * self.remote_fetch_units
             + metrics.decomp_core_embeddings * self.decomp_core_embedding_units
             + metrics.decomp_blocks * self.decomp_block_units
             + metrics.decomp_terms * self.decomp_term_units

@@ -48,7 +48,7 @@ class StepReport:
     # with the kernel name and matching order.
     kernel_info: Optional[Dict[str, object]] = None
     # Backend-specific observability (backend name, real wall time,
-    # partition quality, shared-memory footprint, ...).
+    # shared-memory footprint, ...).
     backend_info: Optional[Dict[str, object]] = None
 
 
@@ -237,37 +237,6 @@ class ExecutionReport:
             for key in ("degraded_to", "degraded_reason"):
                 summary[key] = degraded[key]
         return summary
-
-    def partition_summary(self) -> Dict[str, object]:
-        """Partitioned-storage observability rolled up over all steps.
-
-        ``strategy``/``n_parts``/``cut_*``/``balance`` describe the
-        partition (``None``/zero when no partition was configured);
-        ``remote_fetches``/``local_fetches`` count pushed words by
-        whether their owner was the executing worker; ``remote_units``
-        prices the remote fetches with the default cost model — the
-        simulated interconnect cost the partition strategy caused.
-        """
-        info = None
-        for step in self.steps:
-            if step.cluster is not None and step.cluster.partition_info:
-                info = step.cluster.partition_info
-            if step.backend_info and step.backend_info.get("partition"):
-                info = step.backend_info["partition"]
-        m = self.metrics
-        remote = m.remote_adjacency_fetches
-        total = remote + m.local_adjacency_fetches
-        return {
-            "strategy": info["strategy"] if info else None,
-            "n_parts": info["n_parts"] if info else 0,
-            "cut_edges": info["cut_edges"] if info else 0,
-            "cut_fraction": info["cut_fraction"] if info else 0.0,
-            "balance": info["balance"] if info else 0.0,
-            "remote_fetches": remote,
-            "local_fetches": m.local_adjacency_fetches,
-            "remote_fraction": (remote / total) if total else 0.0,
-            "remote_units": remote * DEFAULT_COST_MODEL.remote_fetch_units,
-        }
 
     def pattern_kernel_summary(self) -> Dict[str, object]:
         """Candidate-kernel observability rolled up over all steps.

@@ -99,14 +99,6 @@ COUNTERS = (
     ("intersect_comparisons", 0, add),
     ("gallop_steps", 0, add),
     ("index_slices", 0, add),
-    # Partitioned graph access — adjacency fetches split into remote
-    # (owned elsewhere: a real deployment would ship the adjacency list
-    # across workers) and local (the pushed word's partition owner is the
-    # executing worker).  Zero unless a partition strategy is configured,
-    # so unpartitioned runs are byte-identical to prior releases; under a
-    # partition they separate hash from vertex-cut placement.
-    ("remote_adjacency_fetches", 0, add),
-    ("local_adjacency_fetches", 0, add),
     # Multiprocess supervision — real worker processes lost to crashes,
     # hangs or stragglers and respawned replacements, chunk leases
     # re-executed after a worker death or lost result message, and chunks

@@ -72,10 +72,9 @@ survivable schedule terminates.
 
 **Work distribution.**  Chunks are round-robin slices of the root
 words and any idle worker receives the next pending chunk — cheap
-dynamic balancing at lease granularity.  Every worker reads the whole
-graph from the one shared segment, so no adjacency read is remote here;
-partitioned storage and its fetch pricing are modelled on the simulated
-cluster (``ClusterConfig.partition``).
+dynamic balancing at lease granularity.  Every worker reads the one
+replicated graph from the shared segment, as every Fractal worker holds
+the whole input graph (paper §4.2); no adjacency read is remote.
 
 **Result shipping.**  Each worker ships one message per completed
 chunk: a flat ``bytes`` payload it encoded itself

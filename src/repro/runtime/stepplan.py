@@ -132,7 +132,7 @@ def plan_step(
     ``probe`` is a strategy of the step; only its answers are read,
     nothing is enumerated.  ``needs_enumerators`` is the
     backend's reason why this run needs real enumerators (fault
-    injection, partitioned storage), or ``None``: the backend states the
+    injection), or ``None``: the backend states the
     fact, the consequence — no shortcut, the reason in the decision
     records — is drawn here.  ``enumerates_listings`` is the same for
     listing steps alone (the simulated cluster).  Strategies without a

@@ -9,6 +9,7 @@ cross-process results are compared with set/dict equality; every interner
 holds the same representative of a class (the code's own structure).
 """
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -74,9 +75,14 @@ class TestBackendResolution:
     def test_bad_mp_config_rejected(self):
         with pytest.raises(ValueError):
             MultiprocessConfig(num_procs=0)
-        # Partitioned storage is modelled on the simulator only.
+
+    @pytest.mark.parametrize("config", [ClusterConfig, MultiprocessConfig])
+    def test_no_engine_partitions_the_graph(self, config):
+        # Every worker holds the whole graph (paper §4.2): no engine
+        # config has a field that assigns vertices to workers.
+        assert "partition" not in {f.name for f in dataclasses.fields(config)}
         with pytest.raises(TypeError):
-            MultiprocessConfig(partition="hash")
+            config(**{"partition": "hash"})
 
 
 @needs_fork
@@ -90,17 +96,6 @@ class TestMultiprocessEquivalence:
         sim = _motifs(ClusterConfig(workers=2, cores_per_worker=2), graph)
         mp = _motifs(MultiprocessConfig(num_procs=2), graph)
         assert dict(mp) == dict(sim)
-
-    def test_motifs_partitioned(self, graph):
-        seq = _motifs("sequential", graph)
-        for strategy in ("hash", "vertexcut"):
-            sim = _motifs(
-                ClusterConfig(
-                    workers=2, cores_per_worker=2, partition=strategy
-                ),
-                graph,
-            )
-            assert dict(sim) == dict(seq)
 
     def test_cliques_match(self, graph):
         fc_seq = FractalContext()
@@ -173,39 +168,7 @@ class TestKeyRepresentativesAgree:
 
 
 @needs_fork
-class TestRemoteFetchMetering:
-    def test_unpartitioned_run_has_zero_fetch_counters(self, graph):
-        fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
-        motifs(fc.from_graph(graph), 3)
-        m = fc.last_report.metrics
-        assert m.remote_adjacency_fetches == 0
-        assert m.local_adjacency_fetches == 0
-
-    def test_partitioned_run_meters_fetches(self, graph):
-        # Partitioned storage is metered on the simulated cluster.
-        fc = FractalContext(
-            engine=ClusterConfig(
-                workers=2, cores_per_worker=2, partition="hash"
-            )
-        )
-        motifs(fc.from_graph(graph), 3)
-        m = fc.last_report.metrics
-        assert m.remote_adjacency_fetches > 0
-        assert m.local_adjacency_fetches > 0
-        # One fetch per visited child, whichever visitor the strategy has.
-        assert (
-            m.local_adjacency_fetches + m.remote_adjacency_fetches
-            == m.subgraphs_enumerated
-        )
-        summary = fc.last_report.partition_summary()
-        assert summary["strategy"] == "hash"
-        assert summary["n_parts"] == 2
-        assert summary["remote_fetches"] == m.remote_adjacency_fetches
-        assert summary["local_fetches"] == m.local_adjacency_fetches
-        assert summary["remote_units"] == pytest.approx(
-            m.remote_adjacency_fetches * DEFAULT_COST_MODEL.remote_fetch_units
-        )
-
+class TestBackendSummary:
     def test_backend_summary_reports_shape(self, graph):
         fc = FractalContext(engine=MultiprocessConfig(num_procs=2))
         motifs(fc.from_graph(graph), 3)
@@ -356,27 +319,6 @@ class TestSimulatorUnchanged:
         assert report.metrics.snapshot() == fc2.last_report.metrics.snapshot()
         assert report.simulated_seconds == pytest.approx(
             fc2.last_report.simulated_seconds
-        )
-
-    def test_unpartitioned_simulator_has_zero_fetch_counters(self, graph):
-        fc = FractalContext(engine=ClusterConfig(workers=2, cores_per_worker=2))
-        motifs(fc.from_graph(graph), 3)
-        assert fc.last_report.metrics.remote_adjacency_fetches == 0
-        assert fc.last_report.metrics.local_adjacency_fetches == 0
-
-    def test_partitioned_simulator_meters_and_slows(self, graph):
-        plain = ClusterConfig(workers=2, cores_per_worker=2)
-        parts = ClusterConfig(workers=2, cores_per_worker=2, partition="hash")
-        fc_plain = FractalContext(engine=plain)
-        fc_parts = FractalContext(engine=parts)
-        c_plain = motifs(fc_plain.from_graph(graph), 3)
-        c_parts = motifs(fc_parts.from_graph(graph), 3)
-        assert dict(c_plain) == dict(c_parts)
-        assert fc_parts.last_report.metrics.remote_adjacency_fetches > 0
-        # Remote fetches are priced on the simulated clock.
-        assert (
-            fc_parts.last_report.simulated_seconds
-            > fc_plain.last_report.simulated_seconds
         )
 
 

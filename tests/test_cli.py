@@ -305,20 +305,20 @@ class TestBackendFlags:
         args = build_parser().parse_args(["run", "motifs"])
         assert args.backend == "auto"
         assert args.num_procs == 2
-        assert args.partition is None
+        assert "partition" not in vars(args)
 
     def test_invalid_backend_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "motifs", "--backend", "spark"])
 
-    def test_invalid_partition_exits(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "motifs", "--partition", "metis"])
-
-    def test_partition_requires_parallel_backend(self):
-        with pytest.raises(SystemExit, match="parallel workers"):
-            main(["run", "cliques", "--dataset", "mico", "--scale", "0.3",
-                  "--partition", "hash"])
+    @pytest.mark.parametrize("flag", ["partition"])
+    def test_retired_flag_is_a_usage_error(self, flag, capsys):
+        # Every simulated worker holds the whole graph; there is no
+        # storage placement to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "motifs", f"--{flag}", "hash"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_parser_mp_supervision_defaults(self):
         args = build_parser().parse_args(["run", "motifs"])
@@ -432,23 +432,6 @@ class TestBackendFlags:
         assert "pattern kernel: decomposed" in out
         assert "counted in driver (orbit), no workers forked" in out
         assert "start method ?" not in out
-
-    def test_run_multiprocess_partitioned(self):
-        # Partitioned storage is modelled on the simulated cluster only.
-        with pytest.raises(SystemExit, match="--backend simulator"):
-            main(["run", "cliques", "--dataset", "mico", "--scale", "0.3",
-                  "--k", "3", "--backend", "multiprocess", "--num-procs", "2",
-                  "--partition", "vertexcut"])
-
-    def test_simulator_backend_partitioned(self, capsys):
-        assert main(
-            ["run", "cliques", "--dataset", "mico", "--scale", "0.3",
-             "--k", "3", "--workers", "2", "--cores", "2",
-             "--partition", "hash"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "partition: hash x2" in out
-        assert "scheduler:" in out
 
     def test_explicit_simulator_backend(self, capsys):
         # --backend simulator engages the cluster even at 1x1.

@@ -313,18 +313,17 @@ class TestFallbacks:
         )
         assert plan is None
 
-    def test_simulator_fault_and_partition_fall_back(self):
+    def test_simulator_fault_falls_back(self):
         graph = erdos_renyi_graph(200, 2400, seed=5)
         pattern = QUERY_PATTERNS["q7"]
         baseline, _ = _count(graph, pattern, "indexed")
         kill = FaultPlan(core_failures=(CoreFailure(0, 5000.0),))
-        for extra in ({"fault_plan": kill}, {"partition": "hash"}):
-            config = ClusterConfig(workers=2, cores_per_worker=2, **extra)
-            count, report = _count(graph, pattern, "decomposed", config)
-            assert count == baseline, extra
-            decomp = report.pattern_kernel_summary()["decomposition"]
-            assert decomp["executed"] == "enumeration", extra
-            assert report.metrics.decomp_fallbacks >= 1, extra
+        config = ClusterConfig(workers=2, cores_per_worker=2, fault_plan=kill)
+        count, report = _count(graph, pattern, "decomposed", config)
+        assert count == baseline
+        decomp = report.pattern_kernel_summary()["decomposition"]
+        assert decomp["executed"] == "enumeration"
+        assert report.metrics.decomp_fallbacks >= 1
 
     def test_fallback_info_shape(self):
         info = fallback_info("some reason")

@@ -18,7 +18,6 @@ from repro.runtime.stepplan import plan_step
 
 # The reasons the backends state when they need real enumerators.
 SIM_FAULTS = "fault injection configured (recovery needs enumerators)"
-PARTITION = "partitioned storage configured (fetch metering needs per-word pushes)"
 MP_FAULTS = "mp fault plan configured (fault injection needs worker enumeration)"
 SIM_LISTS = "simulated cluster enumerates listings on its per-core clocks"
 
@@ -94,8 +93,8 @@ CASES = [
         ("enumerate", None, (False, READS), READS),
     ),
     (
-        ("indexed", "q7", "pure", "count", None, PARTITION),
-        ("enumerate", None, None, PARTITION),
+        ("indexed", "q7", "pure", "count", None, SIM_FAULTS),
+        ("enumerate", None, None, SIM_FAULTS),
     ),
     # Decomposed: the chooser's plan, else the orbit count, else the walk.
     (
@@ -122,14 +121,15 @@ CASES = [
         ("decomposed", "q7", "aggregating", "count", None, None),
         ("enumerate", ("enumeration", READS), (False, READS), READS),
     ),
-    # A backend that needs enumerators gets them, and its reason back.
+    # A backend that needs enumerators gets them, and its reason back,
+    # whether or not the chooser would have decomposed.
     (
         ("decomposed", "q7", "pure", "count", None, SIM_FAULTS),
         ("enumerate", ("enumeration", SIM_FAULTS), None, SIM_FAULTS),
     ),
     (
-        ("decomposed", "q7", "pure", "count", None, PARTITION),
-        ("enumerate", ("enumeration", PARTITION), None, PARTITION),
+        ("decomposed", "q1", "pure", "count", None, SIM_FAULTS),
+        ("enumerate", ("enumeration", SIM_FAULTS), None, SIM_FAULTS),
     ),
     (
         ("decomposed", "q7", "pure", "count", None, MP_FAULTS),
